@@ -1,9 +1,10 @@
 """Frames and Bessel systems in finite Hilbert C*-modules.
 
 The module is H = A^n over the matrix algebra A = M_d(C), with vectors
-held in a row-block matrix representation.  On top of a self-contained
-Hermitian Jacobi eigensolver the package computes optimal frame bounds,
-shift decompositions S = T + xi*I with their diagnostic inequalities,
+held in a row-block matrix representation.  On top of a LAPACK Hermitian
+eigensolver (with a self-contained Jacobi iteration kept as its test
+reference) the package computes optimal frame bounds, shift
+decompositions S = T + xi*I with their diagnostic inequalities,
 compact-tight frame constructions with certificates, canonical duals,
 and exhaustive weaving analysis.
 """

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -72,6 +73,34 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _write(save, path, *args) -> None:
+    """Run a frame_io writer; an unwritable output path is a flag error."""
+    try:
+        save(path, *args)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _workers_from_env() -> int:
@@ -199,7 +228,7 @@ def cmd_construct_t4(args) -> dict:
     # A truncated certificate only covers the spanned submodule; embed it
     # only when it validates against the whole-module frame operator.
     embedded = cert if count == shape.n else None
-    save_frame(args.out, system, embedded)
+    _write(save_frame, args.out, system, embedded)
     bounds = optimal_bounds(system)
     _reanalyze_guard(args.out, bounds.lower, bounds.upper)
     return {
@@ -238,7 +267,7 @@ def cmd_construct_repetition(args) -> dict:
         system, cert = repetition_frame(shape, table)
     except ValueError as exc:
         raise UsageError(str(exc))
-    save_frame(args.out, system, cert)
+    _write(save_frame, args.out, system, cert)
     bounds = optimal_bounds(system)
     _reanalyze_guard(args.out, bounds.lower, bounds.upper)
     return {
@@ -276,11 +305,10 @@ def cmd_construct_t49(args) -> dict:
     path_a = f"{args.out}-a.json"
     path_b = f"{args.out}-b.json"
     path_partition = f"{args.out}-partition.json"
-    save_frame(path_a, scenario.frame_a, cert_a, {**meta, "role": "a"})
-    save_frame(path_b, scenario.frame_b, cert_b, {**meta, "role": "b"})
-    save_partition(
-        path_partition, scenario.adversarial, families=2, sigma=list(scenario.sigma)
-    )
+    _write(save_frame, path_a, scenario.frame_a, cert_a, {**meta, "role": "a"})
+    _write(save_frame, path_b, scenario.frame_b, cert_b, {**meta, "role": "b"})
+    _write(save_partition, path_partition, scenario.adversarial, 2,
+           list(scenario.sigma))
     bounds_a = optimal_bounds(scenario.frame_a)
     bounds_b = optimal_bounds(scenario.frame_b)
     _reanalyze_guard(path_a, bounds_a.lower, bounds_a.upper)
@@ -410,7 +438,7 @@ def cmd_dual(args) -> dict:
             )
         except (SingularMatrixError, InconsistentDecompositionError, ValueError):
             dual_cert = None
-    save_frame(args.out, dual, dual_cert)
+    _write(save_frame, args.out, dual, dual_cert)
     dual_bounds = optimal_bounds(dual, args.tol)
     return {
         "out": str(args.out),
@@ -427,9 +455,9 @@ def build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="optimal bounds and decomposition diagnostics")
     analyze.add_argument("file")
     analyze.add_argument("--xi", type=float, default=None)
-    analyze.add_argument("--eta", type=float, default=None)
+    analyze.add_argument("--eta", type=_nonnegative_float, default=None)
     analyze.add_argument("--alpha", type=float, default=None)
-    analyze.add_argument("--tol", type=float, default=1e-9)
+    analyze.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(handler=cmd_analyze)
 
@@ -473,16 +501,17 @@ def build_parser() -> _Parser:
     perturb.add_argument("file_f")
     perturb.add_argument("file_g")
     perturb.add_argument("--xi", type=float, required=True)
-    perturb.add_argument("--eta", type=float, default=0.0)
-    perturb.add_argument("--tol", type=float, default=1e-9)
+    perturb.add_argument("--eta", type=_nonnegative_float, default=0.0)
+    perturb.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     perturb.add_argument("--format", choices=("text", "json"), default="text")
     perturb.set_defaults(handler=cmd_perturb)
 
     weave = sub.add_parser("weave", help="exhaustive universal weaving bounds")
     weave.add_argument("file_f")
     weave.add_argument("file_g")
-    weave.add_argument("--tol", type=float, default=1e-9)
-    weave.add_argument("--max-partitions", type=int, default=DEFAULT_PARTITION_CAP)
+    weave.add_argument("--tol", type=_nonnegative_float, default=1e-9)
+    weave.add_argument("--max-partitions", type=_positive_int,
+                       default=DEFAULT_PARTITION_CAP)
     weave.add_argument("--sweep", default=None, metavar="N1,N2,...")
     weave.add_argument("--format", choices=("text", "json"), default="text")
     weave.set_defaults(handler=cmd_weave)
@@ -490,7 +519,7 @@ def build_parser() -> _Parser:
     dual = sub.add_parser("dual", help="write the canonical dual frame")
     dual.add_argument("file")
     dual.add_argument("--out", required=True)
-    dual.add_argument("--tol", type=float, default=1e-9)
+    dual.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     dual.add_argument("--format", choices=("text", "json"), default="text")
     dual.set_defaults(handler=cmd_dual)
 

@@ -10,7 +10,8 @@ class NotHermitianError(ValueError):
 
 
 class NoConvergenceError(RuntimeError):
-    """The Jacobi iteration hit its sweep cap before converging."""
+    """An eigensolver failed: LAPACK reported no convergence, or the Jacobi
+    reference hit its sweep cap."""
 
 
 class NotPSDError(ValueError):

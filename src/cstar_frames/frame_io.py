@@ -73,6 +73,11 @@ def _require(condition: bool, message: str) -> None:
         raise FrameFileError(message)
 
 
+def _is_int(value) -> bool:
+    """JSON integers only: ``true`` and ``false`` decode to bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_finite_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where}: expected a number, got {value!r}")
@@ -171,9 +176,9 @@ def payload_to_frame(payload) -> LoadedFrame:
              f"unsupported schema {payload.get('schema')!r}; expected {FRAME_SCHEMA!r}")
     algebra = payload.get("algebra")
     module = payload.get("module")
-    _require(isinstance(algebra, dict) and isinstance(algebra.get("d"), int)
+    _require(isinstance(algebra, dict) and _is_int(algebra.get("d"))
              and algebra["d"] >= 1, "algebra.d must be an integer >= 1")
-    _require(isinstance(module, dict) and isinstance(module.get("n"), int)
+    _require(isinstance(module, dict) and _is_int(module.get("n"))
              and module["n"] >= 1, "module.n must be an integer >= 1")
     d = algebra["d"]
     n = module["n"]
@@ -214,7 +219,7 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
         profile = _decode_profile(raw["profile"], f"{where}.profile")
     permutation = raw.get("permutation", [])
     _require(isinstance(permutation, list)
-             and all(isinstance(i, int) for i in permutation),
+             and all(_is_int(i) for i in permutation),
              f"{where}.permutation: expected a list of integers")
     shape = system.shape
     alphas = raw.get("alphas")
@@ -255,11 +260,11 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
 def _decode_scenario(raw) -> dict:
     where = "scenario"
     _require(isinstance(raw, dict), f"{where}: expected an object")
-    _require(isinstance(raw.get("size"), int) and raw["size"] >= 2,
+    _require(_is_int(raw.get("size")) and raw["size"] >= 2,
              f"{where}.size: expected an integer >= 2")
     _require(raw.get("role") in ("a", "b"), f"{where}.role: expected 'a' or 'b'")
     sigma = raw.get("sigma")
-    _require(isinstance(sigma, list) and all(isinstance(i, int) for i in sigma),
+    _require(isinstance(sigma, list) and all(_is_int(i) for i in sigma),
              f"{where}.sigma: expected a list of integers")
     profile_a = _decode_profile(raw.get("profile_a"), f"{where}.profile_a")
     profile_b = _decode_profile(raw.get("profile_b"), f"{where}.profile_b")
@@ -335,10 +340,10 @@ def load_partition(path) -> tuple[Partition, int]:
     _require(isinstance(payload, dict) and payload.get("schema") == PARTITION_SCHEMA,
              f"{path}: unsupported partition schema")
     families = payload.get("families")
-    _require(isinstance(families, int) and families >= 1,
+    _require(_is_int(families) and families >= 1,
              f"{path}: families must be an integer >= 1")
     assignment = payload.get("assignment")
     _require(isinstance(assignment, list) and len(assignment) >= 1
-             and all(isinstance(a, int) and 1 <= a <= families for a in assignment),
+             and all(_is_int(a) and 1 <= a <= families for a in assignment),
              f"{path}: assignment must list family numbers in 1..{families}")
     return Partition(tuple(assignment)), families

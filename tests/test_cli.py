@@ -295,3 +295,57 @@ def test_unknown_flag_exit_4(capsys, tmp_path):
 def test_missing_file_exit_2(capsys, tmp_path):
     code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.json"))
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+def test_negative_eta_exit_4(capsys, tmp_path, command):
+    path = str(write_onb(tmp_path / "onb.json"))
+    files = [path] if command == "analyze" else [path, path]
+    code, _, err = run(capsys, command, *files, "--xi", "1", "--eta", "-0.5")
+    assert code == 4
+    assert "--eta" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "perturb", "weave", "dual"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
+def test_bad_tol_exit_4(capsys, tmp_path, command, tol):
+    path = str(write_onb(tmp_path / "onb.json"))
+    argv = {
+        "analyze": ["analyze", path],
+        "perturb": ["perturb", path, path, "--xi", "1"],
+        "weave": ["weave", path, path],
+        "dual": ["dual", path, "--out", str(tmp_path / "dual.json")],
+    }[command]
+    code, _, err = run(capsys, *argv, "--tol", tol)
+    assert code == 4
+    assert "--tol" in err
+
+
+def test_zero_tol_accepted(capsys, tmp_path):
+    path = write_onb(tmp_path / "onb.json")
+    report = run_json(capsys, "analyze", str(path), "--tol", "0")
+    assert report["bounds"]["isFrame"] is True
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_weave_nonpositive_max_partitions_exit_4(capsys, tmp_path, cap):
+    path = write_onb(tmp_path / "onb.json")
+    code, _, err = run(capsys, "weave", str(path), str(path), "--max-partitions", cap)
+    assert code == 4
+    assert "--max-partitions" in err
+
+
+def test_unwritable_out_exit_4(capsys, tmp_path):
+    path = write_onb(tmp_path / "onb.json")
+    target = tmp_path / "missing-dir" / "x.json"
+    for argv in (
+        ["dual", str(path), "--out", str(target)],
+        ["construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "4",
+         "--out", str(target)],
+        ["construct", "repetition", "--n", "3", "--repeat", "1:2", "--out", str(target)],
+        ["construct", "t49", "--n", "4", "--profile1", "gaussian:1",
+         "--profile2", "gaussian:1", "--out", str(tmp_path / "missing-dir" / "pair")],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 4, argv
+        assert "missing-dir" in err

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import (
@@ -188,3 +189,75 @@ def test_serialized_floats_shortest_repr(tmp_path):
     save_frame(path, system)
     loaded = load_frame(path)
     assert loaded.system.vectors[0].rep[0, 0] == value
+
+
+# JSON true/false decode to bool, which Python counts as an int; the schema must not.
+
+def _scenario_payload():
+    scenario = {
+        "size": 4,
+        "role": "a",
+        "sigma": [1, 3],
+        "profile_a": {"kind": "gaussian", "xi": 0.0, "c": 1.0},
+        "profile_b": {"kind": "gaussian", "xi": 0.0, "c": 1.0},
+    }
+    return frame_to_payload(FrameSystem(standard_basis(ModuleShape(1, 2))), None, scenario)
+
+
+def _set_d(payload):
+    payload["algebra"]["d"] = True
+
+
+def _set_n(payload):
+    payload["module"]["n"] = True
+
+
+def _set_size(payload):
+    payload["scenario"]["size"] = True
+
+
+def _set_sigma(payload):
+    payload["scenario"]["sigma"][0] = True
+
+
+@pytest.mark.parametrize("tamper,field", [
+    (_set_d, "algebra.d"),
+    (_set_n, "module.n"),
+    (_set_size, "scenario.size"),
+    (_set_sigma, "scenario.sigma"),
+])
+def test_boolean_integer_fields_rejected(tamper, field):
+    payload = _scenario_payload()
+    tamper(payload)
+    with pytest.raises(FrameFileError, match=field):
+        payload_to_frame(payload)
+
+
+def test_boolean_permutation_entry_rejected():
+    system, cert = profile_frame(ScalarProfile("gaussian", xi=1.0, c=1.0), ModuleShape(1, 4))
+    payload = frame_to_payload(system, cert)
+    assert payload["certificate"]["permutation"][0] == 1
+    payload["certificate"]["permutation"][0] = True
+    with pytest.raises(FrameFileError, match="certificate.permutation"):
+        payload_to_frame(payload)
+
+
+@pytest.mark.parametrize("families,assignment", [(True, [1, 1]), (2, [True, 2])])
+def test_partition_boolean_integers_rejected(tmp_path, families, assignment):
+    path = tmp_path / "part.json"
+    path.write_text(json.dumps({
+        "schema": "cstar-frames-partition/1",
+        "families": families,
+        "assignment": assignment,
+    }))
+    with pytest.raises(FrameFileError):
+        load_partition(path)
+
+
+def test_boolean_dimension_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    payload = _scenario_payload()
+    _set_d(payload)
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", str(path)]) == 2
+    assert "algebra.d" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_frames.errors import (
     NoConvergenceError,
@@ -15,6 +17,7 @@ from cstar_frames.errors import (
 from cstar_frames.linalg import (
     hermitian_eigen,
     hermitian_inverse,
+    jacobi_eigen,
     operator_norm,
     psd_check,
     psd_sqrt,
@@ -59,80 +62,144 @@ def char_roots_3x3(h):
     return np.sort(roots.real)
 
 
-# ---------------------------------------------------------- hermitian_eigen
+# ------------------------------------------------ hermitian_eigen, jacobi_eigen
+
+# The LAPACK kernel and its independent Jacobi reference must both pass
+# every closed-form check below.
+KERNELS = (hermitian_eigen, jacobi_eigen)
+
 
 def test_eigen_identity():
-    w, _ = hermitian_eigen(np.eye(3))
-    np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14)
+    for kernel in KERNELS:
+        w, _ = kernel(np.eye(3))
+        np.testing.assert_allclose(w, [1.0, 1.0, 1.0], atol=1e-14, err_msg=kernel.__name__)
 
 
 def test_eigen_symmetric_2x2():
-    w, _ = hermitian_eigen([[2.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
+    for kernel in KERNELS:
+        w, _ = kernel([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12, err_msg=kernel.__name__)
 
 
 def test_eigen_pauli_y():
-    w, _ = hermitian_eigen([[0.0, -1j], [1j, 0.0]])
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
+    for kernel in KERNELS:
+        w, _ = kernel([[0.0, -1j], [1j, 0.0]])
+        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12, err_msg=kernel.__name__)
 
 
 @pytest.mark.parametrize("n,oracle", [(2, char_roots_2x2), (3, char_roots_3x3)])
 def test_eigen_matches_characteristic_polynomial(rng, n, oracle):
     for _ in range(25):
         h = random_hermitian(rng, n)
-        w, _ = hermitian_eigen(h)
-        np.testing.assert_allclose(w, oracle(h), atol=1e-10)
+        for kernel in KERNELS:
+            w, _ = kernel(h)
+            np.testing.assert_allclose(w, oracle(h), atol=1e-10, err_msg=kernel.__name__)
 
 
 def test_eigen_trace_and_determinant(rng):
     for n in (2, 4, 7, 12):
         h = random_hermitian(rng, n)
-        w, _ = hermitian_eigen(h)
-        assert abs(w.sum() - np.trace(h).real) < 1e-9
-        det = np.linalg.det(h).real  # LU-based, independent of the Jacobi path
-        assert abs(np.prod(w) - det) < 1e-7 * max(1.0, abs(det))
+        det = np.linalg.det(h).real  # LU-based, independent of both eigen paths
+        for kernel in KERNELS:
+            w, _ = kernel(h)
+            assert abs(w.sum() - np.trace(h).real) < 1e-9, kernel.__name__
+            assert abs(np.prod(w) - det) < 1e-7 * max(1.0, abs(det)), kernel.__name__
 
 
 def test_eigen_residual_and_unitarity(rng):
     for n in (2, 5, 9):
         h = random_hermitian(rng, n)
-        w, v = hermitian_eigen(h)
         scale = max(1.0, np.linalg.norm(h))
-        assert np.linalg.norm(h @ v - v * w) <= 1e-10 * scale
-        assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10
+        for kernel in KERNELS:
+            w, v = kernel(h)
+            assert np.linalg.norm(h @ v - v * w) <= 1e-10 * scale, kernel.__name__
+            assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-10, kernel.__name__
 
 
 def test_eigen_agrees_with_lapack(rng):
     for n in (4, 8, 12):
         h = random_hermitian(rng, n)
-        w, _ = hermitian_eigen(h)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(h), atol=1e-11)
+        for kernel in KERNELS:
+            w, _ = kernel(h)
+            np.testing.assert_allclose(
+                w, np.linalg.eigvalsh(h), atol=1e-11, err_msg=kernel.__name__
+            )
 
 
 def test_eigen_sorted_ascending(rng):
-    w, _ = hermitian_eigen(random_hermitian(rng, 9))
-    assert np.all(np.diff(w) >= 0)
+    h = random_hermitian(rng, 9)
+    for kernel in KERNELS:
+        w, _ = kernel(h)
+        assert np.all(np.diff(w) >= 0), kernel.__name__
 
 
 def test_eigen_rejects_non_square():
-    with pytest.raises(NotSquareError):
-        hermitian_eigen(np.ones((2, 3)))
+    for kernel in KERNELS:
+        with pytest.raises(NotSquareError):
+            kernel(np.ones((2, 3)))
 
 
 def test_eigen_rejects_non_hermitian():
-    with pytest.raises(NotHermitianError):
-        hermitian_eigen([[0.0, 1.0], [0.0, 0.0]])
+    for kernel in KERNELS:
+        with pytest.raises(NotHermitianError):
+            kernel([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_eigen_rejects_non_finite():
+    for kernel in KERNELS:
+        for bad in (math.nan, math.inf, complex(0.0, math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                kernel([[1.0, 0.0], [0.0, bad]])
 
 
 def test_eigen_sweep_cap():
     with pytest.raises(NoConvergenceError):
-        hermitian_eigen([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
+        jacobi_eigen([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
+
+
+def test_eigen_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergenceError, match="LAPACK"):
+        hermitian_eigen(np.eye(2))
 
 
 def test_eigen_zero_matrix():
-    w, v = hermitian_eigen(np.zeros((4, 4)))
-    np.testing.assert_allclose(w, np.zeros(4))
-    np.testing.assert_allclose(v, np.eye(4))
+    for kernel in KERNELS:
+        w, v = kernel(np.zeros((4, 4)))
+        np.testing.assert_allclose(w, np.zeros(4), err_msg=kernel.__name__)
+        np.testing.assert_allclose(v, np.eye(4), err_msg=kernel.__name__)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """Random, diagonal or degenerate Hermitian matrices of size 1-16, rescaled."""
+    n = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("random", "diagonal", "degenerate")))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        mat = random_hermitian(rng, n)
+    elif kind == "diagonal":
+        mat = np.diag(rng.uniform(-1.0, 1.0, n)).astype(complex)
+    else:
+        # A few eigenvalue levels, each repeated, in a random unitary basis.
+        levels = draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0)), min_size=n, max_size=n))
+        unitary, _ = np.linalg.qr(random_complex(rng, n, n))
+        mat = (unitary * np.array(levels)) @ unitary.conj().T
+        mat = (mat + mat.conj().T) / 2.0
+    return scale * mat
+
+
+@settings(deadline=None)
+@given(hermitian_matrices())
+def test_lapack_agrees_with_jacobi_reference(mat):
+    tolerance = 1e-11 * max(1.0, np.linalg.norm(mat))
+    lapack, _ = hermitian_eigen(mat)
+    jacobi, _ = jacobi_eigen(mat)
+    assert np.max(np.abs(lapack - jacobi)) <= tolerance
 
 
 # ----------------------------------------------------------------- psd_check
