@@ -1,11 +1,11 @@
 """Command-line front end: analyze, construct, perturb, weave, dual.
 
-Exit codes are fixed so scripts can branch on them:
+Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
     0  success
     2  file parse or validation error
     3  dimension mismatch between operands
-    4  invalid flags
+    4  invalid flags, out-of-range values, or a frame too large to build
     5  partition enumeration cap exceeded
     6  input is not a frame
 
@@ -49,6 +49,7 @@ from .errors import (
     TooManyPartitionsError,
 )
 from .frame_io import (
+    _encode_profile,
     load_frame,
     save_frame,
     save_partition,
@@ -65,9 +66,20 @@ from .weaving import (
 
 THREADS_ENV = "CSTAR_FRAMES_THREADS"
 
+#: Largest frame that construct and --sweep build, in complex entries of its
+#: synthesis matrix or frame operator, whichever is larger.  A frame file
+#: takes about 100 bytes of JSON per entry, so this caps a written file near
+#: 26 MB: four times the largest frame the benchmark builds (1064 x 64).
+MAX_FRAME_ENTRIES = 1 << 18
+
 
 class UsageError(Exception):
     """Flag-level misuse; mapped to exit code 4."""
+
+
+#: Exit code of each error that is reported without a traceback.
+EXIT_CODES = {FrameFileError: 2, ShapeMismatchError: 3, LengthMismatchError: 3,
+              UsageError: 4, TooManyPartitionsError: 5, NotAFrameError: 6}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,12 +87,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _nonnegative_float(text: str) -> float:
+def _finite_float(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not (math.isfinite(value) and value >= 0.0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0.0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
@@ -93,6 +112,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return value
+
+
+def _require_size(vectors: int, d: int, n: int) -> None:
+    """Refuse a frame above MAX_FRAME_ENTRIES before anything is allocated."""
+    entries = max(vectors, n) * d * n * d
+    if entries > MAX_FRAME_ENTRIES:
+        raise UsageError(f"a frame of {vectors} vectors with n = {n}, d = {d} has "
+                         f"{entries} entries, above the limit {MAX_FRAME_ENTRIES}")
 
 
 def _write(save, path, *args) -> None:
@@ -216,12 +243,13 @@ def _reanalyze_guard(path, claimed_lower: float, claimed_upper: float) -> None:
 
 
 def cmd_construct_t4(args) -> dict:
+    count = args.count if args.count is not None else args.n
+    _require_size(count, args.d, args.n)
     try:
         profile = ScalarProfile(
             kind=args.kind, xi=args.xi, c=args.c, r=args.r, p=args.p
         )
         shape = ModuleShape(d=args.d, n=args.n)
-        count = args.count if args.count is not None else args.n
         system, cert = profile_frame(profile, shape, count)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -262,6 +290,7 @@ def _parse_repeats(raw_items) -> dict[int, int]:
 
 def cmd_construct_repetition(args) -> dict:
     table = _parse_repeats(args.repeat)
+    _require_size(args.n + sum(max(count - 1, 0) for count in table.values()), args.d, args.n)
     try:
         shape = ModuleShape(d=args.d, n=args.n)
         system, cert = repetition_frame(shape, table)
@@ -282,6 +311,7 @@ def cmd_construct_repetition(args) -> dict:
 def cmd_construct_t49(args) -> dict:
     profile_a = _parse_profile_spec(args.profile1)
     profile_b = _parse_profile_spec(args.profile2)
+    _require_size(args.n, args.d, args.n // 2)
     try:
         scenario = adversarial_scenario(args.n, profile_a, profile_b, d=args.d)
     except ValueError as exc:
@@ -289,12 +319,8 @@ def cmd_construct_t49(args) -> dict:
     meta = {
         "size": args.n,
         "sigma": list(scenario.sigma),
-        "profile_a": {"kind": profile_a.kind, "xi": profile_a.xi, "c": profile_a.c,
-                      **({"r": profile_a.r} if profile_a.r is not None else {}),
-                      **({"p": profile_a.p} if profile_a.p is not None else {})},
-        "profile_b": {"kind": profile_b.kind, "xi": profile_b.xi, "c": profile_b.c,
-                      **({"r": profile_b.r} if profile_b.r is not None else {}),
-                      **({"p": profile_b.p} if profile_b.p is not None else {})},
+        "profile_a": _encode_profile(profile_a),
+        "profile_b": _encode_profile(profile_b),
     }
     cert_a = CompactTightCert(
         xi=1.0, profile=None, permutation=(), compact_part=scenario.compact_a
@@ -367,6 +393,8 @@ def _sweep_table(loaded_a, loaded_b, sizes) -> list[dict]:
     profile_a = ScalarProfile(**{k: v for k, v in meta_a["profile_a"].items()})
     profile_b = ScalarProfile(**{k: v for k, v in meta_a["profile_b"].items()})
     d = loaded_a.system.shape.d
+    for size in sizes:
+        _require_size(size, d, size // 2)
     rows = []
     for size in sizes:
         scenario = adversarial_scenario(size, profile_a, profile_b, d=d)
@@ -454,9 +482,9 @@ def build_parser() -> _Parser:
 
     analyze = sub.add_parser("analyze", help="optimal bounds and decomposition diagnostics")
     analyze.add_argument("file")
-    analyze.add_argument("--xi", type=float, default=None)
+    analyze.add_argument("--xi", type=_finite_float, default=None)
     analyze.add_argument("--eta", type=_nonnegative_float, default=None)
-    analyze.add_argument("--alpha", type=float, default=None)
+    analyze.add_argument("--alpha", type=_finite_float, default=None)
     analyze.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(handler=cmd_analyze)
@@ -500,7 +528,7 @@ def build_parser() -> _Parser:
     perturb = sub.add_parser("perturb", help="perturbation distance and predicted sandwich")
     perturb.add_argument("file_f")
     perturb.add_argument("file_g")
-    perturb.add_argument("--xi", type=float, required=True)
+    perturb.add_argument("--xi", type=_finite_float, required=True)
     perturb.add_argument("--eta", type=_nonnegative_float, default=0.0)
     perturb.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     perturb.add_argument("--format", choices=("text", "json"), default="text")
@@ -545,21 +573,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = args.handler(args)
-    except UsageError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except FrameFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeMismatchError, LengthMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TooManyPartitionsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except NotAFrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     if args.format == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

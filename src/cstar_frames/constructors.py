@@ -36,7 +36,7 @@ import numpy as np
 from .errors import LengthMismatchError, NotSameOperatorError
 from .frames import FrameSystem, frame_operator
 from .linalg import DEFAULT_TOL, frobenius
-from .module_space import ModuleOperator, ModuleShape, standard_basis
+from .module_space import ModuleOperator, ModuleShape
 
 PROFILE_KINDS = ("constant", "gaussian", "geometric", "power")
 
@@ -122,6 +122,12 @@ def eigenprofile_operator(alphas: Sequence[float], shape: ModuleShape) -> Module
         )
     mat = np.kron(np.diag(values), np.eye(shape.d)).astype(complex)
     return ModuleOperator(shape, mat)
+
+
+def _basis_frame(shape: ModuleShape, directions, scales) -> FrameSystem:
+    """The frame {scales[k] e_(directions[k])} of scaled basis vectors, 0-based directions."""
+    rows = np.eye(shape.n)[directions] * np.asarray(scales, dtype=float)[:, None]
+    return FrameSystem(np.kron(rows, np.eye(shape.d)), shape=shape)
 
 
 def _direction_eigenvalues(op: ModuleOperator, tol: float = 1e-9) -> np.ndarray:
@@ -220,10 +226,9 @@ def profile_frame(
         raise ValueError("profile limit xi must be positive")
     if profile.kind != "constant" and profile.c <= 0:
         raise ValueError("non-constant profiles need a positive amplitude")
-    basis = standard_basis(shape)
-    vectors = [math.sqrt(profile.eval(k)) * basis[k - 1] for k in range(1, count + 1)]
-    alphas = [profile.eval(k) - profile.xi for k in range(1, count + 1)]
-    alphas += [0.0] * (shape.n - count)
+    values = profile.values(count)
+    system = _basis_frame(shape, np.arange(count), np.sqrt(values))
+    alphas = list(values - profile.xi) + [0.0] * (shape.n - count)
     compact = eigenprofile_operator(alphas, shape)
     cert = CompactTightCert(
         xi=profile.xi,
@@ -231,7 +236,6 @@ def profile_frame(
         permutation=tuple(range(1, count + 1)),
         compact_part=compact,
     )
-    system = FrameSystem(vectors)
     if count == shape.n:
         drift = frobenius(frame_operator(system).mat - cert.operator_matrix())
         if drift > 1e-10 * max(1.0, frobenius(cert.operator_matrix())):
@@ -260,10 +264,9 @@ def repetition_frame(
         if cnt < 1:
             raise ValueError(f"multiplicity for index {idx} must be >= 1, got {cnt}")
         theta[idx] = cnt
-    basis = standard_basis(shape)
-    vectors = list(basis)
+    directions = list(range(shape.n))
     for idx in sorted(theta):
-        vectors.extend([basis[idx - 1]] * (theta[idx] - 1))
+        directions += [idx - 1] * (theta[idx] - 1)
     alphas = [float(theta.get(j, 1) - 1) for j in range(1, shape.n + 1)]
     compact = eigenprofile_operator(alphas, shape)
     cert = CompactTightCert(
@@ -272,7 +275,7 @@ def repetition_frame(
         permutation=tuple(sorted(j for j, cnt in theta.items() if cnt > 1)),
         compact_part=compact,
     )
-    return FrameSystem(vectors), cert
+    return _basis_frame(shape, directions, np.ones(len(directions))), cert
 
 
 @dataclass(frozen=True)

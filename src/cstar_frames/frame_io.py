@@ -23,12 +23,13 @@ Layout::
       }
     }
 
-where each block is a d x d row-major array of [re, im] pairs.  The
-"alphas" list makes certificates self-contained even when the
-eigenvalue sequence has no closed-form profile (repetition frames,
-canonical duals).  A present certificate is validated against the
-vectors on load: the frame operator must match alphas + xi * I within
-CERT_MATCH_TOL.
+where each block is a d x d row-major array of [re, im] pairs: "vectors"
+is the synthesis matrix as one (N, n, d, d, 2) array, written and checked
+as one array.  The "alphas" list makes certificates self-contained even
+when the eigenvalue sequence has no closed-form profile (repetition
+frames, canonical duals).  A present certificate is validated against
+the vectors on load: the frame operator must match alphas + xi * I
+within CERT_MATCH_TOL.
 
 Partition files are a small companion format::
 
@@ -49,7 +50,7 @@ from .constructors import CompactTightCert, ScalarProfile, eigenprofile_operator
 from .errors import FrameFileError
 from .frames import FrameSystem, frame_operator
 from .linalg import frobenius
-from .module_space import ModuleShape, ModuleVector
+from .module_space import ModuleShape
 from .weaving import Partition
 
 FRAME_SCHEMA = "cstar-frames/1"
@@ -78,35 +79,61 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _as_double(value) -> float:
+    """A JSON number as a double; NaN for any other value, inf past the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _as_finite_float(value, where: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{where}: expected a number, got {value!r}")
-    value = float(value)
-    _require(math.isfinite(value), f"{where}: number must be finite")
-    return value
+    number = _as_double(value)
+    _require(math.isfinite(number), f"{where}: number must be finite")
+    return number
 
 
-def _decode_block(block, d: int, where: str) -> np.ndarray:
-    _require(isinstance(block, list) and len(block) == d,
-             f"{where}: expected {d} rows")
-    out = np.zeros((d, d), dtype=complex)
-    for i, row in enumerate(block):
-        _require(isinstance(row, list) and len(row) == d,
-                 f"{where}, row {i + 1}: expected {d} entries")
-        for j, entry in enumerate(row):
-            _require(isinstance(entry, list) and len(entry) == 2,
-                     f"{where}, row {i + 1}, column {j + 1}: expected an [re, im] pair")
-            re = _as_finite_float(entry[0], f"{where}, row {i + 1}, column {j + 1} (re)")
-            im = _as_finite_float(entry[1], f"{where}, row {i + 1}, column {j + 1} (im)")
-            out[i, j] = complex(re, im)
-    return out
+def _entry_where(index) -> str:
+    """'vector 2, block 1, row 3, column 1 (im)' for a 0-based index into "vectors"."""
+    labels = ("vector", "block", "row", "column")
+    where = ", ".join(f"{label} {i + 1}" for label, i in zip(labels, index))
+    return f"{where} ({('re', 'im')[index[4]]})" if len(index) == 5 else where
 
 
-def _encode_block(block: np.ndarray) -> list:
-    return [
-        [[float(z.real), float(z.imag)] for z in row]
-        for row in np.asarray(block, dtype=complex)
-    ]
+def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
+    """The synthesis matrix of a "vectors" list, checked as one array.
+
+    numpy nests lists only as deep as their lengths agree, so the first
+    level where the array departs from (N, n, d, d, 2) holds the fault.
+    A single fault is named by its position; of several, one is named.
+    """
+    expected = (len(raw), shape.n, shape.d, shape.d, 2)
+    what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
+            "an [re, im] pair")
+    entries = np.array(raw, dtype=object)
+    for k in range(1, 5):
+        if entries.ndim > k and entries.shape[k] == expected[k]:
+            continue
+        # Either all containers at level k share one wrong length, or lengths vary.
+        flat = 0 if entries.ndim > k else next(
+            i for i, item in enumerate(entries.flat)
+            if not (isinstance(item, list) and len(item) == expected[k]))
+        index = np.unravel_index(flat, expected[:k])
+        raise FrameFileError(f"{_entry_where(index)}: expected {what[k]}")
+    if entries.ndim > 5:  # every number is itself a list
+        _as_finite_float(raw[0][0][0][0][0], _entry_where((0,) * 5))
+    values = np.fromiter(map(_as_double, entries.flat), float, entries.size)
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = np.unravel_index(np.argmin(finite), expected)
+        _as_finite_float(entries[index], _entry_where(index))
+    # Viewing each [re, im] pair as one complex keeps every bit, the sign of zero too.
+    blocks = values.view(complex).reshape(expected[:4])
+    return blocks.transpose(0, 2, 1, 3).reshape(-1, shape.dim)
 
 
 def _decode_profile(payload, where: str) -> ScalarProfile:
@@ -144,14 +171,12 @@ def frame_to_payload(
     """Serialize a frame system (and optional metadata) to the file schema."""
     shape = system.shape
     d = shape.d
+    blocks = system.synthesis.reshape(len(system), d, shape.n, d).transpose(0, 2, 1, 3)
     payload = {
         "schema": FRAME_SCHEMA,
         "algebra": {"d": d},
         "module": {"n": shape.n},
-        "vectors": [
-            [_encode_block(vec.block(i)) for i in range(1, shape.n + 1)]
-            for vec in system.vectors
-        ],
+        "vectors": np.stack([blocks.real, blocks.imag], axis=-1).tolist(),
     }
     if certificate is not None:
         payload["certificate"] = {
@@ -187,16 +212,7 @@ def payload_to_frame(payload) -> LoadedFrame:
     raw_vectors = payload.get("vectors")
     _require(isinstance(raw_vectors, list) and len(raw_vectors) >= 1,
              "vectors: expected a nonempty list")
-    vectors = []
-    for vi, raw in enumerate(raw_vectors, start=1):
-        _require(isinstance(raw, list) and len(raw) == n,
-                 f"vector {vi}: expected {n} blocks")
-        rep = np.hstack([
-            _decode_block(raw[bi], d, f"vector {vi}, block {bi + 1}")
-            for bi in range(n)
-        ])
-        vectors.append(ModuleVector(shape, rep))
-    system = FrameSystem(vectors)
+    system = FrameSystem(_decode_synthesis(raw_vectors, shape), shape=shape)
 
     certificate = None
     if payload.get("certificate") is not None:

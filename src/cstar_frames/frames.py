@@ -1,12 +1,13 @@
 """Frame systems: synthesis/analysis machinery, optimal bounds, duals.
 
-For a finite family F = {f_k} the frame operator matrix is the Gram
-accumulation sum_k rep(f_k)* rep(f_k); it is Hermitian PSD, and the two
-optimal constants squeezing sum_k <f, f_k><f_k, f> between multiples of
-<f, f> are exactly its extreme eigenvalues (see the positivity argument
-in :mod:`cstar_frames.module_space`).  A finite family is always a
-Bessel system; it is a frame precisely when the smallest eigenvalue
-clears the positivity tolerance.
+A finite family F = {f_k} is stored as its synthesis matrix X, the
+vertical stack of the rep(f_k).  The frame operator matrix S = X* X is
+Hermitian PSD, and the two optimal constants squeezing
+sum_k <f, f_k><f_k, f> between multiples of <f, f> are exactly its
+extreme eigenvalues (see the positivity argument in
+:mod:`cstar_frames.module_space`).  A finite family is always a Bessel
+system; it is a frame precisely when the smallest eigenvalue clears the
+positivity tolerance.
 """
 
 from __future__ import annotations
@@ -27,46 +28,62 @@ from .module_space import (
 
 
 class FrameSystem:
-    """Finite ordered family of module vectors with a cached frame operator.
+    """Finite ordered family of module vectors, held as one synthesis matrix.
 
+    Built from a nonempty sequence of vectors of one shape, or, given
+    `shape`, from the (N*d) x (n*d) synthesis matrix itself, whose row
+    block k is rep(f_k).  The matrix is copied into the read-only
+    :attr:`synthesis` and the frame operator X* X is built once.
     Duplicate and zero vectors are allowed; the empty family is not.
     Instances are immutable, so they can be shared freely across threads.
     """
 
-    def __init__(self, vectors: Sequence[ModuleVector]):
-        vectors = tuple(vectors)
-        if not vectors:
-            raise ValueError("a frame system needs at least one vector")
-        shape = vectors[0].shape
-        for position, vec in enumerate(vectors[1:], start=2):
-            if vec.shape != shape:
-                raise ShapeMismatchError(
-                    f"vector {position} has shape {vec.shape}, expected {shape}"
-                )
-        gram = np.zeros((shape.dim, shape.dim), dtype=complex)
-        for vec in vectors:
-            gram += vec.rep.conj().T @ vec.rep
-        self._vectors = vectors
+    def __init__(self, vectors: Sequence[ModuleVector] | np.ndarray, shape: ModuleShape | None = None):
+        if shape is None:
+            vectors = tuple(vectors)
+            if not vectors:
+                raise ValueError("a frame system needs at least one vector")
+            shape = vectors[0].shape
+            for position, vec in enumerate(vectors[1:], start=2):
+                if vec.shape != shape:
+                    raise ShapeMismatchError(
+                        f"vector {position} has shape {vec.shape}, expected {shape}"
+                    )
+            vectors = np.vstack([vec.rep for vec in vectors])
+        matrix = as_matrix(vectors)
+        if matrix.shape[0] % shape.d or matrix.shape[1] != shape.dim:
+            raise ShapeMismatchError(
+                f"synthesis matrix must have a multiple of {shape.d} rows and "
+                f"{shape.dim} columns for shape {shape}, got {matrix.shape}"
+            )
+        matrix.setflags(write=False)
+        self._synthesis = matrix
         self._shape = shape
-        self._frame_op = ModuleOperator(shape, gram)
+        self._frame_op = ModuleOperator(shape, matrix.conj().T @ matrix)
 
     @property
     def shape(self) -> ModuleShape:
         return self._shape
 
     @property
+    def synthesis(self) -> np.ndarray:
+        """The read-only (N*d) x (n*d) synthesis matrix."""
+        return self._synthesis
+
+    @property
     def vectors(self) -> tuple[ModuleVector, ...]:
-        return self._vectors
+        """The vectors, built on each access from the row blocks of `synthesis`."""
+        return tuple(ModuleVector(self._shape, rows) for rows in np.vsplit(self._synthesis, len(self)))
 
     @property
     def frame_op(self) -> ModuleOperator:
         return self._frame_op
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return self._synthesis.shape[0] // self._shape.d
 
     def __iter__(self) -> Iterator[ModuleVector]:
-        return iter(self._vectors)
+        return iter(self.vectors)
 
 
 @dataclass(frozen=True)
@@ -81,14 +98,16 @@ class BoundsReport:
 
 
 def frame_operator(system: FrameSystem) -> ModuleOperator:
-    """The cached operator with matrix sum_k rep(f_k)* rep(f_k)."""
+    """The cached operator with matrix X* X = sum_k rep(f_k)* rep(f_k)."""
     return system.frame_op
 
 
 def analysis(system: FrameSystem, f: ModuleVector) -> list[np.ndarray]:
     """Coefficient list {<f, f_k>}_k, one d x d algebra element per vector."""
     require_same_shape(system, f)
-    return [f.rep @ vec.rep.conj().T for vec in system.vectors]
+    d = system.shape.d
+    row = f.rep @ system.synthesis.conj().T  # [<f, f_1> | ... | <f, f_N>]
+    return list(row.reshape(d, len(system), d).swapaxes(0, 1))
 
 
 def synthesis(system: FrameSystem, coefficients: Sequence) -> ModuleVector:
@@ -99,15 +118,13 @@ def synthesis(system: FrameSystem, coefficients: Sequence) -> ModuleVector:
             f"expected {len(system)} coefficients, got {len(coeffs)}"
         )
     d = system.shape.d
-    out = np.zeros((d, system.shape.dim), dtype=complex)
-    for coeff, vec in zip(coeffs, system.vectors):
-        block = as_matrix(coeff)
-        if block.shape != (d, d):
-            raise ShapeMismatchError(
-                f"coefficients must be {d}x{d} algebra elements, got {block.shape}"
-            )
-        out += block @ vec.rep
-    return ModuleVector(system.shape, out)
+    blocks = np.array(coeffs, dtype=complex)
+    if blocks.shape[1:] != (d, d):
+        raise ShapeMismatchError(
+            f"coefficients must be {d}x{d} algebra elements, got {blocks.shape[1:]}"
+        )
+    row = as_matrix(blocks.swapaxes(0, 1).reshape(d, -1))  # [a_1 | ... | a_N]
+    return ModuleVector(system.shape, row @ system.synthesis)
 
 
 def synthesis_matrix(system: FrameSystem) -> np.ndarray:
@@ -116,7 +133,7 @@ def synthesis_matrix(system: FrameSystem) -> np.ndarray:
     Its Gram against itself is the frame operator matrix, and its largest
     singular value is the synthesis operator norm.
     """
-    return np.vstack([vec.rep for vec in system.vectors])
+    return system.synthesis
 
 
 def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsReport:
@@ -140,16 +157,15 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
 def perturbation_distance(first: FrameSystem, second: FrameSystem) -> float:
     """Synthesis-operator distance ||T_F - T_G||.
 
-    Computed as the largest singular value of the stacked difference of
-    the vector representations (evaluated on the smaller Gram matrix).
+    Computed as the largest singular value of the difference of the two
+    synthesis matrices (evaluated on the smaller Gram matrix).
     """
     require_same_shape(first, second)
     if len(first) != len(second):
         raise LengthMismatchError(
             f"families have different lengths: {len(first)} vs {len(second)}"
         )
-    diff = synthesis_matrix(first) - synthesis_matrix(second)
-    return operator_norm(diff)
+    return operator_norm(first.synthesis - second.synthesis)
 
 
 def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
@@ -165,18 +181,16 @@ def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
             f"optimal lower bound {bounds.lower:.3e} is not above tolerance {tol:.3e}"
         )
     inverse = hermitian_inverse(system.frame_op.mat, tol)
-    return FrameSystem(
-        [ModuleVector(system.shape, vec.rep @ inverse) for vec in system.vectors]
-    )
+    return FrameSystem(system.synthesis @ inverse, shape=system.shape)
 
 
 def frame_from_operator(matrix, shape: ModuleShape) -> FrameSystem:
     """A frame of n vectors whose frame operator equals the given PSD matrix.
 
-    Chops the PSD square root R into n row blocks of d rows each; the
-    vertical restack of those blocks is R itself, so the Gram recovers
-    R* R = the input.  Handy for realizing prescribed frame operators in
-    tests and demonstrations.
+    The PSD square root R is itself a synthesis matrix: its n row blocks
+    of d rows are the vectors, and its Gram R* R recovers the input.
+    Handy for realizing prescribed frame operators in tests and
+    demonstrations.
     """
     mat = as_matrix(matrix)
     dim = shape.dim
@@ -184,9 +198,4 @@ def frame_from_operator(matrix, shape: ModuleShape) -> FrameSystem:
         raise ShapeMismatchError(
             f"operator matrix must be {dim}x{dim} for shape {shape}, got {mat.shape}"
         )
-    root = psd_sqrt(mat)
-    d = shape.d
-    vectors = [
-        ModuleVector(shape, root[i * d : (i + 1) * d, :]) for i in range(shape.n)
-    ]
-    return FrameSystem(vectors)
+    return FrameSystem(psd_sqrt(mat), shape=shape)

@@ -139,13 +139,7 @@ def module_norm(f: ModuleVector) -> float:
 
 def standard_basis(shape: ModuleShape) -> list[ModuleVector]:
     """Orthonormal basis e_1..e_n: identity algebra block in slot i, zero elsewhere."""
-    d = shape.d
-    out = []
-    for i in range(shape.n):
-        rep = np.zeros((d, shape.dim), dtype=complex)
-        rep[:, i * d : (i + 1) * d] = np.eye(d)
-        out.append(ModuleVector(shape, rep))
-    return out
+    return [ModuleVector(shape, rows) for rows in np.vsplit(np.eye(shape.dim), shape.n)]
 
 
 def left_mul(a, f: ModuleVector) -> ModuleVector:

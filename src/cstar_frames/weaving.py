@@ -26,10 +26,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
-from .constructors import ScalarProfile, eigenprofile_operator
+from .constructors import ScalarProfile, _basis_frame, eigenprofile_operator
 from .frames import FrameSystem
 from .linalg import DEFAULT_TOL, hermitian_eigen
-from .module_space import ModuleOperator, ModuleShape, standard_basis
+from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
 DEFAULT_PARTITION_CAP = 1 << 20
@@ -78,6 +78,14 @@ def _check_families(families: Sequence[FrameSystem]) -> tuple[ModuleShape, int]:
     return shape, count
 
 
+def _row_blocks(families: Sequence[FrameSystem]) -> np.ndarray:
+    """Synthesis matrices as an (m, N, d, n*d) array: family, vector, row, column."""
+    shape = families[0].shape
+    return np.stack([fam.synthesis for fam in families]).reshape(
+        len(families), -1, shape.d, shape.dim
+    )
+
+
 def weaving_operator(
     families: Sequence[FrameSystem], partition: Partition
 ) -> ModuleOperator:
@@ -88,21 +96,13 @@ def weaving_operator(
             f"partition covers {len(partition.assignment)} positions, expected {count}"
         )
     m = len(families)
-    gram = np.zeros((shape.dim, shape.dim), dtype=complex)
-    for j, family_no in enumerate(partition.assignment):
-        if family_no > m:
-            raise ValueError(f"position {j + 1} assigned to family {family_no} > {m}")
-        rep = families[family_no - 1].vectors[j].rep
-        gram += rep.conj().T @ rep
-    return ModuleOperator(shape, gram)
-
-
-def _extreme_eigenvalues(contribs, assignment) -> tuple[float, float]:
-    gram = contribs[assignment[0] - 1][0].copy()
-    for j in range(1, len(assignment)):
-        gram += contribs[assignment[j] - 1][j]
-    eigenvalues = hermitian_eigen(gram).eigenvalues
-    return float(eigenvalues[0]), float(eigenvalues[-1])
+    chosen = np.array(partition.assignment) - 1
+    beyond = np.flatnonzero(chosen >= m)
+    if beyond.size:
+        j = beyond[0]
+        raise ValueError(f"position {j + 1} assigned to family {chosen[j] + 1} > {m}")
+    mixed = _row_blocks(families)[chosen, np.arange(count)].reshape(-1, shape.dim)
+    return ModuleOperator(shape, mixed.conj().T @ mixed)
 
 
 def universal_bounds(
@@ -126,17 +126,22 @@ def universal_bounds(
         raise TooManyPartitionsError(
             f"{m}^{count} = {total} partitions exceed the cap {max_partitions}"
         )
-    contribs = [
-        [vec.rep.conj().T @ vec.rep for vec in fam.vectors] for fam in families
-    ]
-    assignments = list(itertools.product(range(1, m + 1), repeat=count))
+    rows = _row_blocks(families)
+    # rep(f)* rep(f) for every vector of every family; a weaving operator
+    # sums one of them per position.
+    contribs = rows.conj().swapaxes(-1, -2) @ rows
+    positions = np.arange(count)
+    # Family numbers counted from 0, in lexicographic order.
+    assignments = list(itertools.product(range(m), repeat=count))
 
     def reduce_block(block) -> tuple[float, tuple[int, ...], float]:
         best_low = np.inf
         best_assignment = None
         best_high = -np.inf
         for assignment in block:
-            low, high = _extreme_eigenvalues(contribs, assignment)
+            gram = contribs[assignment, positions].sum(axis=0)
+            eigenvalues = hermitian_eigen(gram).eigenvalues
+            low, high = float(eigenvalues[0]), float(eigenvalues[-1])
             if low < best_low or (low == best_low and assignment < best_assignment):
                 best_low = low
                 best_assignment = assignment
@@ -163,7 +168,7 @@ def universal_bounds(
     return WeavingReport(
         universal_lower=low,
         universal_upper=high,
-        worst_partition=Partition(worst),
+        worst_partition=Partition(tuple(a + 1 for a in worst)),
         is_woven=low > tol,
         partitions_checked=total,
     )
@@ -211,19 +216,10 @@ def adversarial_scenario(
             raise ValueError(f"{label} profile needs a positive decaying amplitude")
     half = count // 2
     shape = ModuleShape(d=d, n=half)
-    basis = standard_basis(shape)
-
-    vectors_a = []
-    vectors_b = []
-    for k in range(1, count + 1):
-        if k % 2 == 1:
-            direction = basis[(k + 1) // 2 - 1]
-            vectors_a.append(direction)
-            vectors_b.append(np.sqrt(profile_b.eval(k)) * direction)
-        else:
-            direction = basis[k // 2 - 1]
-            vectors_a.append(np.sqrt(profile_a.eval(k)) * direction)
-            vectors_b.append(direction)
+    directions = np.arange(count) // 2
+    odd = np.arange(1, count + 1) % 2 == 1
+    scales_a = np.where(odd, 1.0, np.sqrt(profile_a.values(count)))
+    scales_b = np.where(odd, np.sqrt(profile_b.values(count)), 1.0)
 
     compact_a = eigenprofile_operator(
         [profile_a.eval(2 * i) for i in range(1, half + 1)], shape
@@ -234,8 +230,8 @@ def adversarial_scenario(
     sigma = tuple(range(1, count, 2))
     assignment = tuple(2 if k % 2 == 1 else 1 for k in range(1, count + 1))
     return AdversarialScenario(
-        frame_a=FrameSystem(vectors_a),
-        frame_b=FrameSystem(vectors_b),
+        frame_a=_basis_frame(shape, directions, scales_a),
+        frame_b=_basis_frame(shape, directions, scales_b),
         sigma=sigma,
         adversarial=Partition(assignment),
         compact_a=compact_a,

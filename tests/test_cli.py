@@ -2,10 +2,13 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from cstar_frames.cli import main
+from cstar_frames import cli
+from cstar_frames.cli import EXIT_CODES, MAX_FRAME_ENTRIES, main
 from cstar_frames.frame_io import load_frame, load_partition, save_frame
 from cstar_frames.frames import FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
@@ -349,3 +352,84 @@ def test_unwritable_out_exit_4(capsys, tmp_path):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert "missing-dir" in err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("analyze", ["--xi", "nan"]),
+    ("analyze", ["--xi", "inf"]),
+    ("analyze", ["--xi=-inf"]),
+    ("analyze", ["--xi", "1", "--eta", "0.5", "--alpha", "nan"]),
+    ("analyze", ["--xi", "1", "--eta", "0.5", "--alpha", "inf"]),
+    ("perturb", ["--xi", "nan"]),
+    ("perturb", ["--xi", "inf"]),
+])
+def test_non_finite_xi_alpha_exit_4(capsys, tmp_path, command, flags):
+    code, _, _ = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1",
+                     "--c", "1", "--n", "4", "--out", str(tmp_path / "t4.json"))
+    assert code == 0
+    path = str(tmp_path / "t4.json")
+    files = [path] if command == "analyze" else [path, path]
+    code, _, err = run(capsys, command, *files, *flags)
+    assert code == 4
+    assert "must be finite" in err
+
+
+# Each size is the smallest just above MAX_FRAME_ENTRIES = 2^18, so a missing
+# check shows as a slow test rather than an exhausted machine.
+@pytest.mark.parametrize("argv", [
+    ["construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "513"],
+    ["construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "1",
+     "--d", "513"],
+    ["construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "4",
+     "--count", "65537"],
+    ["construct", "repetition", "--n", "1", "--repeat", "1:262145"],
+    ["construct", "t49", "--n", "726", "--profile1", "gaussian:1",
+     "--profile2", "gaussian:1"],
+])
+def test_oversized_construct_exit_4(capsys, tmp_path, argv):
+    assert MAX_FRAME_ENTRIES == 1 << 18
+    out = tmp_path / "big"
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 4
+    assert "above the limit" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_sweep_exit_4(capsys, tmp_path):
+    built = run_json(capsys, "construct", "t49", "--n", "4",
+                     "--profile1", "gaussian:1", "--profile2", "gaussian:1",
+                     "--out", str(tmp_path / "sc"))
+    code, _, err = run(capsys, "weave", built["files"]["a"], built["files"]["b"],
+                       "--sweep", "4,726")
+    assert code == 4
+    assert "above the limit" in err
+
+
+@pytest.mark.parametrize("vectors,d,n", [
+    (512, 1, 512),    # exactly at the limit
+    (724, 1, 362),    # the largest t49 pair or sweep size
+    (1064, 1, 64),    # the largest frame the benchmark builds
+    (128, 1, 64),     # its largest sweep size
+])
+def test_size_limit_admits(vectors, d, n):
+    cli._require_size(vectors, d, n)
+
+
+def _documented_codes(text):
+    return {int(code) for code in re.findall(r"^\s+([2-6])  \S", text, re.MULTILINE)}
+
+
+def test_exit_code_table_matches_docs():
+    assert _documented_codes(cli.__doc__) == set(EXIT_CODES.values())
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    listed = re.search(r"Exit codes: (.*?)\.", readme, re.DOTALL).group(1)
+    assert {int(code) for code in re.findall(r"`(\d)`", listed)} == {0} | set(EXIT_CODES.values())
+
+
+def test_t49_scenario_profiles_written_in_file_form(capsys, tmp_path):
+    built = run_json(capsys, "construct", "t49", "--n", "4",
+                     "--profile1", "geometric:1.5:0.5", "--profile2", "power:2:1.5",
+                     "--out", str(tmp_path / "sc"))
+    scenario = json.loads(Path(built["files"]["a"]).read_text())["scenario"]
+    assert scenario["profile_a"] == {"kind": "geometric", "xi": 0.0, "c": 1.5, "r": 0.5}
+    assert scenario["profile_b"] == {"kind": "power", "xi": 0.0, "c": 2.0, "p": 1.5}

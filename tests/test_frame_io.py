@@ -2,9 +2,13 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
@@ -261,3 +265,120 @@ def test_boolean_dimension_file_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert main(["analyze", str(path)]) == 2
     assert "algebra.d" in capsys.readouterr().err
+
+
+# One fault past vector 1 in a 3-vector frame with n = 2, d = 2.  The message
+# names the faulty container or number by its position in the file.
+
+def _vectors_payload():
+    rng = np.random.default_rng(5)
+    synthesis = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    return frame_to_payload(FrameSystem(synthesis, shape=ModuleShape(2, 2)))
+
+
+def _replace(path, value):
+    def tamper(vectors):
+        *parents, last = path
+        node = vectors
+        for i in parents:
+            node = node[i]
+        node[last] = value(node[last])
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (_replace((1,), lambda v: v[:1]), "vector 2: expected 2 blocks"),
+    (_replace((2,), lambda v: v + v[:1]), "vector 3: expected 2 blocks"),
+    (_replace((1, 1), lambda b: b[:1]), "vector 2, block 2: expected 2 rows"),
+    (_replace((2, 0), lambda b: "rows"), "vector 3, block 1: expected 2 rows"),
+    (_replace((1, 1, 1), lambda r: r + r[:1]), "vector 2, block 2, row 2: expected 2 entries"),
+    (_replace((2, 1, 0), lambda r: {}), "vector 3, block 2, row 1: expected 2 entries"),
+    (_replace((1, 1, 1, 1), lambda e: e[:1]),
+     "vector 2, block 2, row 2, column 2: expected an [re, im] pair"),
+    (_replace((2, 0, 1, 0), lambda e: e + [0.0]),
+     "vector 3, block 1, row 2, column 1: expected an [re, im] pair"),
+    (_replace((1, 1, 1, 1, 1), lambda x: True),
+     "vector 2, block 2, row 2, column 2 (im): expected a number, got True"),
+    (_replace((2, 0, 1, 0, 0), lambda x: "1.5"),
+     "vector 3, block 1, row 2, column 1 (re): expected a number, got '1.5'"),
+    (_replace((1, 0, 0, 1, 1), lambda x: None),
+     "vector 2, block 1, row 1, column 2 (im): expected a number, got None"),
+    (_replace((2, 1, 1, 1, 0), lambda x: [1.5]),
+     "vector 3, block 2, row 2, column 2 (re): expected a number, got [1.5]"),
+    (_replace((1, 1, 0, 0, 0), lambda x: math.inf),
+     "vector 2, block 2, row 1, column 1 (re): number must be finite"),
+    (_replace((2, 0, 0, 1, 1), lambda x: math.nan),
+     "vector 3, block 1, row 1, column 2 (im): number must be finite"),
+    (_replace((1, 0, 1, 0, 1), lambda x: 10**400),
+     "vector 2, block 1, row 2, column 1 (im): number must be finite"),
+    (_replace((2, 1, 0, 1, 0), lambda x: -(10**400)),
+     "vector 3, block 2, row 1, column 2 (re): number must be finite"),
+])
+def test_single_fault_message(tamper, message):
+    payload = _vectors_payload()
+    tamper(payload["vectors"])
+    with pytest.raises(FrameFileError) as info:
+        payload_to_frame(payload)
+    assert str(info.value) == message
+
+
+def test_every_number_a_list_is_named_at_the_first():
+    payload = frame_to_payload(FrameSystem([ModuleVector(ModuleShape(1, 1), [[1.0]])]))
+    payload["vectors"] = [[[[[[1.0], [0.0]]]]]]
+    with pytest.raises(FrameFileError, match=r"^vector 1, block 1, row 1, column 1 \(re\): "
+                                               r"expected a number, got \[1.0\]$"):
+        payload_to_frame(payload)
+
+
+def test_large_integer_in_file_exits_2(tmp_path, capsys):
+    payload = _vectors_payload()
+    payload["vectors"][1][0][0][0][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", str(path)]) == 2
+    assert "vector 2, block 1, row 1, column 1 (re): number must be finite" in capsys.readouterr().err
+
+
+def test_large_integer_certificate_xi_rejected():
+    system, cert = profile_frame(ScalarProfile("gaussian", xi=1.0, c=1.0), ModuleShape(1, 4))
+    payload = frame_to_payload(system, cert)
+    payload["certificate"]["xi"] = 10**400
+    with pytest.raises(FrameFileError, match=r"certificate\.xi: number must be finite"):
+        payload_to_frame(payload)
+
+
+def test_negative_zero_round_trips(tmp_path):
+    shape = ModuleShape(1, 2)
+    system = FrameSystem(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]]), shape=shape)
+    path = tmp_path / "zeros.json"
+    save_frame(path, system)
+    back = load_frame(path).system.synthesis
+    assert np.array_equal(np.signbit(back.real), [[True, False]])
+    assert np.array_equal(np.signbit(back.imag), [[True, True]])
+
+
+# Any double, subnormals and -0.0 included, up to a size whose frame operator
+# X* X stays finite (FrameSystem rejects a non-finite operator).
+_doubles = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def frame_systems(draw):
+    d, n, count = (draw(st.integers(1, 3)) for _ in range(3))
+    parts = draw(st.lists(_doubles, min_size=2 * count * d * n * d,
+                          max_size=2 * count * d * n * d))
+    synthesis = np.array(parts).view(complex).reshape(count * d, n * d)
+    return FrameSystem(synthesis, shape=ModuleShape(d, n))
+
+
+@settings(deadline=None)
+@given(frame_systems())
+def test_save_load_bit_exact(system):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_frame(first, system)
+        loaded = load_frame(first).system
+        save_frame(second, loaded)
+        assert loaded.shape == system.shape
+        assert loaded.synthesis.tobytes() == system.synthesis.tobytes()
+        assert second.read_bytes() == first.read_bytes()

@@ -94,6 +94,37 @@ def test_mixed_shapes_rejected():
         FrameSystem([f, g])
 
 
+def test_array_constructor_matches_vectors(rng):
+    shape = ModuleShape(2, 3)
+    vectors = [random_vector(shape, rng) for _ in range(4)]
+    from_vectors = FrameSystem(vectors)
+    from_matrix = FrameSystem(np.vstack([vec.rep for vec in vectors]), shape=shape)
+    assert len(from_vectors) == len(from_matrix) == 4
+    assert np.array_equal(from_vectors.synthesis, from_matrix.synthesis)
+    assert np.array_equal(from_vectors.frame_op.mat, from_matrix.frame_op.mat)
+    for vec, a, b in zip(vectors, from_vectors, from_matrix.vectors):
+        assert a.shape == b.shape == shape
+        assert np.array_equal(a.rep, vec.rep) and np.array_equal(b.rep, vec.rep)
+
+
+def test_synthesis_matrix_is_read_only(rng):
+    system = random_system(rng, ModuleShape(1, 2), 3)
+    with pytest.raises(ValueError):
+        system.synthesis[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("matrix,error", [
+    (np.zeros((3, 4)), ShapeMismatchError),   # 3 rows are not whole blocks of d = 2
+    (np.zeros((4, 6)), ShapeMismatchError),   # n*d = 4 columns expected
+    (np.zeros((0, 4)), ValueError),           # no vectors
+    ([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0]], ValueError),   # ragged rows
+    ([[math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], ValueError),
+])
+def test_array_constructor_rejects_bad_matrix(matrix, error):
+    with pytest.raises(error):
+        FrameSystem(matrix, shape=ModuleShape(2, 2))
+
+
 # ------------------------------------------------------ analysis / synthesis
 
 def test_analysis_of_basis_returns_blocks(rng):
