@@ -11,8 +11,9 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
 Reports are printed as plain text or canonical JSON (sorted keys,
 two-space indent); apart from the "timing" field, identical inputs give
-byte-identical JSON.  The worker count for weaving enumeration is taken
-from the CSTAR_FRAMES_THREADS environment variable (default 1).
+byte-identical JSON.  The CSTAR_FRAMES_THREADS environment variable
+(a positive integer, default 1) is validated and echoed as "workers" in
+the weave report; enumeration runs on the calling thread whatever its value.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ def _workers_from_env() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
+        value = 0  # not an integer: refused below with the same message
     if value < 1:
         raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return value

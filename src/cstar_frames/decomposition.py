@@ -68,7 +68,9 @@ class ShiftDecomposition:
         dim = self.source.shape.dim
         recombined = self.remainder.mat + self.xi * np.eye(dim)
         drift = frobenius(recombined - self.source.mat)
-        if drift > 1e-12 * max(1.0, frobenius(self.source.mat)):
+        # (S - xi*I) + xi*I rounds at the scale of the larger operand.
+        scale = max(1.0, frobenius(self.source.mat), frobenius(self.remainder.mat))
+        if drift > 1e-12 * scale:
             raise InconsistentDecompositionError(
                 f"remainder + xi*I misses the source operator by {drift:.3e}"
             )

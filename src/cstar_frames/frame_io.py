@@ -212,7 +212,11 @@ def payload_to_frame(payload) -> LoadedFrame:
     raw_vectors = payload.get("vectors")
     _require(isinstance(raw_vectors, list) and len(raw_vectors) >= 1,
              "vectors: expected a nonempty list")
-    system = FrameSystem(_decode_synthesis(raw_vectors, shape), shape=shape)
+    synthesis = _decode_synthesis(raw_vectors, shape)
+    try:
+        system = FrameSystem(synthesis, shape=shape)
+    except OverflowError as exc:
+        raise FrameFileError(f"vectors: {exc}") from exc
 
     certificate = None
     if payload.get("certificate") is not None:
@@ -307,19 +311,22 @@ def save_frame(
     Path(path).write_text(dumps_payload(frame_to_payload(system, certificate, scenario)))
 
 
-def load_frame(path) -> LoadedFrame:
-    """Read and validate a frame file; parse errors carry line and column."""
-    path = Path(path)
+def _read_json(path: Path):
+    """Decode a JSON file; read and parse errors carry the path, line and column."""
     try:
-        text = path.read_text()
+        return json.loads(path.read_text())
     except OSError as exc:
         raise FrameFileError(f"{path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FrameFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_frame(path) -> LoadedFrame:
+    """Read and validate a frame file; parse errors carry line and column."""
+    path = Path(path)
+    payload = _read_json(path)
     try:
         return payload_to_frame(payload)
     except FrameFileError as exc:
@@ -345,14 +352,7 @@ def save_partition(path, partition: Partition, families: int,
 
 def load_partition(path) -> tuple[Partition, int]:
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FrameFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    except OSError as exc:
-        raise FrameFileError(f"{path}: {exc}") from exc
+    payload = _read_json(path)
     _require(isinstance(payload, dict) and payload.get("schema") == PARTITION_SCHEMA,
              f"{path}: unsupported partition schema")
     families = payload.get("families")

@@ -33,7 +33,8 @@ class FrameSystem:
     Built from a nonempty sequence of vectors of one shape, or, given
     `shape`, from the (N*d) x (n*d) synthesis matrix itself, whose row
     block k is rep(f_k).  The matrix is copied into the read-only
-    :attr:`synthesis` and the frame operator X* X is built once.
+    :attr:`synthesis` and the frame operator X* X is built once; finite
+    entries whose X* X overflows raise OverflowError.
     Duplicate and zero vectors are allowed; the empty family is not.
     Instances are immutable, so they can be shared freely across threads.
     """
@@ -59,7 +60,11 @@ class FrameSystem:
         matrix.setflags(write=False)
         self._synthesis = matrix
         self._shape = shape
-        self._frame_op = ModuleOperator(shape, matrix.conj().T @ matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            frame_op = matrix.conj().T @ matrix
+        if not np.isfinite(frame_op).all():
+            raise OverflowError("the frame operator X* X overflows a double")
+        self._frame_op = ModuleOperator(shape, frame_op)
 
     @property
     def shape(self) -> ModuleShape:

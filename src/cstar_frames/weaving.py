@@ -3,9 +3,9 @@
 Weaving asks whether every way of mixing several same-length families
 (vector j taken from exactly one family) stays a frame with common
 bounds.  At desk scale the quantifier over partitions is answered by
-literal exhaustion: all m^N assignments are enumerated, capped, and the
-extreme eigenvalues reduced with a deterministic tie-break, so results
-do not depend on worker count or schedule.
+literal exhaustion: all m^N assignments, capped, are streamed in
+lexicographic order through one loop that keeps the first strict
+minimum of the smallest eigenvalue and the maximum of the largest.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -19,7 +19,6 @@ contradiction itself.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,10 +115,10 @@ def universal_bounds(
     universal_lower is the minimum over partitions of the smallest
     weaving eigenvalue (its argmin, lexicographically smallest on ties,
     is the worst partition); universal_upper the maximum of the largest.
-    Enumeration may be spread over `workers` threads; the reduction is
-    order-independent, so the report is identical for any worker count.
+    Partitions stream one at a time through the calling thread; `workers`
+    is accepted and ignored, so the report is the same for any value.
     """
-    shape, count = _check_families(families)
+    _, count = _check_families(families)
     m = len(families)
     total = m**count
     if total > max_partitions:
@@ -131,39 +130,15 @@ def universal_bounds(
     # sums one of them per position.
     contribs = rows.conj().swapaxes(-1, -2) @ rows
     positions = np.arange(count)
-    # Family numbers counted from 0, in lexicographic order.
-    assignments = list(itertools.product(range(m), repeat=count))
-
-    def reduce_block(block) -> tuple[float, tuple[int, ...], float]:
-        best_low = np.inf
-        best_assignment = None
-        best_high = -np.inf
-        for assignment in block:
-            gram = contribs[assignment, positions].sum(axis=0)
-            eigenvalues = hermitian_eigen(gram).eigenvalues
-            low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-            if low < best_low or (low == best_low and assignment < best_assignment):
-                best_low = low
-                best_assignment = assignment
-            best_high = max(best_high, high)
-        return best_low, best_assignment, best_high
-
-    effective = max(1, int(workers or 1))
-    if effective == 1 or len(assignments) <= effective:
-        low, worst, high = reduce_block(assignments)
-    else:
-        chunk = (len(assignments) + effective - 1) // effective
-        blocks = [
-            assignments[i : i + chunk] for i in range(0, len(assignments), chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=effective) as pool:
-            partials = list(pool.map(reduce_block, blocks))
-        low, worst, high = partials[0]
-        for cand_low, cand_assignment, cand_high in partials[1:]:
-            if cand_low < low or (cand_low == low and cand_assignment < worst):
-                low = cand_low
-                worst = cand_assignment
-            high = max(high, cand_high)
+    low, worst, high = np.inf, None, -np.inf
+    # Family numbers counted from 0, in lexicographic order, so the first
+    # strict minimum is the lexicographically smallest argmin.
+    for assignment in itertools.product(range(m), repeat=count):
+        gram = contribs[assignment, positions].sum(axis=0)
+        eigenvalues = hermitian_eigen(gram).eigenvalues
+        if eigenvalues[0] < low:
+            low, worst = float(eigenvalues[0]), assignment
+        high = max(high, float(eigenvalues[-1]))
 
     return WeavingReport(
         universal_lower=low,

@@ -374,6 +374,34 @@ def test_non_finite_xi_alpha_exit_4(capsys, tmp_path, command, flags):
     assert "must be finite" in err
 
 
+# (S - xi*I) + xi*I rounds at about |xi|*eps, far above 1e-12 * ||S|| once
+# |xi| >> ||S||; the consistency check must scale with the remainder too.
+@pytest.mark.parametrize("command,xi", [
+    ("analyze", "1e5"),
+    ("analyze", "-1e5"),
+    ("analyze", "1e6"),
+    ("analyze", "1e20"),
+    ("analyze", "1e150"),
+    ("perturb", "1e5"),
+])
+def test_large_xi_exit_0(capsys, tmp_path, command, xi):
+    code, _, _ = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1",
+                     "--c", "1", "--n", "4", "--out", str(tmp_path / "t4.json"))
+    assert code == 0
+    path = str(tmp_path / "t4.json")
+    files = [path] if command == "analyze" else [path, path]
+    plain = run_json(capsys, command, *files, "--xi=0")
+    report = run_json(capsys, command, *files, f"--xi={xi}")
+    if command == "analyze":
+        assert report["bounds"] == plain["bounds"]
+        bessel = report["decomposition"]["besselBound"]
+    else:
+        assert report["actual"] == plain["actual"]
+        bessel = report["besselBound"]
+    # ||S - xi*I|| + |xi| >= ||S|| = 2 for this frame (triangle inequality).
+    assert bessel >= 2.0 * (1 - 1e-12) and math.isfinite(bessel)
+
+
 # Each size is the smallest just above MAX_FRAME_ENTRIES = 2^18, so a missing
 # check shows as a slow test rather than an exhausted machine.
 @pytest.mark.parametrize("argv", [

@@ -88,6 +88,19 @@ def test_from_parts_validates_self_adjointness():
         ShiftDecomposition.from_parts(crooked, 1.0)
 
 
+def test_large_shift_still_catches_a_wrong_remainder():
+    # The drift allowance scales with ||S - xi*I||, so at xi = 1e6 it admits
+    # rounding (about 1e-10) but not a remainder that is off by 1e-3.
+    shape = ModuleShape(1, 2)
+    source = identity_operator(shape, 2.0)
+    xi = 1e6
+    exact = ModuleOperator(shape, source.mat - xi * np.eye(2))
+    assert ShiftDecomposition(xi=xi, remainder=exact, source=source).xi == xi
+    wrong = ModuleOperator(shape, exact.mat + 1e-3 * np.eye(2))
+    with pytest.raises(InconsistentDecompositionError):
+        ShiftDecomposition(xi=xi, remainder=wrong, source=source)
+
+
 # ---------------------------------------------------------------- diagnostics
 
 def test_diagnostics_realized_psd_remainder(rng):

@@ -137,6 +137,27 @@ def test_non_finite_entry_rejected():
         payload_to_frame(payload)
 
 
+def _overflowing_payload():
+    # Every entry is finite, but X* X = 1e400 overflows a double.
+    return {"schema": "cstar-frames/1", "algebra": {"d": 1}, "module": {"n": 1},
+            "vectors": [[[[[1e200, 0.0]]]]]}
+
+
+def test_overflowing_frame_operator_rejected(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_overflowing_payload()))
+    with pytest.raises(FrameFileError) as info:
+        load_frame(path)
+    assert str(info.value) == f"{path}: vectors: the frame operator X* X overflows a double"
+
+
+def test_overflowing_frame_operator_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_overflowing_payload()))
+    assert main(["analyze", str(path)]) == 2
+    assert "vectors: the frame operator X* X overflows" in capsys.readouterr().err
+
+
 def test_wrong_schema_rejected():
     with pytest.raises(FrameFileError, match="schema"):
         payload_to_frame({"schema": "something-else"})
@@ -171,6 +192,25 @@ def test_partition_round_trip(tmp_path):
     back, families = load_partition(path)
     assert families == 2
     assert back.assignment == part.assignment
+
+
+def test_partition_missing_file_rejected(tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(FrameFileError) as frame_info:
+        load_frame(path)
+    with pytest.raises(FrameFileError, match="No such file") as info:
+        load_partition(path)
+    assert str(info.value) == str(frame_info.value)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_partition_invalid_json_rejected(tmp_path):
+    path = tmp_path / "part.json"
+    path.write_text('{"schema": "cstar-frames-partition/1",\n  "families": oops}')
+    with pytest.raises(FrameFileError) as info:
+        load_partition(path)
+    assert str(info.value) == (
+        f"{path}: invalid JSON at line 2, column 15: Expecting value")
 
 
 def test_partition_rejects_out_of_range(tmp_path):

@@ -119,6 +119,7 @@ def test_synthesis_matrix_is_read_only(rng):
     (np.zeros((0, 4)), ValueError),           # no vectors
     ([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0]], ValueError),   # ragged rows
     ([[math.nan, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], ValueError),
+    ([[1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], OverflowError),   # X* X overflows
 ])
 def test_array_constructor_rejects_bad_matrix(matrix, error):
     with pytest.raises(error):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_frames.constructors import ScalarProfile
 from cstar_frames.errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
@@ -145,6 +147,51 @@ def test_universal_bounds_permutation_stable(rng):
     shuffled = universal_bounds(relabeled)
     assert abs(shuffled.universal_lower - base.universal_lower) <= 1e-12
     assert abs(shuffled.universal_upper - base.universal_upper) <= 1e-12
+
+
+# m families of N scaled basis vectors w * e_i with small integer weights:
+# every weaving operator is diagonal with integer entries, so the arithmetic
+# is exact and equal minima (ties) are frequent.
+@st.composite
+def scaled_basis_families(draw):
+    m = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 3))
+    vectors = st.tuples(st.integers(0, n - 1), st.integers(0, 3))
+    return d, n, draw(st.lists(st.lists(vectors, min_size=count, max_size=count),
+                               min_size=m, max_size=m))
+
+
+def brute_force_bounds(n, families):
+    """First lexicographic argmin of the smallest Gram diagonal, max of the largest."""
+    low, worst, high = None, None, None
+    for assignment in itertools.product(range(len(families)), repeat=len(families[0])):
+        diagonal = [0] * n
+        for position, family in enumerate(assignment):
+            direction, weight = families[family][position]
+            diagonal[direction] += weight**2
+        diagonal.sort()
+        if low is None or diagonal[0] < low:
+            low, worst = diagonal[0], assignment
+        high = diagonal[-1] if high is None else max(high, diagonal[-1])
+    return low, tuple(a + 1 for a in worst), high
+
+
+@settings(deadline=None)
+@given(scaled_basis_families())
+def test_universal_bounds_match_brute_force(case):
+    d, n, families = case
+    basis = standard_basis(ModuleShape(d, n))
+    systems = [FrameSystem([weight * basis[direction] for direction, weight in family])
+               for family in families]
+    report = universal_bounds(systems)
+    low, worst, high = brute_force_bounds(n, families)
+    assert report.universal_lower == low
+    assert report.universal_upper == high
+    assert report.worst_partition.assignment == worst
+    assert report.is_woven == (low > 0)
+    assert report.partitions_checked == len(families) ** len(families[0])
 
 
 def test_universal_bounds_cap():
