@@ -3,7 +3,8 @@
 Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
     0  success
-    2  file parse or validation error
+    2  file parse or validation error (a file that is not UTF-8 text, too,
+       and a written frame whose bounds drift when it is read back)
     3  dimension mismatch between operands
     4  invalid flags, out-of-range values, or a frame too large to build
     5  partition enumeration cap exceeded
@@ -19,6 +20,7 @@ the weave report; enumeration runs on the calling thread whatever its value.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -42,11 +44,9 @@ from .decomposition import (
 )
 from .errors import (
     FrameFileError,
-    InconsistentDecompositionError,
     LengthMismatchError,
     NotAFrameError,
     ShapeMismatchError,
-    SingularMatrixError,
     TooManyPartitionsError,
 )
 from .frame_io import (
@@ -56,7 +56,7 @@ from .frame_io import (
     save_partition,
 )
 from .frames import dual_frame, optimal_bounds, perturbation_distance
-from .linalg import hermitian_eigen
+from .linalg import DEFAULT_TOL, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
@@ -144,19 +144,20 @@ def _workers_from_env() -> int:
     return value
 
 
+#: The parameters a profile spec gives after its kind, in order.
+_PROFILE_PARAMS = {"gaussian": ("c",), "geometric": ("c", "r"), "power": ("c", "p")}
+
+
 def _parse_profile_spec(spec: str, xi: float = 0.0) -> ScalarProfile:
     """Parse 'kind:c', 'geometric:c:r', or 'power:c:p' with a fixed limit."""
-    parts = spec.split(":")
-    kind = parts[0]
-    try:
-        if kind in ("gaussian",) and len(parts) == 2:
-            return ScalarProfile(kind=kind, xi=xi, c=float(parts[1]))
-        if kind == "geometric" and len(parts) == 3:
-            return ScalarProfile(kind=kind, xi=xi, c=float(parts[1]), r=float(parts[2]))
-        if kind == "power" and len(parts) == 3:
-            return ScalarProfile(kind=kind, xi=xi, c=float(parts[1]), p=float(parts[2]))
-    except ValueError as exc:
-        raise UsageError(f"bad profile spec {spec!r}: {exc}")
+    kind, *values = spec.split(":")
+    names = _PROFILE_PARAMS.get(kind, ())
+    if names and len(values) == len(names):
+        try:
+            return ScalarProfile(kind=kind, xi=xi,
+                                 **{name: float(value) for name, value in zip(names, values)})
+        except ValueError as exc:
+            raise UsageError(f"bad profile spec {spec!r}: {exc}")
     raise UsageError(
         f"bad profile spec {spec!r}; expected gaussian:c, geometric:c:r, or power:c:p"
     )
@@ -234,13 +235,17 @@ def cmd_analyze(args) -> dict:
     return report
 
 
-def _reanalyze_guard(path, claimed_lower: float, claimed_upper: float) -> None:
+def _save_checked(path, system, certificate, scenario=None):
+    """Write a constructed frame; return its bounds if reading the file back keeps them."""
+    _write(save_frame, path, system, certificate, scenario)
+    bounds = optimal_bounds(system)
     again = optimal_bounds(load_frame(path).system)
-    if abs(again.lower - claimed_lower) > 1e-9 or abs(again.upper - claimed_upper) > 1e-9:
-        raise RuntimeError(
-            f"round-trip of {path} drifted: ({again.lower}, {again.upper}) vs "
-            f"({claimed_lower}, {claimed_upper})"
+    if max(abs(again.lower - bounds.lower), abs(again.upper - bounds.upper)) > DEFAULT_TOL:
+        raise FrameFileError(
+            f"{path}: bounds drifted on read-back: ({again.lower}, {again.upper}) vs "
+            f"({bounds.lower}, {bounds.upper}) as written"
         )
+    return bounds
 
 
 def cmd_construct_t4(args) -> dict:
@@ -257,9 +262,7 @@ def cmd_construct_t4(args) -> dict:
     # A truncated certificate only covers the spanned submodule; embed it
     # only when it validates against the whole-module frame operator.
     embedded = cert if count == shape.n else None
-    _write(save_frame, args.out, system, embedded)
-    bounds = optimal_bounds(system)
-    _reanalyze_guard(args.out, bounds.lower, bounds.upper)
+    bounds = _save_checked(args.out, system, embedded)
     return {
         "out": str(args.out),
         "kind": args.kind,
@@ -297,9 +300,7 @@ def cmd_construct_repetition(args) -> dict:
         system, cert = repetition_frame(shape, table)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _write(save_frame, args.out, system, cert)
-    bounds = optimal_bounds(system)
-    _reanalyze_guard(args.out, bounds.lower, bounds.upper)
+    bounds = _save_checked(args.out, system, cert)
     return {
         "out": str(args.out),
         "repeats": {str(k): v for k, v in sorted(table.items())},
@@ -323,28 +324,20 @@ def cmd_construct_t49(args) -> dict:
         "profile_a": _encode_profile(profile_a),
         "profile_b": _encode_profile(profile_b),
     }
-    cert_a = CompactTightCert(
-        xi=1.0, profile=None, permutation=(), compact_part=scenario.compact_a
-    )
-    cert_b = CompactTightCert(
-        xi=1.0, profile=None, permutation=(), compact_part=scenario.compact_b
-    )
-    path_a = f"{args.out}-a.json"
-    path_b = f"{args.out}-b.json"
-    path_partition = f"{args.out}-partition.json"
-    _write(save_frame, path_a, scenario.frame_a, cert_a, {**meta, "role": "a"})
-    _write(save_frame, path_b, scenario.frame_b, cert_b, {**meta, "role": "b"})
-    _write(save_partition, path_partition, scenario.adversarial, 2,
+    files, bounds = {}, {}
+    for role, frame, compact in (("a", scenario.frame_a, scenario.compact_a),
+                                 ("b", scenario.frame_b, scenario.compact_b)):
+        files[role] = f"{args.out}-{role}.json"
+        cert = CompactTightCert(xi=1.0, profile=None, permutation=(), compact_part=compact)
+        bounds[role] = _save_checked(files[role], frame, cert, {**meta, "role": role})
+    files["partition"] = f"{args.out}-partition.json"
+    _write(save_partition, files["partition"], scenario.adversarial, 2,
            list(scenario.sigma))
-    bounds_a = optimal_bounds(scenario.frame_a)
-    bounds_b = optimal_bounds(scenario.frame_b)
-    _reanalyze_guard(path_a, bounds_a.lower, bounds_a.upper)
-    _reanalyze_guard(path_b, bounds_b.lower, bounds_b.upper)
     return {
-        "files": {"a": path_a, "b": path_b, "partition": path_partition},
+        "files": files,
         "size": args.n,
-        "boundsA": _bounds_dict(bounds_a),
-        "boundsB": _bounds_dict(bounds_b),
+        "boundsA": _bounds_dict(bounds["a"]),
+        "boundsB": _bounds_dict(bounds["b"]),
     }
 
 
@@ -391,8 +384,8 @@ def _sweep_table(loaded_a, loaded_b, sizes) -> list[dict]:
         )
     if meta_a["profile_a"] != meta_b["profile_a"] or meta_a["profile_b"] != meta_b["profile_b"]:
         raise UsageError("--sweep: the two files carry different scenario profiles")
-    profile_a = ScalarProfile(**{k: v for k, v in meta_a["profile_a"].items()})
-    profile_b = ScalarProfile(**{k: v for k, v in meta_a["profile_b"].items()})
+    profile_a = ScalarProfile(**meta_a["profile_a"])
+    profile_b = ScalarProfile(**meta_a["profile_b"])
     d = loaded_a.system.shape.d
     for size in sizes:
         _require_size(size, d, size // 2)
@@ -452,21 +445,15 @@ def cmd_dual(args) -> dict:
     bounds = optimal_bounds(system, args.tol)
     dual = dual_frame(system, args.tol)
     dual_cert = None
-    if loaded.certificate is not None and loaded.certificate.xi != 0:
-        cert = loaded.certificate
+    cert = loaded.certificate
+    if cert is not None and cert.xi != 0:
         source = ModuleOperator(system.shape, cert.operator_matrix())
         # A certificate that barely clears the file tolerance can still be
         # numerically singular; in that case write the dual without one.
-        try:
+        with contextlib.suppress(ValueError):
             remainder = dual_decomposition(cert.xi, cert.compact_part, source, args.tol)
-            dual_cert = CompactTightCert(
-                xi=1.0 / cert.xi,
-                profile=None,
-                permutation=cert.permutation,
-                compact_part=remainder,
-            )
-        except (SingularMatrixError, InconsistentDecompositionError, ValueError):
-            dual_cert = None
+            dual_cert = CompactTightCert(xi=1.0 / cert.xi, profile=None,
+                                         permutation=cert.permutation, compact_part=remainder)
     _write(save_frame, args.out, dual, dual_cert)
     dual_bounds = optimal_bounds(dual, args.tol)
     return {
@@ -480,20 +467,24 @@ def cmd_dual(args) -> dict:
 def build_parser() -> _Parser:
     parser = _Parser(prog="cstar-frames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # Options shared by subcommands: --format on all, --tol also on the analyses.
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("text", "json"), default="text")
+    analysis = argparse.ArgumentParser(add_help=False, parents=[output])
+    analysis.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOL)
 
-    analyze = sub.add_parser("analyze", help="optimal bounds and decomposition diagnostics")
+    analyze = sub.add_parser("analyze", help="optimal bounds and decomposition diagnostics",
+                             parents=[analysis])
     analyze.add_argument("file")
     analyze.add_argument("--xi", type=_finite_float, default=None)
     analyze.add_argument("--eta", type=_nonnegative_float, default=None)
     analyze.add_argument("--alpha", type=_finite_float, default=None)
-    analyze.add_argument("--tol", type=_nonnegative_float, default=1e-9)
-    analyze.add_argument("--format", choices=("text", "json"), default="text")
     analyze.set_defaults(handler=cmd_analyze)
 
     construct = sub.add_parser("construct", help="build and serialize reference frames")
     kinds = construct.add_subparsers(dest="constructor", required=True)
 
-    t4 = kinds.add_parser("t4", help="profile-scaled orthonormal basis frame")
+    t4 = kinds.add_parser("t4", help="profile-scaled orthonormal basis frame", parents=[output])
     t4.add_argument("--kind", choices=("constant", "gaussian", "geometric", "power"),
                     required=True)
     t4.add_argument("--xi", type=float, required=True)
@@ -505,51 +496,44 @@ def build_parser() -> _Parser:
     t4.add_argument("--count", type=int, default=None,
                     help="truncation size (default: n)")
     t4.add_argument("--out", required=True)
-    t4.add_argument("--format", choices=("text", "json"), default="text")
     t4.set_defaults(handler=cmd_construct_t4)
 
-    repetition = kinds.add_parser("repetition", help="basis with repeated directions")
+    repetition = kinds.add_parser("repetition", help="basis with repeated directions",
+                                  parents=[output])
     repetition.add_argument("--n", type=int, required=True)
     repetition.add_argument("--d", type=int, default=1)
     repetition.add_argument("--repeat", action="append", required=True,
                             metavar="INDEX:COUNT")
     repetition.add_argument("--out", required=True)
-    repetition.add_argument("--format", choices=("text", "json"), default="text")
     repetition.set_defaults(handler=cmd_construct_repetition)
 
-    t49 = kinds.add_parser("t49", help="adversarial interleaved pair")
+    t49 = kinds.add_parser("t49", help="adversarial interleaved pair", parents=[output])
     t49.add_argument("--n", type=int, required=True, help="index set size (even)")
     t49.add_argument("--d", type=int, default=1)
     t49.add_argument("--profile1", required=True, metavar="KIND:C[:EXTRA]")
     t49.add_argument("--profile2", required=True, metavar="KIND:C[:EXTRA]")
     t49.add_argument("--out", required=True, help="output path prefix")
-    t49.add_argument("--format", choices=("text", "json"), default="text")
     t49.set_defaults(handler=cmd_construct_t49)
 
-    perturb = sub.add_parser("perturb", help="perturbation distance and predicted sandwich")
+    perturb = sub.add_parser("perturb", help="perturbation distance and predicted sandwich",
+                             parents=[analysis])
     perturb.add_argument("file_f")
     perturb.add_argument("file_g")
     perturb.add_argument("--xi", type=_finite_float, required=True)
     perturb.add_argument("--eta", type=_nonnegative_float, default=0.0)
-    perturb.add_argument("--tol", type=_nonnegative_float, default=1e-9)
-    perturb.add_argument("--format", choices=("text", "json"), default="text")
     perturb.set_defaults(handler=cmd_perturb)
 
-    weave = sub.add_parser("weave", help="exhaustive universal weaving bounds")
+    weave = sub.add_parser("weave", help="exhaustive universal weaving bounds", parents=[analysis])
     weave.add_argument("file_f")
     weave.add_argument("file_g")
-    weave.add_argument("--tol", type=_nonnegative_float, default=1e-9)
     weave.add_argument("--max-partitions", type=_positive_int,
                        default=DEFAULT_PARTITION_CAP)
     weave.add_argument("--sweep", default=None, metavar="N1,N2,...")
-    weave.add_argument("--format", choices=("text", "json"), default="text")
     weave.set_defaults(handler=cmd_weave)
 
-    dual = sub.add_parser("dual", help="write the canonical dual frame")
+    dual = sub.add_parser("dual", help="write the canonical dual frame", parents=[analysis])
     dual.add_argument("file")
     dual.add_argument("--out", required=True)
-    dual.add_argument("--tol", type=_nonnegative_float, default=1e-9)
-    dual.add_argument("--format", choices=("text", "json"), default="text")
     dual.set_defaults(handler=cmd_dual)
 
     return parser

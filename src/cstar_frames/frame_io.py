@@ -312,10 +312,10 @@ def save_frame(
 
 
 def _read_json(path: Path):
-    """Decode a JSON file; read and parse errors carry the path, line and column."""
+    """Decode a UTF-8 JSON file; read and parse errors carry the path, line and column."""
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
         raise FrameFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FrameFileError(

@@ -183,13 +183,27 @@ def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
     return bool(hermitian_eigen(herm).eigenvalues[0] >= -tol)
 
 
+def _scaled_down(matrix) -> tuple[np.ndarray, float]:
+    """M / s and s, for the power of two s with 1 <= max(|re|, |im|) / s < 2.
+
+    The division is exact, so the Gram of M / s cannot overflow, and a norm
+    read off it and multiplied by s is the one the unscaled Gram would give.
+    (A zero matrix gets s = 0.5.)
+    """
+    mat = as_matrix(matrix)
+    largest = float(np.abs(mat.view(np.float64)).max())
+    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    mat /= scale
+    return mat, scale
+
+
 def operator_norm(matrix) -> float:
     """Largest singular value, via the smaller of the two Gram matrices."""
-    mat = as_matrix(matrix)
+    mat, scale = _scaled_down(matrix)
     rows, cols = mat.shape
     gram = mat @ mat.conj().T if rows <= cols else mat.conj().T @ mat
     top = float(hermitian_eigen(gram).eigenvalues[-1])
-    return math.sqrt(max(top, 0.0))
+    return scale * math.sqrt(max(top, 0.0))
 
 
 def sigma_min(matrix) -> float:
@@ -198,10 +212,10 @@ def sigma_min(matrix) -> float:
     M* M is rank deficient for a wide matrix, so this reports 0 there;
     for square input it is the smallest singular value.
     """
-    mat = as_matrix(matrix)
+    mat, scale = _scaled_down(matrix)
     gram = mat.conj().T @ mat
     bottom = float(hermitian_eigen(gram).eigenvalues[0])
-    return math.sqrt(max(bottom, 0.0))
+    return scale * math.sqrt(max(bottom, 0.0))
 
 
 def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:

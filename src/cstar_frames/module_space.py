@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_defect, hermitian_eigen, operator_norm, psd_check
+from .linalg import (DEFAULT_TOL, HERMITIAN_RTOL, as_matrix, frobenius, hermitian_defect,
+                     hermitian_eigen, operator_norm, psd_check)
 
 #: Seed used by sampling probes when the caller does not supply one.
 DEFAULT_SEED = 1729
@@ -170,9 +171,7 @@ def operator_positive(T: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
     within the kernel's Hermitian tolerance cannot be positive, so that
     case answers False instead of raising.
     """
-    defect = hermitian_defect(T.mat)
-    scale = float(np.linalg.norm(T.mat))
-    if defect > 1e-9 * max(1.0, scale):
+    if hermitian_defect(T.mat) > HERMITIAN_RTOL * max(1.0, frobenius(T.mat)):
         return False
     return psd_check(T.mat, tol)
 
@@ -209,6 +208,8 @@ def cauchy_schwarz_probe(
         x = random_vector(T.shape, rng)
         tx = apply_operator(T, x)
         gap = inner_product(tx, tx) - bound * inner_product(x, x)
+        # gap cancels to far below the size of its terms, and their rounding
+        # is asymmetric; fold it before hermitian_eigen checks symmetry.
         top = float(hermitian_eigen((gap + gap.conj().T) / 2.0).eigenvalues[-1])
         worst = max(worst, top)
     return worst

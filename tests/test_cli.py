@@ -5,11 +5,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cstar_frames import cli
 from cstar_frames.cli import EXIT_CODES, MAX_FRAME_ENTRIES, main
-from cstar_frames.frame_io import load_frame, load_partition, save_frame
+from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
 from cstar_frames.frames import FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
 
@@ -138,6 +139,45 @@ def test_construct_invalid_flags_exit_4(capsys, tmp_path):
                      "--profile1", "gaussian:1", "--profile2", "gaussian:1",
                      "--out", str(tmp_path / "z"))
     assert code == 4
+
+
+@pytest.mark.parametrize("argv,written", [
+    (["t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "4"], "out"),
+    (["repetition", "--n", "3", "--repeat", "1:3"], "out"),
+    (["t49", "--n", "8", "--profile1", "gaussian:1", "--profile2", "gaussian:1"], "out-a.json"),
+])
+def test_construct_read_back_drift_exit_2(capsys, tmp_path, monkeypatch, argv, written):
+    def drifted(path):
+        loaded = load_frame(path)
+        system = FrameSystem(2.0 * loaded.system.synthesis, loaded.system.shape)
+        return LoadedFrame(system, loaded.certificate, loaded.scenario)
+
+    monkeypatch.setattr(cli, "load_frame", drifted)
+    code, _, err = run(capsys, "construct", *argv, "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path / written}: bounds drifted on read-back: ")
+    # Nothing is written after the file that failed its check.
+    assert [path.name for path in tmp_path.iterdir()] == [written]
+
+
+_EXPECTED_SPECS = "expected gaussian:c, geometric:c:r, or power:c:p"
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("constant:1", f"bad profile spec 'constant:1'; {_EXPECTED_SPECS}"),
+    ("gaussian", f"bad profile spec 'gaussian'; {_EXPECTED_SPECS}"),
+    ("gaussian:1:2", f"bad profile spec 'gaussian:1:2'; {_EXPECTED_SPECS}"),
+    ("geometric:1", f"bad profile spec 'geometric:1'; {_EXPECTED_SPECS}"),
+    ("power:1:x", "bad profile spec 'power:1:x': could not convert string to float: 'x'"),
+    ("geometric:1:2",
+     "bad profile spec 'geometric:1:2': geometric profiles need a ratio r in (0, 1)"),
+])
+def test_construct_t49_bad_profile_spec_message(capsys, tmp_path, spec, message):
+    code, _, err = run(capsys, "construct", "t49", "--n", "8", "--profile1", spec,
+                       "--profile2", "gaussian:1", "--out", str(tmp_path / "sc"))
+    assert code == 4
+    assert err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------------------------------- perturb
@@ -382,6 +422,7 @@ def test_non_finite_xi_alpha_exit_4(capsys, tmp_path, command, flags):
     ("analyze", "1e6"),
     ("analyze", "1e20"),
     ("analyze", "1e150"),
+    ("analyze", "1e160"),
     ("perturb", "1e5"),
 ])
 def test_large_xi_exit_0(capsys, tmp_path, command, xi):
@@ -400,6 +441,39 @@ def test_large_xi_exit_0(capsys, tmp_path, command, xi):
         bessel = report["besselBound"]
     # ||S - xi*I|| + |xi| >= ||S|| = 2 for this frame (triangle inequality).
     assert bessel >= 2.0 * (1 - 1e-12) and math.isfinite(bessel)
+
+
+def test_xi_1e160_bessel_bound(capsys, tmp_path):
+    # ||S - xi*I||^2 overflows a double here; the norm itself does not.
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", str(tmp_path / "t4.json"))
+    report = run_json(capsys, "analyze", str(tmp_path / "t4.json"), "--xi", "1e160")
+    assert report["decomposition"]["besselBound"] == 2e160
+
+
+def test_analyze_huge_entry_exit_0(capsys, tmp_path):
+    # S = 1e200 is finite, but the Gram S* S inside the norms is not.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                "module": {"n": 1}, "vectors": [[[[[1e100, 0.0]]]]]}))
+    report = run_json(capsys, "analyze", str(path), "--xi", "0", "--eta", "0.5")
+    dec = report["decomposition"]
+    assert report["bounds"]["lower"] == report["bounds"]["upper"] == 1e200
+    assert dec["besselBound"] == 1e200
+    assert dec["lowerBound"]["rho"] == 1e200
+    assert dec["allPartsHold"] is True
+
+
+def test_deviation_witness_with_cancellation_exit_0(capsys, tmp_path):
+    # At eta = 1e5 the witness c^2 T T* - (alpha - T)(alpha - T)* cancels to
+    # far below its terms, whose rounding is not symmetric at dim 6.
+    rng = np.random.default_rng(7)
+    synthesis = 100.0 * (rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6)))
+    path = tmp_path / "frame.json"
+    save_frame(path, FrameSystem(synthesis, ModuleShape(2, 3)))
+    report = run_json(capsys, "analyze", str(path), "--xi", "0", "--eta", "1e5",
+                      "--alpha", "0.001")
+    assert math.isfinite(report["decomposition"]["deviation"]["slack"])
 
 
 # Each size is the smallest just above MAX_FRAME_ENTRIES = 2^18, so a missing

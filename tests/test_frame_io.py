@@ -213,6 +213,25 @@ def test_partition_invalid_json_rejected(tmp_path):
         f"{path}: invalid JSON at line 2, column 15: Expecting value")
 
 
+_NOT_UTF8 = b'\xff\xfe{"schema": "cstar-frames/1"}'
+
+
+def test_non_utf8_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(_NOT_UTF8)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+
+
+def test_partition_non_utf8_rejected(tmp_path):
+    path = tmp_path / "part.json"
+    path.write_bytes(_NOT_UTF8)
+    with pytest.raises(FrameFileError) as info:
+        load_partition(path)
+    assert str(info.value) == (
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
+
+
 def test_partition_rejects_out_of_range(tmp_path):
     path = tmp_path / "part.json"
     path.write_text(json.dumps({

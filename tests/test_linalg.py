@@ -256,6 +256,56 @@ def test_sigma_min_shear():
     assert sigma_min([[1.0, 1.0], [0.0, 1.0]]) == pytest.approx(expected, abs=1e-12)
 
 
+# ------------------------------------------------------------ scale invariance
+
+def test_norms_do_not_overflow():
+    # M* M of these entries overflows a double; the norms themselves do not.
+    assert operator_norm([[1e200]]) == 1e200
+    assert sigma_min([[1e200]]) == 1e200
+    assert operator_norm(np.diag([3e160, -5e160])) == pytest.approx(5e160, rel=1e-15)
+    assert sigma_min(np.diag([3e160, -5e160])) == pytest.approx(3e160, rel=1e-15)
+    assert operator_norm(np.zeros((2, 3))) == 0.0
+    assert sigma_min(np.zeros((3, 2))) == 0.0
+
+
+def test_norms_match_unscaled_gram(rng):
+    # Dividing by a power of two is exact, so where M* M does not overflow the
+    # norms are the ones read off the unscaled Gram, bit for bit.
+    for rows, cols in ((3, 3), (4, 6), (6, 4), (5, 5)):
+        m = 37.0 * random_complex(rng, rows, cols)
+        small = m @ m.conj().T if rows <= cols else m.conj().T @ m
+        top = hermitian_eigen(small).eigenvalues[-1]
+        bottom = hermitian_eigen(m.conj().T @ m).eigenvalues[0]
+        assert operator_norm(m) == math.sqrt(top)
+        assert sigma_min(m) == math.sqrt(max(bottom, 0.0))
+
+
+_entry_parts = st.one_of(
+    st.just(0.0),
+    st.builds(lambda size, negative: -size if negative else size,
+              st.floats(1e-50, 1e50), st.booleans()),
+)
+
+
+@st.composite
+def binary_scalable_matrices(draw):
+    """Complex matrices of size up to 6x6 whose parts are 0 or of magnitude 1e-50..1e50.
+
+    Scaling these by 2^k, |k| <= 500, makes no entry subnormal or infinite.
+    """
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    parts = draw(st.lists(_entry_parts, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(complex).reshape(rows, cols)
+
+
+@settings(deadline=None, max_examples=200)
+@given(binary_scalable_matrices(), st.integers(-500, 500))
+def test_norms_scale_exactly_by_powers_of_two(mat, k):
+    factor = math.ldexp(1.0, k)
+    assert operator_norm(factor * mat) == factor * operator_norm(mat)
+    assert sigma_min(factor * mat) == factor * sigma_min(mat)
+
+
 # ----------------------------------------------------------- hermitian_inverse
 
 def test_inverse_diagonal():

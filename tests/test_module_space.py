@@ -256,6 +256,14 @@ def test_probe_random_operators(rng):
             assert cauchy_schwarz_probe(T, 20, seed=int(rng.integers(1 << 31))) <= 1e-9
 
 
+def test_probe_large_unitary(rng):
+    # <Tx, Tx> and ||T||^2 <x, x> cancel to rounding noise far below their size.
+    shape = ModuleShape(2, 4)
+    unitary, _ = np.linalg.qr(random_complex(rng, shape.dim, shape.dim))
+    T = ModuleOperator(shape, 1e5 * unitary)
+    assert cauchy_schwarz_probe(T, 20) <= 1e-12 * operator_norm(T.mat) ** 2
+
+
 def test_probe_rejects_bad_sample_count():
     with pytest.raises(ValueError):
         cauchy_schwarz_probe(identity_operator(ModuleShape(1, 2)), 0)
