@@ -12,7 +12,8 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
 Reports are printed as plain text or canonical JSON (sorted keys,
 two-space indent); apart from the "timing" field, identical inputs give
-byte-identical JSON.  The CSTAR_FRAMES_THREADS environment variable
+byte-identical JSON; a deviation slack or lowAlternate past the double
+range reads null.  The CSTAR_FRAMES_THREADS environment variable
 (a positive integer, default 1) is validated and echoed as "workers" in
 the weave report; enumeration runs on the calling thread whatever its value.
 """
@@ -56,7 +57,7 @@ from .frame_io import (
     save_partition,
 )
 from .frames import dual_frame, optimal_bounds, perturbation_distance
-from .linalg import DEFAULT_TOL, hermitian_eigen
+from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
 from .module_space import ModuleOperator, ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
@@ -228,7 +229,7 @@ def cmd_analyze(args) -> dict:
                     "alpha": dev.alpha,
                     "eta": dev.eta,
                     "holds": dev.holds,
-                    "slack": dev.slack,
+                    "slack": dev.slack if math.isfinite(dev.slack) else None,
                 }
         report["decomposition"] = decomposition
     report["timing"] = {"seconds": time.perf_counter() - started}
@@ -240,7 +241,7 @@ def _save_checked(path, system, certificate, scenario=None):
     _write(save_frame, path, system, certificate, scenario)
     bounds = optimal_bounds(system)
     again = optimal_bounds(load_frame(path).system)
-    if max(abs(again.lower - bounds.lower), abs(again.upper - bounds.upper)) > DEFAULT_TOL:
+    if relative_drift((bounds.lower, bounds.upper), (again.lower, again.upper)) > DEFAULT_TOL:
         raise FrameFileError(
             f"{path}: bounds drifted on read-back: ({again.lower}, {again.upper}) vs "
             f"({bounds.lower}, {bounds.upper}) as written"
@@ -363,13 +364,14 @@ def cmd_perturb(args) -> dict:
         report["sandwich"] = {"applicable": False, "holds": None}
     else:
         low, high = predicted
-        holds = (low - 1e-9 <= actual.lower) and (actual.upper <= high + 1e-9)
-        report["predicted"] = {
-            "low": low,
-            "high": high,
+        allowance = DEFAULT_TOL * high
+        holds = (low - allowance <= actual.lower) and (actual.upper <= high + allowance)
+        try:
             # Value of the flattened display form (L - mu)^2, reported alongside.
-            "lowAlternate": (est.value - mu) ** 2,
-        }
+            alternate = (est.value - mu) ** 2
+        except OverflowError:  # past the double range
+            alternate = None
+        report["predicted"] = {"low": low, "high": high, "lowAlternate": alternate}
         report["sandwich"] = {"applicable": True, "holds": holds}
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
@@ -471,7 +473,8 @@ def build_parser() -> _Parser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--format", choices=("text", "json"), default="text")
     analysis = argparse.ArgumentParser(add_help=False, parents=[output])
-    analysis.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOL)
+    analysis.add_argument("--tol", type=_nonnegative_float, default=DEFAULT_TOL,
+                          help="verdict tolerance, relative to the largest eigenvalue")
 
     analyze = sub.add_parser("analyze", help="optimal bounds and decomposition diagnostics",
                              parents=[analysis])

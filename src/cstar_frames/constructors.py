@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import LengthMismatchError, NotSameOperatorError
 from .frames import FrameSystem, frame_operator
-from .linalg import DEFAULT_TOL, frobenius
+from .linalg import DEFAULT_TOL, ROUNDING_RTOL, relative_drift
 from .module_space import ModuleOperator, ModuleShape
 
 PROFILE_KINDS = ("constant", "gaussian", "geometric", "power")
@@ -130,25 +130,18 @@ def _basis_frame(shape: ModuleShape, directions, scales) -> FrameSystem:
     return FrameSystem(np.kron(rows, np.eye(shape.d)), shape=shape)
 
 
-def _direction_eigenvalues(op: ModuleOperator, tol: float = 1e-9) -> np.ndarray:
+def _direction_eigenvalues(op: ModuleOperator) -> np.ndarray:
     """Per-direction scalars of a block-diagonal operator alpha_j * I_d.
 
-    Raises if the matrix carries mass outside that structure.
+    Raises if the matrix rebuilt from those scalars misses it by more than rounding.
     """
-    d = op.shape.d
-    n = op.shape.n
-    alphas = np.empty(n)
-    rebuilt = np.zeros_like(op.mat)
-    for j in range(n):
-        block = op.mat[j * d : (j + 1) * d, j * d : (j + 1) * d]
-        alphas[j] = float(np.trace(block).real) / d
-        rebuilt[j * d : (j + 1) * d, j * d : (j + 1) * d] = alphas[j] * np.eye(d)
-    drift = frobenius(op.mat - rebuilt)
-    if drift > tol * max(1.0, frobenius(op.mat)):
-        raise ValueError(
-            f"operator is not scalar-block-diagonal in the standard basis; "
-            f"off-structure mass {drift:.3e}"
-        )
+    d, n = op.shape.d, op.shape.n
+    diagonal = op.mat.reshape(n, d, n, d)[np.arange(n), :, np.arange(n)]
+    alphas = np.trace(diagonal, axis1=1, axis2=2).real / d
+    drift = relative_drift(op.mat, np.kron(np.diag(alphas), np.eye(d)))
+    if drift > ROUNDING_RTOL:
+        raise ValueError(f"operator is not scalar-block-diagonal in the standard basis; "
+                         f"relative off-structure mass {drift:.3e}")
     return alphas
 
 
@@ -179,13 +172,11 @@ class CompactTightCert:
         if self.profile is not None:
             alphas = _direction_eigenvalues(self.compact_part)
             expected = np.zeros(n)
-            for k, direction in enumerate(perm, start=1):
-                expected[direction - 1] = self.profile.eval(k) - self.xi
-            drift = float(np.max(np.abs(alphas - expected)))
-            if drift > 1e-9 * max(1.0, float(np.max(np.abs(expected)))):
-                raise ValueError(
-                    f"compact part eigenvalues disagree with the profile by {drift:.3e}"
-                )
+            expected[np.array(perm, dtype=int) - 1] = self.profile.values(len(perm)) - self.xi
+            drift = relative_drift(expected, alphas, self.xi)  # xi: l_k - xi may cancel
+            if drift > DEFAULT_TOL:
+                raise ValueError(f"compact part eigenvalues disagree with the profile by "
+                                 f"{drift:.3e} (relative)")
 
     @property
     def declared_limit(self) -> float:
@@ -237,11 +228,10 @@ def profile_frame(
         compact_part=compact,
     )
     if count == shape.n:
-        drift = frobenius(frame_operator(system).mat - cert.operator_matrix())
-        if drift > 1e-10 * max(1.0, frobenius(cert.operator_matrix())):
-            raise AssertionError(
-                f"constructed frame operator misses its certificate by {drift:.3e}"
-            )
+        drift = relative_drift(cert.operator_matrix(), frame_operator(system).mat)
+        if drift > ROUNDING_RTOL:
+            raise AssertionError(f"constructed frame operator misses its certificate by "
+                                 f"{drift:.3e} (relative)")
     return system, cert
 
 
@@ -287,7 +277,7 @@ class UniquenessVerdict:
 
 
 def representation_unique(
-    first: CompactTightCert, second: CompactTightCert, tol: float = DEFAULT_TOL
+    first: CompactTightCert, second: CompactTightCert
 ) -> UniquenessVerdict:
     """Decide whether two certificates for the same operator coincide.
 
@@ -296,41 +286,29 @@ def representation_unique(
     eigenvalue sequence with limit 0, i.e. declared limit equal to the
     shift.  If either certificate breaks that, or the shifts differ, the
     representations are distinct, because the difference of the two
-    compact parts would be the constant (xi_1 - xi_2) * I.
+    compact parts would be the constant (xi_1 - xi_2) * I.  Comparisons
+    are relative, within DEFAULT_TOL.
     """
     op1 = first.operator_matrix()
     op2 = second.operator_matrix()
-    drift = frobenius(op1 - op2)
-    if drift > tol * max(1.0, frobenius(op1)):
-        raise NotSameOperatorError(
-            f"certificates describe different operators; drift {drift:.3e}"
-        )
-    tail1 = first.declared_limit - first.xi
-    tail2 = second.declared_limit - second.xi
-    if abs(tail1) > tol or abs(tail2) > tol:
-        culprit = "first" if abs(tail1) > tol else "second"
-        tail = tail1 if abs(tail1) > tol else tail2
-        return UniquenessVerdict(
-            equal=False,
-            reason=(
+    drift = relative_drift(op1, op2)
+    if drift > DEFAULT_TOL:
+        raise NotSameOperatorError(f"certificates describe different operators; "
+                                   f"relative drift {drift:.3e}")
+    for culprit, cert in (("first", first), ("second", second)):
+        tail = cert.declared_limit - cert.xi
+        if abs(tail) > DEFAULT_TOL * max(abs(cert.declared_limit), abs(cert.xi)):
+            return UniquenessVerdict(False, (
                 f"{culprit} certificate declares a part whose eigenvalue sequence "
                 f"tends to {tail:g}, not 0, so it is not a compact perturbation of "
-                f"its shift"
-            ),
-        )
-    if abs(first.xi - second.xi) > tol:
+                f"its shift"))
+    if abs(first.xi - second.xi) > DEFAULT_TOL * max(abs(first.xi), abs(second.xi)):
+        return UniquenessVerdict(False, (
+            f"shifts {first.xi:g} and {second.xi:g} differ; the parts would "
+            f"differ by the constant {first.xi - second.xi:g} * I, whose "
+            f"eigenvalue sequence cannot tend to 0"))
+    part_drift = relative_drift(first.compact_part.mat, second.compact_part.mat)
+    if part_drift > DEFAULT_TOL:
         return UniquenessVerdict(
-            equal=False,
-            reason=(
-                f"shifts {first.xi:g} and {second.xi:g} differ; the parts would "
-                f"differ by the constant {first.xi - second.xi:g} * I, whose "
-                f"eigenvalue sequence cannot tend to 0"
-            ),
-        )
-    part_drift = frobenius(first.compact_part.mat - second.compact_part.mat)
-    if part_drift > tol * max(1.0, frobenius(first.compact_part.mat)):
-        return UniquenessVerdict(
-            equal=False,
-            reason=f"equal shifts but compact parts differ by {part_drift:.3e}",
-        )
+            False, f"equal shifts but compact parts differ by {part_drift:.3e} (relative)")
     return UniquenessVerdict(equal=True, reason="same shift and same compact part")

@@ -33,12 +33,13 @@ from .errors import InconsistentDecompositionError
 from .frames import FrameSystem, frame_operator, optimal_bounds
 from .linalg import (
     DEFAULT_TOL,
+    ROUNDING_RTOL,
+    _scaled_down,
     frobenius,
-    hermitian_defect,
     hermitian_eigen,
     hermitian_inverse,
     operator_norm,
-    psd_check,
+    relative_drift,
     sigma_min,
 )
 from .module_space import (
@@ -47,7 +48,6 @@ from .module_space import (
     ModuleVector,
     inner_product,
     module_norm,
-    operator_positive,
     random_vector,
     require_same_shape,
 )
@@ -63,18 +63,15 @@ class ShiftDecomposition:
     def __post_init__(self):
         dim = self.source.shape.dim
         recombined = self.remainder.mat + self.xi * np.eye(dim)
-        drift = frobenius(recombined - self.source.mat)
-        # (S - xi*I) + xi*I rounds at the scale of the larger operand.
-        scale = max(1.0, frobenius(self.source.mat), frobenius(self.remainder.mat))
-        if drift > 1e-12 * scale:
-            raise InconsistentDecompositionError(
-                f"remainder + xi*I misses the source operator by {drift:.3e}"
-            )
-        defect = hermitian_defect(self.remainder.mat)
-        if defect > 1e-10 * max(1.0, frobenius(self.remainder.mat)):
-            raise InconsistentDecompositionError(
-                f"remainder must be self-adjoint; defect {defect:.3e}"
-            )
+        # Judged at the size of S and xi, however much S and xi*I cancel in T.
+        drift = relative_drift(self.source.mat, recombined, self.xi)
+        if drift > ROUNDING_RTOL:
+            raise InconsistentDecompositionError(f"remainder + xi*I misses the source operator "
+                                                 f"by {drift:.3e} (relative)")
+        defect = relative_drift(self.remainder.mat, self.remainder.mat.conj().T, self.source.mat)
+        if defect > ROUNDING_RTOL:
+            raise InconsistentDecompositionError(f"remainder must be self-adjoint; "
+                                                 f"relative defect {defect:.3e}")
 
     @classmethod
     def from_parts(cls, remainder: ModuleOperator, xi: float) -> "ShiftDecomposition":
@@ -82,6 +79,16 @@ class ShiftDecomposition:
         dim = remainder.shape.dim
         source = ModuleOperator(remainder.shape, remainder.mat + xi * np.eye(dim))
         return cls(xi=float(xi), remainder=remainder, source=source)
+
+
+def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, float]:
+    """Whether lambda_min(T) >= -tol * max(||T||, |xi|) (S's and xi's size), and lambda_min(T).
+
+    T is folded first: the rounding asymmetry it inherits from S may dwarf it."""
+    tmat = dec.remainder.mat
+    spectrum = hermitian_eigen((tmat + tmat.conj().T) / 2.0).eigenvalues
+    smallest, largest = float(spectrum[0]), float(spectrum[-1])
+    return smallest >= -tol * max(-smallest, largest, abs(dec.xi)), smallest
 
 
 def shift_decompose(system: FrameSystem, xi: float) -> ShiftDecomposition:
@@ -124,43 +131,43 @@ def decomposition_diagnostics(
     """Check the three consequences of S = T + xi*I on a concrete frame.
 
     1. If T is positive and xi > 0: the optimal lower bound must reach
-       xi (within tol) and the optimal upper bound must stay below
-       ||T|| + |xi|.
+       xi and the optimal upper bound must stay below ||T|| + |xi|,
+       within tol * max(upper bound, |xi|).
     2. T is self-adjoint with finite norm (always, by construction).
     3. If the optimal lower bound A satisfies xi <= A: T must be PSD.
 
-    Inapplicable hypotheses yield vacuously-true parts with slack None.
+    T counts as PSD down to -tol * max(||T||, |xi|).  Inapplicable
+    hypotheses yield vacuously-true parts with slack None.
     """
     dec = shift_decompose(system, xi)
     bounds = optimal_bounds(system, tol)
-    tmat = dec.remainder.mat
 
-    positive = operator_positive(dec.remainder, tol)
+    positive, _ = _remainder_positive(dec, tol)
     upper_cap = bessel_bound(dec)
     if positive and xi > 0:
         lower_margin = bounds.lower - xi
         upper_margin = upper_cap - bounds.upper
+        allowance = tol * max(bounds.upper, abs(xi))
         part1 = PartCheck(
             applicable=True,
-            holds=(lower_margin >= -tol) and (upper_margin >= -tol),
+            holds=(lower_margin >= -allowance) and (upper_margin >= -allowance),
             slack=min(lower_margin, upper_margin),
         )
     else:
         part1 = PartCheck(applicable=False, holds=True, slack=None)
 
-    defect = hermitian_defect(tmat) / max(1.0, frobenius(tmat))
+    tmat = dec.remainder.mat
+    defect = relative_drift(tmat, tmat.conj().T, dec.source.mat)
     norm_t = operator_norm(tmat)
     part2 = PartCheck(
         applicable=True,
-        holds=(defect <= 1e-10) and math.isfinite(norm_t),
+        holds=(defect <= ROUNDING_RTOL) and math.isfinite(norm_t),
         slack=defect,
     )
 
     if bounds.lower >= xi:
-        smallest = float(hermitian_eigen(tmat).eigenvalues[0])
-        part3 = PartCheck(
-            applicable=True, holds=smallest >= -tol, slack=smallest
-        )
+        holds, smallest = _remainder_positive(dec, tol)
+        part3 = PartCheck(applicable=True, holds=holds, slack=smallest)
     else:
         part3 = PartCheck(applicable=False, holds=True, slack=None)
 
@@ -177,7 +184,7 @@ class DeviationCertificate:
 
     `slack` is the smallest eigenvalue of the PSD witness
     c^2 M M* - (alpha I - M)(alpha I - M)*; the inequality holds iff the
-    witness is PSD within DEFAULT_TOL.
+    slack is at least -DEFAULT_TOL * max(||M||_F, |alpha|)^2 (-inf: past the double range).
     """
 
     alpha: float
@@ -192,19 +199,22 @@ def deviation_certificate(
     """Decide ||alpha f - T f|| <= eta/sqrt(1+eta^2) * ||T f|| for all f."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    mat = T.mat
-    dim = T.shape.dim
+    # The witness squares M: take it on M/s and alpha/s, s a power of two, and
+    # scale its smallest eigenvalue back by s^2 (exact, unless that overflows).
+    mat, scale = _scaled_down(T.mat, abs(alpha))
+    level = alpha / scale
     csq = eta * eta / (1.0 + eta * eta)
-    shifted = alpha * np.eye(dim) - mat
+    shifted = level * np.eye(T.shape.dim) - mat
     witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
     # The two products round asymmetrically and can cancel to far below
     # their own size, past the Hermitian check of hermitian_eigen; fold first.
-    slack = float(hermitian_eigen((witness + witness.conj().T) / 2.0).eigenvalues[0])
+    least = float(hermitian_eigen((witness + witness.conj().T) / 2.0).eigenvalues[0])
+    size = max(frobenius(mat), abs(level)) ** 2  # alpha I - M may cancel: not its size
     return DeviationCertificate(
         alpha=float(alpha),
         eta=float(eta),
-        holds=slack >= -DEFAULT_TOL,
-        slack=slack,
+        holds=least >= -DEFAULT_TOL * size,
+        slack=least * scale * scale,
     )
 
 
@@ -216,8 +226,8 @@ def alignment_predicates(
     Left:  ||f|| ||g|| <= sqrt(1+eta^2) ||<f, g>||.
     Right: ||alpha f - g|| <= sqrt(eta^2/(1+eta^2)) ||g||.
 
-    Comparisons carry a 1e-12 relative margin so boundary cases (f = g
-    with eta = 0, say) are not decided by a single rounding.  Both
+    Comparisons carry a ROUNDING_RTOL relative margin so boundary cases
+    (f = g with eta = 0, say) are not decided by a single rounding.  Both
     verdicts are returned as-is; no equivalence between them is assumed,
     the pair exists for empirical probing.
     """
@@ -226,7 +236,7 @@ def alignment_predicates(
         raise ValueError("eta must be nonnegative")
 
     def leq(a: float, b: float) -> bool:
-        return a <= b + 1e-12 * max(1.0, abs(a), abs(b))
+        return a <= b + ROUNDING_RTOL * max(abs(a), abs(b))
 
     lhs = leq(
         module_norm(f) * module_norm(g),
@@ -304,22 +314,19 @@ def frame_lower_bound(
     """Evaluate the decomposition's lower-bound formula.
 
     rho defaults to sigma_min(mat(T)), the sharpest admissible constant;
-    a user-supplied rho must not exceed it.
+    a user-supplied rho must not exceed it beyond rounding (relative to ||T||_F).
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
     sharpest = sigma_min(dec.remainder.mat)
     if rho is None:
         rho = sharpest
-    else:
-        if rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if rho > sharpest + 1e-12:
-            raise ValueError(
-                f"rho={rho} exceeds the sharpest admissible value {sharpest}"
-            )
+    elif rho < 0:
+        raise ValueError("rho must be nonnegative")
+    elif rho > sharpest and relative_drift(sharpest, rho, dec.remainder.mat) > ROUNDING_RTOL:
+        raise ValueError(f"rho={rho} exceeds the sharpest admissible value {sharpest}")
     value = rho / math.sqrt(1.0 + eta * eta) - abs(dec.xi)
-    formula_only = not psd_check(dec.remainder.mat, DEFAULT_TOL)
+    formula_only = not _remainder_positive(dec, DEFAULT_TOL)[0]
     return LowerBoundEstimate(value=value, rho=float(rho), formula_only=formula_only)
 
 
@@ -357,18 +364,17 @@ def dual_decomposition(
 
     Requires S = compact + xi*I with xi nonzero and S invertible; then
     T := -xi^-1 * compact @ S^-1 satisfies (T + xi^-1 I) S = I and
-    T S = -xi^-1 compact.  A source whose smallest eigenvalue is at or
-    below tol raises SingularMatrixError (from hermitian_inverse).
+    T S = -xi^-1 compact.  A source with lambda_min <= tol * lambda_max
+    raises SingularMatrixError (from hermitian_inverse).
     """
     if xi == 0:
         raise ValueError("xi must be nonzero")
     require_same_shape(compact, source)
     dim = source.shape.dim
-    drift = frobenius(source.mat - (compact.mat + xi * np.eye(dim)))
-    if drift > 1e-10 * max(1.0, frobenius(source.mat)):
-        raise InconsistentDecompositionError(
-            f"source does not equal compact + xi*I; drift {drift:.3e}"
-        )
+    drift = relative_drift(source.mat, compact.mat + xi * np.eye(dim), xi)
+    if drift > ROUNDING_RTOL:
+        raise InconsistentDecompositionError(f"source does not equal compact + xi*I; "
+                                             f"relative drift {drift:.3e}")
     inverse = hermitian_inverse(source.mat, tol)
     mat = -(1.0 / xi) * (compact.mat @ inverse)
     return ModuleOperator(source.shape, mat)

@@ -29,7 +29,7 @@ as one array.  The "alphas" list makes certificates self-contained even
 when the eigenvalue sequence has no closed-form profile (repetition
 frames, canonical duals).  A present certificate is validated against
 the vectors on load: the frame operator must match alphas + xi * I
-within CERT_MATCH_TOL.
+within DEFAULT_TOL relative to its Frobenius norm.
 
 Partition files are a small companion format::
 
@@ -49,15 +49,12 @@ import numpy as np
 from .constructors import CompactTightCert, ScalarProfile, eigenprofile_operator
 from .errors import FrameFileError
 from .frames import FrameSystem, frame_operator
-from .linalg import frobenius
+from .linalg import DEFAULT_TOL, relative_drift
 from .module_space import ModuleShape
 from .weaving import Partition
 
 FRAME_SCHEMA = "cstar-frames/1"
 PARTITION_SCHEMA = "cstar-frames-partition/1"
-
-#: Tolerance for a certificate to validate against the file's vectors.
-CERT_MATCH_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,14 +263,10 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
         )
     except ValueError as exc:
         raise FrameFileError(f"{where}: {exc}") from exc
-    claimed = cert.operator_matrix()
-    actual = frame_operator(system).mat
-    drift = frobenius(actual - claimed)
-    if drift > CERT_MATCH_TOL * max(1.0, frobenius(actual)):
-        raise FrameFileError(
-            f"{where}: does not validate against the vectors; "
-            f"frame operator drift {drift:.3e} exceeds {CERT_MATCH_TOL:.0e}"
-        )
+    drift = relative_drift(frame_operator(system).mat, cert.operator_matrix())
+    if drift > DEFAULT_TOL:
+        raise FrameFileError(f"{where}: does not validate against the vectors; relative "
+                             f"frame operator drift {drift:.3e} exceeds {DEFAULT_TOL:.0e}")
     return cert
 
 

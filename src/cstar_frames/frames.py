@@ -7,7 +7,7 @@ sum_k <f, f_k><f_k, f> between multiples of <f, f> are exactly its
 extreme eigenvalues (see the positivity argument in
 :mod:`cstar_frames.module_space`).  A finite family is always a Bessel
 system; it is a frame precisely when the smallest eigenvalue clears the
-positivity tolerance.
+tolerance times the largest one.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
     """Best constants in the two-sided frame inequality.
 
     lower = max(lambda_min(S), 0) and upper = lambda_max(S); the family
-    is a frame iff lower clears `tol`, and tight when the two coincide.
+    is a frame iff lower > tol * upper, and tight iff upper - lower <= tol * upper.
     """
     eigenvalues = hermitian_eigen(system.frame_op.mat).eigenvalues
     lower = max(float(eigenvalues[0]), 0.0)
@@ -153,9 +153,9 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
     return BoundsReport(
         lower=lower,
         upper=upper,
-        is_frame=lower > tol,
+        is_frame=lower > tol * upper,
         is_bessel=True,
-        tight=(upper - lower) <= tol * max(1.0, upper),
+        tight=(upper - lower) <= tol * upper,
     )
 
 
@@ -174,7 +174,7 @@ def perturbation_distance(first: FrameSystem, second: FrameSystem) -> float:
 
 
 def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
-    """Canonical dual {S^-1 f_k}; requires the optimal lower bound to clear tol.
+    """Canonical dual {S^-1 f_k}; requires the optimal lower bound to exceed tol * upper.
 
     The dual's frame operator is S^-1, so its optimal bounds are the
     reciprocals of the original ones in swapped order, and
@@ -183,7 +183,7 @@ def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
     bounds = optimal_bounds(system, tol)
     if not bounds.is_frame:
         raise NotAFrameError(
-            f"optimal lower bound {bounds.lower:.3e} is not above tolerance {tol:.3e}"
+            f"optimal lower bound {bounds.lower:.3e} is not above {tol:.3e} * upper bound"
         )
     inverse = hermitian_inverse(system.frame_op.mat, tol)
     return FrameSystem(system.synthesis @ inverse, shape=system.shape)

@@ -9,14 +9,19 @@ checked against in the tests (Jacobi is the more accurate of the two on
 graded matrices; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
 
 Near-Hermitian input is folded to its Hermitian part ``(M + M*)/2``
-before either kernel runs; asymmetry beyond ``HERMITIAN_RTOL``
-(relative Frobenius) is an error rather than something to fix silently,
-so that assembly bugs surface where they happen.
+before either kernel runs; asymmetry beyond ``DEFAULT_TOL`` (relative
+Frobenius) is an error rather than something to fix silently, so that
+assembly bugs surface where they happen.
+
+The package's whole tolerance policy is the two constants below, each
+times the size of what a decision was computed from, never an absolute
+threshold: so no verdict changes when a frame is rescaled.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -29,11 +34,12 @@ from .errors import (
     SingularMatrixError,
 )
 
-#: Absolute tolerance on eigenvalues for positivity decisions.
+#: Verdicts (frame, tight, PSD, woven, ...), relative to the largest |eigenvalue|
+#: or the operands' norms; also declared input against what it implies.
 DEFAULT_TOL = 1e-9
 
-#: Relative Frobenius tolerance between M and M* beyond which input is rejected.
-HERMITIAN_RTOL = 1e-9
+#: A matrix against the same matrix rebuilt from its parts: rounding only.
+ROUNDING_RTOL = 1e-12
 
 #: Full cyclic sweeps allowed before giving up.
 JACOBI_SWEEP_CAP = 100
@@ -61,9 +67,29 @@ def frobenius(mat: np.ndarray) -> float:
     return math.sqrt(np.vdot(mat, mat).real)
 
 
-def hermitian_defect(mat: np.ndarray) -> float:
-    """Frobenius distance between a matrix and its conjugate transpose."""
-    return frobenius(mat - mat.conj().T)
+def _binade(largest: float) -> float:
+    """The power of two s with 1 <= largest / s < 2, or 2^-1022 if that is smaller."""
+    return math.ldexp(1.0, math.frexp(max(largest, sys.float_info.min))[1] - 1)
+
+
+def relative_drift(reference, other, *operands) -> float:
+    """||reference - other||_F over the largest Frobenius norm of `reference` and `operands`.
+
+    The operands are what the two were computed from; a zero scale gives 0 or
+    inf.  Squares outside (2^-900, 2^900) are retaken after dividing all by one
+    power of two (see _binade), which keeps the ratio.
+    """
+    size = max([np.vdot(x, x).real for x in (reference, *operands)])
+    if not 2.0**-900 < size < 2.0**900:
+        arrays = [np.asarray(x) for x in (reference, other, *operands)]
+        scale = _binade(max(float(np.abs(x).max()) for x in arrays))
+        reference, other, *operands = [x / scale for x in arrays]
+        size = max([np.vdot(x, x).real for x in (reference, *operands)])
+    diff = np.subtract(reference, other)
+    drift = np.vdot(diff, diff).real
+    if not size:
+        return math.inf if drift else 0.0
+    return math.sqrt(drift / size)
 
 
 def require_square(mat: np.ndarray, where: str) -> None:
@@ -121,12 +147,10 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
     mat = as_matrix(matrix)
     require_square(mat, where)
     adjoint = mat.conj().T
-    defect = frobenius(mat - adjoint)
-    if defect > HERMITIAN_RTOL * max(1.0, frobenius(mat)):
-        raise NotHermitianError(
-            f"{where}: symmetry defect {defect:.3e} exceeds "
-            f"{HERMITIAN_RTOL:.0e} * max(1, ||M||_F)"
-        )
+    defect = relative_drift(mat, adjoint)
+    if defect > DEFAULT_TOL:
+        raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
+                                f"{DEFAULT_TOL:.0e}")
     work = mat + adjoint
     work *= 0.5
     return work
@@ -174,25 +198,24 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_SWEEP_CAP) -> SpectralResul
 
 
 def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the Hermitian part of `matrix` has no eigenvalue below -tol."""
+    """True iff the Hermitian part of `matrix` has no eigenvalue below -tol * max |eigenvalue|."""
     mat = as_matrix(matrix)
     require_square(mat, "psd_check")
     if tol < 0:
         raise ValueError("psd_check: tolerance must be nonnegative")
     herm = (mat + mat.conj().T) / 2.0
-    return bool(hermitian_eigen(herm).eigenvalues[0] >= -tol)
+    low, high = hermitian_eigen(herm).eigenvalues[[0, -1]]
+    return bool(low >= -tol * max(-low, high))
 
 
-def _scaled_down(matrix) -> tuple[np.ndarray, float]:
-    """M / s and s, for the power of two s with 1 <= max(|re|, |im|) / s < 2.
+def _scaled_down(matrix, floor: float = 0.0) -> tuple[np.ndarray, float]:
+    """M / s and s, for the power of two s with 1 <= max(|re|, |im|, floor) / s < 2.
 
     The division is exact, so the Gram of M / s cannot overflow, and a norm
     read off it and multiplied by s is the one the unscaled Gram would give.
-    (A zero matrix gets s = 0.5.)
     """
     mat = as_matrix(matrix)
-    largest = float(np.abs(mat.view(np.float64)).max())
-    scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+    scale = _binade(max(float(np.abs(mat.view(np.float64)).max()), floor))
     mat /= scale
     return mat, scale
 
@@ -219,31 +242,28 @@ def sigma_min(matrix) -> float:
 
 
 def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Spectral inverse of a Hermitian matrix with lambda_min > tol."""
+    """Spectral inverse of a Hermitian matrix with lambda_min > tol * max |lambda|."""
     result = hermitian_eigen(matrix)
-    smallest = float(result.eigenvalues[0])
-    if smallest <= tol:
-        raise SingularMatrixError(
-            f"hermitian_inverse: smallest eigenvalue {smallest:.3e} is not above "
-            f"tolerance {tol:.3e}"
-        )
+    smallest, largest = result.eigenvalues[[0, -1]]
+    if smallest <= tol * max(-smallest, largest):
+        raise SingularMatrixError(f"hermitian_inverse: smallest eigenvalue {smallest:.3e} is "
+                                  f"not above {tol:.3e} times the largest |eigenvalue|")
     vecs = result.eigenvectors
     inv = (vecs / result.eigenvalues) @ vecs.conj().T
     return (inv + inv.conj().T) / 2.0
 
 
-def psd_sqrt(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(matrix) -> np.ndarray:
     """Positive semidefinite square root via spectral calculus.
 
-    Eigenvalues in [-tol, 0) are treated as roundoff and clamped to 0;
-    anything below -tol raises NotPSDError.
+    Eigenvalues down to -DEFAULT_TOL * max |eigenvalue| are treated as
+    roundoff and clamped to 0; anything below raises NotPSDError.
     """
     result = hermitian_eigen(matrix)
-    smallest = float(result.eigenvalues[0])
-    if smallest < -tol:
-        raise NotPSDError(
-            f"psd_sqrt: smallest eigenvalue {smallest:.3e} below -{tol:.3e}"
-        )
+    smallest, largest = result.eigenvalues[[0, -1]]
+    if smallest < -DEFAULT_TOL * max(-smallest, largest):
+        raise NotPSDError(f"psd_sqrt: smallest eigenvalue {smallest:.3e} below "
+                          f"-{DEFAULT_TOL:.0e} times the largest |eigenvalue|")
     clipped = np.clip(result.eigenvalues, 0.0, None)
     vecs = result.eigenvectors
     root = (vecs * np.sqrt(clipped)) @ vecs.conj().T

@@ -114,7 +114,8 @@ def universal_bounds(
 
     universal_lower is the minimum over partitions of the smallest
     weaving eigenvalue (its argmin, lexicographically smallest on ties,
-    is the worst partition); universal_upper the maximum of the largest.
+    is the worst partition); universal_upper the maximum of the largest;
+    the families are woven iff universal_lower > tol * universal_upper.
     Partitions stream one at a time through the calling thread; `workers`
     is accepted and ignored, so the report is the same for any value.
     """
@@ -144,7 +145,7 @@ def universal_bounds(
         universal_lower=low,
         universal_upper=high,
         worst_partition=Partition(tuple(a + 1 for a in worst)),
-        is_woven=low > tol,
+        is_woven=low > tol * high,
         partitions_checked=total,
     )
 

@@ -476,6 +476,34 @@ def test_deviation_witness_with_cancellation_exit_0(capsys, tmp_path):
     assert math.isfinite(report["decomposition"]["deviation"]["slack"])
 
 
+def test_deviation_at_xi_1e160_exit_0(capsys, tmp_path):
+    # The witness squares T ~ 1e160: its verdict is taken on T / 2^k, and its
+    # smallest eigenvalue, about -1e320, is past the double range: null.
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", str(tmp_path / "t4.json"))
+    code, out, err = run(capsys, "analyze", str(tmp_path / "t4.json"), "--xi", "1e160",
+                         "--eta", "0.5", "--alpha", "1", "--format", "json")
+    assert code == 0, err
+    assert "Infinity" not in out and "NaN" not in out
+    deviation = json.loads(out)["decomposition"]["deviation"]
+    assert deviation["holds"] is False
+    assert deviation["slack"] is None
+
+
+def test_perturb_huge_entry_exit_0(capsys, tmp_path):
+    # L = 1e200, so the display form (L - mu)^2 = 1e400 is past the double range.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                "module": {"n": 1}, "vectors": [[[[[1e100, 0.0]]]]]}))
+    code, out, err = run(capsys, "perturb", str(path), str(path), "--xi", "0", "--eta", "0",
+                         "--format", "json")
+    assert code == 0, err
+    assert "Infinity" not in out and "NaN" not in out
+    report = json.loads(out)
+    assert report["predicted"] == {"low": 1e200, "high": 1e200, "lowAlternate": None}
+    assert report["sandwich"] == {"applicable": True, "holds": True}
+
+
 # Each size is the smallest just above MAX_FRAME_ENTRIES = 2^18, so a missing
 # check shows as a slow test rather than an exhausted machine.
 @pytest.mark.parametrize("argv", [

@@ -419,3 +419,18 @@ def test_dual_decomposition_rejects_inconsistent_parts():
     source = identity_operator(shape, 1.0)
     with pytest.raises(InconsistentDecompositionError):
         dual_decomposition(1.0, compact, source)
+
+
+def test_drift_checks_hold_past_overflow():
+    # ||S||_F^2 overflows a double at 1e200, but a part that is off by a
+    # factor of 2 must still be caught, and an exact one still pass.
+    shape = ModuleShape(1, 2)
+    source = identity_operator(shape, 1e200)
+    assert ShiftDecomposition(xi=0.0, remainder=source, source=source).xi == 0.0
+    with pytest.raises(InconsistentDecompositionError):
+        ShiftDecomposition(xi=0.0, remainder=identity_operator(shape, 2e200), source=source)
+    with pytest.raises(InconsistentDecompositionError):
+        dual_decomposition(1e200, identity_operator(shape, 1e200), source)
+    crooked = ModuleOperator(shape, [[1e200, 1e200], [0.0, 1e200]])
+    with pytest.raises(InconsistentDecompositionError):
+        ShiftDecomposition.from_parts(crooked, 0.0)

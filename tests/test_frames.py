@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cstar_frames.errors import LengthMismatchError, NotAFrameError, ShapeMismatchError
 from cstar_frames.frames import (
@@ -17,7 +19,7 @@ from cstar_frames.frames import (
     synthesis,
     synthesis_matrix,
 )
-from cstar_frames.linalg import hermitian_defect, hermitian_eigen, operator_norm, psd_check
+from cstar_frames.linalg import hermitian_eigen, operator_norm, psd_check, relative_drift
 from cstar_frames.module_space import (
     ModuleShape,
     ModuleVector,
@@ -29,7 +31,7 @@ from cstar_frames.module_space import (
     zero_vector,
 )
 
-from conftest import random_psd
+from conftest import random_complex, random_psd
 
 
 def scalar_system(*rows):
@@ -78,7 +80,7 @@ def test_frame_operator_matches_reconstruction_sum(rng):
 def test_frame_operator_hermitian_psd(rng):
     system = random_system(rng, ModuleShape(2, 3), 4)
     mat = frame_operator(system).mat
-    assert hermitian_defect(mat) <= 1e-12 * max(1.0, np.linalg.norm(mat))
+    assert relative_drift(mat, mat.conj().T) <= 1e-12
     assert psd_check(mat, 1e-9)
 
 
@@ -302,6 +304,28 @@ def test_dual_of_dual_round_trips(rng):
     again = dual_frame(dual_frame(system))
     for vec, back in zip(system, again):
         np.testing.assert_allclose(back.rep, vec.rep, atol=1e-9)
+
+
+@st.composite
+def dense_frames(draw):
+    """Random complex frames of 1-6 vectors in A^n (d, n <= 2), scaled by 2^-30..2^30."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    count = draw(st.integers(n, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 2.0 ** draw(st.integers(-30, 30))
+    return FrameSystem(scale * random_complex(rng, count * d, n * d), shape=ModuleShape(d, n))
+
+
+@settings(deadline=None, max_examples=200)
+@given(dense_frames())
+def test_dual_of_dual_is_the_frame(system):
+    bounds = optimal_bounds(system)
+    assume(bounds.is_frame and bounds.upper <= 1e6 * bounds.lower)
+    again = dual_frame(dual_frame(system))
+    # Each dual multiplies by an inverse, which costs up to its condition number.
+    condition = bounds.upper / bounds.lower
+    assert relative_drift(system.synthesis, again.synthesis) <= 1e-13 * condition
 
 
 def test_dual_requires_frame():

@@ -21,6 +21,7 @@ from cstar_frames.linalg import (
     operator_norm,
     psd_check,
     psd_sqrt,
+    relative_drift,
     sigma_min,
 )
 
@@ -145,6 +146,29 @@ def test_eigen_rejects_non_hermitian():
             kernel([[0.0, 1.0], [0.0, 0.0]])
 
 
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**-40, 1.0, 2.0**600])
+def test_eigen_rejects_non_hermitian_at_any_scale(scale):
+    # ||M||_F^2 underflows at 2^-600 and overflows at 2^600; the defect is
+    # judged relative to ||M||_F all the same.
+    for kernel in KERNELS:
+        with pytest.raises(NotHermitianError):
+            kernel(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_relative_drift():
+    assert relative_drift(np.eye(2), np.eye(2)) == 0.0
+    assert relative_drift(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0
+    assert relative_drift(0.0, 1e-300) == math.inf
+    assert relative_drift(2.0, 3.0) == 0.5
+    # The operands widen the scale: |1 - 1.5| over max(|1|, |4|).
+    assert relative_drift(1.0, 1.5, 4.0) == 0.125
+    for k in (-1000, -600, 0, 600, 1000):
+        a = 2.0**k * np.array([[3.0, 0.0], [0.0, 4.0]])
+        assert relative_drift(a, 0.0 * a) == 1.0
+        assert relative_drift(a, a.T.copy()) == 0.0
+        assert relative_drift(a, 1.5 * a) == 0.5
+
+
 def test_eigen_rejects_non_finite():
     for kernel in KERNELS:
         for bad in (math.nan, math.inf, complex(0.0, math.nan)):
@@ -196,7 +220,7 @@ def hermitian_matrices(draw):
 @settings(deadline=None)
 @given(hermitian_matrices())
 def test_lapack_agrees_with_jacobi_reference(mat):
-    tolerance = 1e-11 * max(1.0, np.linalg.norm(mat))
+    tolerance = 1e-11 * np.linalg.norm(mat)
     lapack, _ = hermitian_eigen(mat)
     jacobi, _ = jacobi_eigen(mat)
     assert np.max(np.abs(lapack - jacobi)) <= tolerance

@@ -194,6 +194,31 @@ def test_universal_bounds_match_brute_force(case):
     assert report.partitions_checked == len(families) ** len(families[0])
 
 
+@st.composite
+def dense_families(draw):
+    """Two or three random complex families of 1-5 vectors in A^n (d, n <= 2)."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2))
+    count = draw(st.integers(1, 5))
+    m = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (count * d, n * d)
+    return [FrameSystem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                        shape=ModuleShape(d, n)) for _ in range(m)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(dense_families())
+def test_universal_bounds_enclose_each_family(families):
+    # Taking every vector from one family is one of the partitions.
+    report = universal_bounds(families)
+    rounding = 1e-12 * report.universal_upper
+    for family in families:
+        bounds = optimal_bounds(family)
+        assert report.universal_lower <= bounds.lower + rounding
+        assert report.universal_upper >= bounds.upper - rounding
+
+
 def test_universal_bounds_cap():
     fam = onb_system(3)
     with pytest.raises(TooManyPartitionsError):
