@@ -2,7 +2,12 @@
 
 A frame file is human-diffable JSON.  Complex numbers are [re, im]
 pairs; Python's shortest-repr float serialization round-trips doubles
-bit-exactly, so parse(serialize(F)) reproduces F to the bit.
+bit-exactly, so parse(serialize(F)) reproduces F to the bit.  Written
+files are the canonical text json.dumps(payload, sort_keys=True,
+indent=2) plus a newline, produced without the standard library's
+pure-Python encoder: the numbers of "vectors" are laid out in one
+template per vector (see dumps_payload), and on load they are checked
+and converted in one vectorized pass.
 
 Layout::
 
@@ -101,6 +106,20 @@ def _entry_where(index) -> str:
     return f"{where} ({('re', 'im')[index[4]]})" if len(index) == 5 else where
 
 
+def _doubles(entries: np.ndarray) -> np.ndarray:
+    """The entries as flat doubles: NaN for any other value, inf past the double range.
+
+    JSON numbers decode to exact ints and floats, which one cast converts; the
+    per-entry ``_as_double`` runs only when the cast cannot, to place the fault.
+    """
+    if set(map(type, entries.flat)) <= {float, int}:
+        try:
+            return entries.astype(float).ravel()
+        except OverflowError:  # an integer past the double range
+            pass
+    return np.fromiter(map(_as_double, entries.flat), float, entries.size)
+
+
 def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
     """The synthesis matrix of a "vectors" list, checked as one array.
 
@@ -123,7 +142,7 @@ def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
         raise FrameFileError(f"{_entry_where(index)}: expected {what[k]}")
     if entries.ndim > 5:  # every number is itself a list
         _as_finite_float(raw[0][0][0][0][0], _entry_where((0,) * 5))
-    values = np.fromiter(map(_as_double, entries.flat), float, entries.size)
+    values = _doubles(entries)
     finite = np.isfinite(values)
     if not finite.all():
         index = np.unravel_index(np.argmin(finite), expected)
@@ -160,12 +179,12 @@ def _encode_profile(profile: ScalarProfile) -> dict:
     return out
 
 
-def frame_to_payload(
+def _payload(
     system: FrameSystem,
-    certificate: CompactTightCert | None = None,
-    scenario: dict | None = None,
+    certificate: CompactTightCert | None,
+    scenario: dict | None,
 ) -> dict:
-    """Serialize a frame system (and optional metadata) to the file schema."""
+    """The file payload, with "vectors" as the (N, n, d, d, 2) float array."""
     shape = system.shape
     d = shape.d
     blocks = system.synthesis.reshape(len(system), d, shape.n, d).transpose(0, 2, 1, 3)
@@ -173,7 +192,7 @@ def frame_to_payload(
         "schema": FRAME_SCHEMA,
         "algebra": {"d": d},
         "module": {"n": shape.n},
-        "vectors": np.stack([blocks.real, blocks.imag], axis=-1).tolist(),
+        "vectors": np.stack([blocks.real, blocks.imag], axis=-1),
     }
     if certificate is not None:
         payload["certificate"] = {
@@ -188,6 +207,17 @@ def frame_to_payload(
         }
     if scenario is not None:
         payload["scenario"] = scenario
+    return payload
+
+
+def frame_to_payload(
+    system: FrameSystem,
+    certificate: CompactTightCert | None = None,
+    scenario: dict | None = None,
+) -> dict:
+    """Serialize a frame system (and optional metadata) to the file schema."""
+    payload = _payload(system, certificate, scenario)
+    payload["vectors"] = payload["vectors"].tolist()
     return payload
 
 
@@ -290,9 +320,40 @@ def _decode_scenario(raw) -> dict:
     }
 
 
+def _json_list(items: list[str], level: int) -> str:
+    """Encoded items (at least one) as the JSON list json.dumps(indent=2) writes at `level`."""
+    inner = "\n" + "  " * (level + 1)
+    return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+
+
+def _number_template(shape: tuple[int, ...], level: int) -> str:
+    """The layout of a nested list of doubles of this shape, with one %r slot per number."""
+    if not shape:
+        return "%r"
+    return _json_list([_number_template(shape[1:], level + 1)] * shape[0], level)
+
+
 def dumps_payload(payload: dict) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+
+    The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``.  With
+    ``indent`` the standard library runs its pure-Python encoder, so the
+    numbers of "vectors" (a list or an array of finite doubles) are laid out
+    here instead: one template per vector, filled with ``'%r' % float``, which
+    is ``float.__repr__``, the function both standard encoders call.
+    """
+    if "vectors" not in payload:
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    values = np.asarray(payload["vectors"], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("vectors: every number must be finite")
+    template = _number_template(values.shape[1:], 2)
+    rows = values.reshape(len(values), -1).tolist()
+    vectors = _json_list([template % tuple(row) for row in rows], 1)
+    # Top-level keys sit at a two-space indent, and JSON strings hold no raw
+    # newline, so the first match is the "vectors" key itself.
+    text = json.dumps({**payload, "vectors": None}, sort_keys=True, indent=2)
+    return text.replace('\n  "vectors": null', '\n  "vectors": ' + vectors, 1) + "\n"
 
 
 def save_frame(
@@ -301,7 +362,7 @@ def save_frame(
     certificate: CompactTightCert | None = None,
     scenario: dict | None = None,
 ) -> None:
-    Path(path).write_text(dumps_payload(frame_to_payload(system, certificate, scenario)))
+    Path(path).write_text(dumps_payload(_payload(system, certificate, scenario)))
 
 
 def _read_json(path: Path):

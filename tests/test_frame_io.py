@@ -14,6 +14,7 @@ from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import (
+    dumps_payload,
     frame_to_payload,
     load_frame,
     load_partition,
@@ -389,6 +390,36 @@ def test_every_number_a_list_is_named_at_the_first():
         payload_to_frame(payload)
 
 
+# The same faults at the last entry: the type check over the whole array sees
+# them, and the per-entry pass names them exactly as a fault past vector 1.
+
+@pytest.mark.parametrize("value,message", [
+    (True, "expected a number, got True"),
+    ("1.5", "expected a number, got '1.5'"),
+    (None, "expected a number, got None"),
+    ([1.5], "expected a number, got [1.5]"),
+    (10**400, "number must be finite"),
+])
+def test_single_fault_at_the_last_entry(value, message):
+    payload = _vectors_payload()
+    payload["vectors"][-1][-1][-1][-1][-1] = value
+    with pytest.raises(FrameFileError) as info:
+        payload_to_frame(payload)
+    assert str(info.value) == f"vector 3, block 2, row 2, column 2 (im): {message}"
+
+
+def test_integer_entries_load_as_their_doubles():
+    payload = _vectors_payload()
+    vectors = payload["vectors"]
+    vectors[0][0][0][0] = [3, -0.0]
+    vectors[1][1][1][1][0] = -(2**60 + 1)
+    vectors[2][0][1][0][1] = 0
+    floats = json.loads(json.dumps(vectors), parse_int=float)
+    mixed = payload_to_frame(payload).system.synthesis
+    exact = payload_to_frame({**payload, "vectors": floats}).system.synthesis
+    assert mixed.tobytes() == exact.tobytes()
+
+
 def test_large_integer_in_file_exits_2(tmp_path, capsys):
     payload = _vectors_payload()
     payload["vectors"][1][0][0][0][0] = 10**400
@@ -441,3 +472,109 @@ def test_save_load_bit_exact(system):
         assert loaded.shape == system.shape
         assert loaded.synthesis.tobytes() == system.synthesis.tobytes()
         assert second.read_bytes() == first.read_bytes()
+
+
+# The canonical text is json.dumps(payload, sort_keys=True, indent=2) + "\n";
+# dumps_payload lays out "vectors" itself and must give the same bytes.
+
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_SCENARIO = {
+    "size": 4,
+    "role": "b",
+    "sigma": [1, 3],
+    "profile_a": {"kind": "geometric", "xi": 0.5, "c": 1.0, "r": 0.25},
+    "profile_b": {"kind": "power", "xi": 0.5, "c": 2.0, "p": 1.5},
+}
+
+
+def _certificate(kind, shape):
+    if kind == "profile":
+        return profile_frame(ScalarProfile("gaussian", xi=1.0, c=1.0), shape)[1]
+    if kind == "repetition":
+        return repetition_frame(shape, {shape.n: 3})[1]
+    return None
+
+
+@settings(deadline=None, max_examples=200)
+@given(frame_systems(), st.sampled_from([None, "profile", "repetition"]),
+       st.sampled_from([None, _SCENARIO]))
+def test_dumps_payload_is_the_canonical_json(system, certificate, scenario):
+    cert = _certificate(certificate, system.shape)
+    payload = frame_to_payload(system, cert, scenario)
+    text = dumps_payload(payload)
+    assert text == _canonical(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        save_frame(path, system, cert, scenario)
+        assert path.read_text() == text
+
+
+# Every finite double: -0.0, subnormals and magnitudes up to 1e308, which no
+# FrameSystem can hold once X* X overflows, so they go straight into "vectors".
+_finite_doubles = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300, 1e-300, -1e-300]),
+)
+
+
+@st.composite
+def vectors_lists(draw):
+    """A "vectors" list of shape (N, n, d, d, 2), N, n, d in 1..3, of any finite doubles."""
+    count, n, d = (draw(st.integers(1, 3)) for _ in range(3))
+    size = 2 * count * n * d * d
+    numbers = draw(st.lists(_finite_doubles, min_size=size, max_size=size))
+    return np.array(numbers).reshape(count, n, d, d, 2).tolist()
+
+
+@settings(deadline=None, max_examples=200)
+@given(vectors_lists())
+def test_dumps_payload_any_finite_doubles(vectors):
+    payload = {"schema": "cstar-frames/1", "algebra": {"d": len(vectors[0][0])},
+               "module": {"n": len(vectors[0])}, "vectors": vectors}
+    assert dumps_payload(payload) == _canonical(payload)
+
+
+def test_dumps_payload_rejects_non_finite_vectors():
+    payload = frame_to_payload(FrameSystem(standard_basis(ModuleShape(1, 2))))
+    payload["vectors"][1][0][0][0][1] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        dumps_payload(payload)
+
+
+def _construct_and_dual(tmp_path):
+    """Every file the CLI writes: each construct kind, and duals with and without a certificate."""
+    t4 = {"constant": [], "gaussian": ["--c", "1"], "geometric": ["--c", "1", "--r", "0.5"],
+          "power": ["--c", "2", "--p", "1.5"]}
+    for kind, extra in t4.items():
+        out = tmp_path / f"t4-{kind}.json"
+        assert main(["construct", "t4", "--kind", kind, "--xi", "1", "--n", "5", "--d", "2",
+                     "--out", str(out), *extra]) == 0
+        yield out
+    out = tmp_path / "rep.json"
+    assert main(["construct", "repetition", "--n", "4", "--d", "3", "--repeat", "2:3",
+                 "--out", str(out)]) == 0
+    yield out
+    assert main(["construct", "t49", "--n", "6", "--profile1", "geometric:1.3:0.7",
+                 "--profile2", "gaussian:1", "--out", str(tmp_path / "sc")]) == 0
+    yield from (tmp_path / f"sc-{key}.json" for key in ("a", "b", "partition"))
+    rng = np.random.default_rng(11)
+    plain = tmp_path / "plain.json"
+    save_frame(plain, random_system(rng, ModuleShape(2, 2), 5))
+    for source in (tmp_path / "t4-gaussian.json", plain):
+        out = tmp_path / f"dual-{source.name}"
+        assert main(["dual", str(source), "--out", str(out)]) == 0
+        yield out
+
+
+def test_cli_writes_canonical_json(tmp_path, capsys):
+    files = list(_construct_and_dual(tmp_path))
+    capsys.readouterr()
+    assert len(files) == 10
+    for path in files:
+        text = path.read_text()
+        assert text == _canonical(json.loads(text)), path.name
+    assert "certificate" in json.loads(files[-2].read_text())
+    assert "certificate" not in json.loads(files[-1].read_text())

@@ -19,7 +19,13 @@ from cstar_frames.frames import (
     synthesis,
     synthesis_matrix,
 )
-from cstar_frames.linalg import hermitian_eigen, operator_norm, psd_check, relative_drift
+from cstar_frames.linalg import (
+    DEFAULT_TOL,
+    hermitian_eigen,
+    operator_norm,
+    psd_check,
+    relative_drift,
+)
 from cstar_frames.module_space import (
     ModuleShape,
     ModuleVector,
@@ -326,6 +332,36 @@ def test_dual_of_dual_is_the_frame(system):
     # Each dual multiplies by an inverse, which costs up to its condition number.
     condition = bounds.upper / bounds.lower
     assert relative_drift(system.synthesis, again.synthesis) <= 1e-13 * condition
+
+
+@settings(deadline=None, max_examples=200)
+@given(dense_frames(), st.integers(0, 2**32 - 1))
+def test_dual_reconstructs_from_analysis(system, seed):
+    bounds = optimal_bounds(system)
+    assume(bounds.is_frame and bounds.upper <= 1e6 * bounds.lower)
+    rng = np.random.default_rng(seed)
+    f = ModuleVector(system.shape, random_complex(rng, system.shape.d, system.shape.dim))
+    back = synthesis(dual_frame(system), analysis(system, f))
+    condition = bounds.upper / bounds.lower
+    assert relative_drift(f.rep, back.rep) <= 1e-13 * condition
+
+
+def random_unitary(rng, size):
+    """QR of a complex Gaussian matrix, with the phases of R's diagonal moved into Q."""
+    q, r = np.linalg.qr(random_complex(rng, size, size))
+    diagonal = r.diagonal()
+    return q * (diagonal / np.abs(diagonal))
+
+
+@settings(deadline=None, max_examples=200)
+@given(dense_frames(), st.integers(0, 2**32 - 1))
+def test_bounds_invariant_under_unitary_maps(system, seed):
+    unitary = random_unitary(np.random.default_rng(seed), system.shape.dim)
+    # X U has the frame operator U* S U, which has the spectrum of S.
+    mapped = FrameSystem(system.synthesis @ unitary, shape=system.shape)
+    bounds, again = optimal_bounds(system), optimal_bounds(mapped)
+    assert abs(again.lower - bounds.lower) <= DEFAULT_TOL * bounds.upper
+    assert abs(again.upper - bounds.upper) <= DEFAULT_TOL * bounds.upper
 
 
 def test_dual_requires_frame():
