@@ -43,7 +43,7 @@ for label, fam in (("A", scenario.frame_a), ("B", scenario.frame_b)):
     print(f"  family {label}: bounds ({b.lower:.6f}, {b.upper:.6f})")
 
 mixed = weaving_operator([scenario.frame_a, scenario.frame_b], scenario.adversarial)
-target = scenario.compact_a.mat + scenario.compact_b.mat
+target = np.diag(scenario.cert_a.alphas + scenario.cert_b.alphas)
 print(f"\nmixing the two tails cancels both basis halves:")
 print(f"  weaving operator equals the sum of the two compact parts "
       f"up to {np.linalg.norm(mixed.mat - target):.2e}")

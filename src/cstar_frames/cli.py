@@ -21,24 +21,17 @@ the weave report; enumeration runs on the calling thread whatever its value.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
 import time
 
-from .constructors import (
-    CompactTightCert,
-    ScalarProfile,
-    profile_frame,
-    repetition_frame,
-)
+from .constructors import ScalarProfile, profile_frame, repetition_frame
 from .decomposition import (
     bessel_bound,
     deviation_certificate,
     decomposition_diagnostics,
-    dual_decomposition,
     frame_lower_bound,
     perturbed_frame_bounds,
     shift_decompose,
@@ -58,7 +51,7 @@ from .frame_io import (
 )
 from .frames import dual_frame, optimal_bounds, perturbation_distance
 from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
-from .module_space import ModuleOperator, ModuleShape
+from .module_space import ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
     adversarial_scenario,
@@ -326,10 +319,9 @@ def cmd_construct_t49(args) -> dict:
         "profile_b": _encode_profile(profile_b),
     }
     files, bounds = {}, {}
-    for role, frame, compact in (("a", scenario.frame_a, scenario.compact_a),
-                                 ("b", scenario.frame_b, scenario.compact_b)):
+    for role, frame, cert in (("a", scenario.frame_a, scenario.cert_a),
+                              ("b", scenario.frame_b, scenario.cert_b)):
         files[role] = f"{args.out}-{role}.json"
-        cert = CompactTightCert(xi=1.0, profile=None, permutation=(), compact_part=compact)
         bounds[role] = _save_checked(files[role], frame, cert, {**meta, "role": role})
     files["partition"] = f"{args.out}-partition.json"
     _write(save_partition, files["partition"], scenario.adversarial, 2,
@@ -446,16 +438,10 @@ def cmd_dual(args) -> dict:
     system = loaded.system
     bounds = optimal_bounds(system, args.tol)
     dual = dual_frame(system, args.tol)
-    dual_cert = None
+    # A certificate that barely clears the file tolerance can still be
+    # numerically singular; in that case the dual is written without one.
     cert = loaded.certificate
-    if cert is not None and cert.xi != 0:
-        source = ModuleOperator(system.shape, cert.operator_matrix())
-        # A certificate that barely clears the file tolerance can still be
-        # numerically singular; in that case write the dual without one.
-        with contextlib.suppress(ValueError):
-            remainder = dual_decomposition(cert.xi, cert.compact_part, source, args.tol)
-            dual_cert = CompactTightCert(xi=1.0 / cert.xi, profile=None,
-                                         permutation=cert.permutation, compact_part=remainder)
+    dual_cert = cert.dual(args.tol) if cert is not None else None
     _write(save_frame, args.out, dual, dual_cert)
     dual_bounds = optimal_bounds(dual, args.tol)
     return {

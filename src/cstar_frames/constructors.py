@@ -5,11 +5,13 @@ a declared limit xi; scaling an orthonormal basis by sqrt(l_k) yields a
 frame whose operator is xi*I plus a "compact part" K carrying the
 eigenvalues l_k - xi.  Finite truncations cannot distinguish compact
 from merely bounded perturbations, so compactness lives in the profile
-metadata: the certificate records the profile and its declared limit,
-and uniqueness of the representation S = K + xi*I is decided at that
-profile level (two valid certificates for the same operator must agree
-on the shift, because their difference would be a nonzero constant
-multiple of the identity, whose eigenvalue sequence cannot tend to 0).
+metadata: the certificate records the profile and its declared limit
+next to K's eigenvalue at each basis direction (every K built here is
+diagonal in the standard basis), and uniqueness of the representation
+S = K + xi*I is decided at that profile level (two valid certificates
+for the same operator must agree on the shift, because their difference
+would be a nonzero constant multiple of the identity, whose eigenvalue
+sequence cannot tend to 0).
 
 Four profile kinds are built in, all with known closed forms for the
 supremum, prefix minimum, and limit, so every constructed frame has
@@ -68,6 +70,8 @@ class ScalarProfile:
         if self.kind == "power":
             if self.p is None or not (self.p > 0):
                 raise ValueError("power profiles need an exponent p > 0")
+            if self.p == math.inf:
+                raise ValueError("exponent p must be finite")
         elif self.p is not None:
             raise ValueError(f"exponent p only applies to power profiles, not {self.kind!r}")
 
@@ -130,39 +134,31 @@ def _basis_frame(shape: ModuleShape, directions, scales) -> FrameSystem:
     return FrameSystem(np.kron(rows, np.eye(shape.d)), shape=shape)
 
 
-def _direction_eigenvalues(op: ModuleOperator) -> np.ndarray:
-    """Per-direction scalars of a block-diagonal operator alpha_j * I_d.
-
-    Raises if the matrix rebuilt from those scalars misses it by more than rounding.
-    """
-    d, n = op.shape.d, op.shape.n
-    diagonal = op.mat.reshape(n, d, n, d)[np.arange(n), :, np.arange(n)]
-    alphas = np.trace(diagonal, axis1=1, axis2=2).real / d
-    drift = relative_drift(op.mat, np.kron(np.diag(alphas), np.eye(d)))
-    if drift > ROUNDING_RTOL:
-        raise ValueError(f"operator is not scalar-block-diagonal in the standard basis; "
-                         f"relative off-structure mass {drift:.3e}")
-    return alphas
-
-
 @dataclass(frozen=True, eq=False)
 class CompactTightCert:
-    """Certificate that a frame operator equals compact_part + xi * I.
+    """Certificate that a frame operator equals K + xi * I with K compact.
 
-    `permutation` lists (1-based) which basis direction carries the k-th
-    profile value.  `profile` may be None for parts whose eigenvalue
-    sequence has no closed form (finite-rank repetitions, duals); the
-    declared limit of the scaled-basis sequence then defaults to xi,
-    consistent with an eigenvalue sequence that is eventually zero.
+    K is diagonal in the standard basis, so it is held as `alphas`, its
+    eigenvalue at each basis direction (a read-only float array of length
+    n); each carries multiplicity d in the representation.  `permutation`
+    lists (1-based) which basis direction carries the k-th profile value.
+    Omitted alphas are derived from the profile: l_k - xi at direction
+    permutation[k], 0 elsewhere; given alphas must agree with a given
+    profile within DEFAULT_TOL (relative).  `profile` may be None for
+    parts whose eigenvalue sequence has no closed form (finite-rank
+    repetitions, duals); the declared limit of the scaled-basis sequence
+    then defaults to xi, consistent with an eigenvalue sequence that is
+    eventually zero.
     """
 
+    shape: ModuleShape
     xi: float
-    profile: ScalarProfile | None
-    permutation: tuple[int, ...]
-    compact_part: ModuleOperator
+    alphas: np.ndarray | None = None
+    profile: ScalarProfile | None = None
+    permutation: tuple[int, ...] = ()
 
     def __post_init__(self):
-        n = self.compact_part.shape.n
+        n = self.shape.n
         perm = tuple(int(i) for i in self.permutation)
         if len(set(perm)) != len(perm):
             raise ValueError("permutation entries must be distinct")
@@ -170,13 +166,20 @@ class CompactTightCert:
             raise ValueError(f"permutation entries must lie in 1..{n}")
         object.__setattr__(self, "permutation", perm)
         if self.profile is not None:
-            alphas = _direction_eigenvalues(self.compact_part)
-            expected = np.zeros(n)
-            expected[np.array(perm, dtype=int) - 1] = self.profile.values(len(perm)) - self.xi
-            drift = relative_drift(expected, alphas, self.xi)  # xi: l_k - xi may cancel
+            derived = np.zeros(n)
+            derived[np.array(perm, dtype=int) - 1] = self.profile.values(len(perm)) - self.xi
+        elif self.alphas is None:
+            raise ValueError("needs 'alphas' when no profile is given")
+        alphas = derived if self.alphas is None else np.array(self.alphas, dtype=float)
+        if alphas.shape != (n,) or not np.isfinite(alphas).all():
+            raise ValueError(f"alphas must be {n} finite numbers")
+        if self.profile is not None:
+            drift = relative_drift(derived, alphas, self.xi)  # xi: l_k - xi may cancel
             if drift > DEFAULT_TOL:
                 raise ValueError(f"compact part eigenvalues disagree with the profile by "
                                  f"{drift:.3e} (relative)")
+        alphas.flags.writeable = False
+        object.__setattr__(self, "alphas", alphas)
 
     @property
     def declared_limit(self) -> float:
@@ -184,13 +187,26 @@ class CompactTightCert:
         return self.profile.limit if self.profile is not None else self.xi
 
     def operator_matrix(self) -> np.ndarray:
-        """The certified frame operator compact_part + xi * I."""
-        dim = self.compact_part.shape.dim
-        return self.compact_part.mat + self.xi * np.eye(dim)
+        """The certified frame operator K + xi * I."""
+        return eigenprofile_operator(self.alphas + self.xi, self.shape).mat
 
-    def direction_eigenvalues(self) -> np.ndarray:
-        """Eigenvalue of the compact part at each basis direction, in order."""
-        return _direction_eigenvalues(self.compact_part)
+    def dual(self, tol: float = DEFAULT_TOL) -> CompactTightCert | None:
+        """Certificate of S^-1 = T + xi^-1 I, in the scalar form of dual_decomposition.
+
+        Per direction T = -xi^-1 * alpha * (alpha + xi)^-1, zero kept as +0.0.
+        None when xi = 0, when S is singular by hermitian_inverse's rule
+        (min(alpha + xi) <= tol * max|alpha + xi|), or when the result is
+        not finite.
+        """
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            spectrum = self.alphas + self.xi
+            if self.xi == 0 or spectrum.min() <= tol * np.abs(spectrum).max():
+                return None
+            inverse_xi = 1.0 / self.xi
+            alphas = -inverse_xi * (self.alphas * (1.0 / spectrum)) + 0.0
+        if not (math.isfinite(inverse_xi) and np.isfinite(alphas).all()):
+            return None
+        return CompactTightCert(self.shape, inverse_xi, alphas, permutation=self.permutation)
 
 
 def profile_frame(
@@ -217,16 +233,9 @@ def profile_frame(
         raise ValueError("profile limit xi must be positive")
     if profile.kind != "constant" and profile.c <= 0:
         raise ValueError("non-constant profiles need a positive amplitude")
-    values = profile.values(count)
-    system = _basis_frame(shape, np.arange(count), np.sqrt(values))
-    alphas = list(values - profile.xi) + [0.0] * (shape.n - count)
-    compact = eigenprofile_operator(alphas, shape)
-    cert = CompactTightCert(
-        xi=profile.xi,
-        profile=profile,
-        permutation=tuple(range(1, count + 1)),
-        compact_part=compact,
-    )
+    system = _basis_frame(shape, np.arange(count), np.sqrt(profile.values(count)))
+    cert = CompactTightCert(shape, profile.xi, profile=profile,
+                            permutation=tuple(range(1, count + 1)))
     if count == shape.n:
         drift = relative_drift(cert.operator_matrix(), frame_operator(system).mat)
         if drift > ROUNDING_RTOL:
@@ -257,13 +266,11 @@ def repetition_frame(
     directions = list(range(shape.n))
     for idx in sorted(theta):
         directions += [idx - 1] * (theta[idx] - 1)
-    alphas = [float(theta.get(j, 1) - 1) for j in range(1, shape.n + 1)]
-    compact = eigenprofile_operator(alphas, shape)
     cert = CompactTightCert(
-        xi=1.0,
-        profile=None,
+        shape,
+        1.0,
+        [theta.get(j, 1) - 1 for j in range(1, shape.n + 1)],
         permutation=tuple(sorted(j for j, cnt in theta.items() if cnt > 1)),
-        compact_part=compact,
     )
     return _basis_frame(shape, directions, np.ones(len(directions))), cert
 
@@ -307,7 +314,7 @@ def representation_unique(
             f"shifts {first.xi:g} and {second.xi:g} differ; the parts would "
             f"differ by the constant {first.xi - second.xi:g} * I, whose "
             f"eigenvalue sequence cannot tend to 0"))
-    part_drift = relative_drift(first.compact_part.mat, second.compact_part.mat)
+    part_drift = relative_drift(first.alphas, second.alphas)
     if part_drift > DEFAULT_TOL:
         return UniquenessVerdict(
             False, f"equal shifts but compact parts differ by {part_drift:.3e} (relative)")

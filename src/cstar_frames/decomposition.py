@@ -85,8 +85,8 @@ def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, floa
     """Whether lambda_min(T) >= -tol * max(||T||, |xi|) (S's and xi's size), and lambda_min(T).
 
     T is folded first: the rounding asymmetry it inherits from S may dwarf it."""
-    tmat = dec.remainder.mat
-    spectrum = hermitian_eigen((tmat + tmat.conj().T) / 2.0).eigenvalues
+    half = dec.remainder.mat / 2.0
+    spectrum = hermitian_eigen(half + half.conj().T).eigenvalues
     smallest, largest = float(spectrum[0]), float(spectrum[-1])
     return smallest >= -tol * max(-smallest, largest, abs(dec.xi)), smallest
 

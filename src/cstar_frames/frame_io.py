@@ -32,9 +32,11 @@ where each block is a d x d row-major array of [re, im] pairs: "vectors"
 is the synthesis matrix as one (N, n, d, d, 2) array, written and checked
 as one array.  The "alphas" list makes certificates self-contained even
 when the eigenvalue sequence has no closed-form profile (repetition
-frames, canonical duals).  A present certificate is validated against
-the vectors on load: the frame operator must match alphas + xi * I
-within DEFAULT_TOL relative to its Frobenius norm.
+frames, canonical duals); it may be left out when a profile is given,
+and is then derived from the profile (see CompactTightCert).  A present
+certificate is validated against the vectors on load: the frame
+operator must match alphas + xi * I within DEFAULT_TOL relative to its
+Frobenius norm.
 
 Partition files are a small companion format::
 
@@ -51,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constructors import CompactTightCert, ScalarProfile, eigenprofile_operator
+from .constructors import CompactTightCert, ScalarProfile
 from .errors import FrameFileError
 from .frames import FrameSystem, frame_operator
 from .linalg import DEFAULT_TOL, relative_drift
@@ -203,7 +205,7 @@ def _payload(
                 else None
             ),
             "permutation": list(certificate.permutation),
-            "alphas": [float(a) for a in certificate.direction_eigenvalues()],
+            "alphas": certificate.alphas.tolist(),
         }
     if scenario is not None:
         payload["scenario"] = scenario
@@ -273,24 +275,16 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
     if alphas is None:
         _require(profile is not None,
                  f"{where}: needs 'alphas' when no profile is given")
-        alphas = [0.0] * shape.n
-        for k, direction in enumerate(permutation, start=1):
+        for direction in permutation:
             _require(1 <= direction <= shape.n,
                      f"{where}.permutation: direction {direction} outside 1..{shape.n}")
-            alphas[direction - 1] = profile.eval(k) - xi
     else:
         _require(isinstance(alphas, list) and len(alphas) == shape.n,
                  f"{where}.alphas: expected {shape.n} numbers")
         alphas = [_as_finite_float(a, f"{where}.alphas[{i}]")
                   for i, a in enumerate(alphas)]
-    compact = eigenprofile_operator(alphas, shape)
     try:
-        cert = CompactTightCert(
-            xi=xi,
-            profile=profile,
-            permutation=tuple(permutation),
-            compact_part=compact,
-        )
+        cert = CompactTightCert(shape, xi, alphas, profile, tuple(permutation))
     except ValueError as exc:
         raise FrameFileError(f"{where}: {exc}") from exc
     drift = relative_drift(frame_operator(system).mat, cert.operator_matrix())

@@ -8,7 +8,8 @@ independent method and is kept as the reference the LAPACK path is
 checked against in the tests (Jacobi is the more accurate of the two on
 graded matrices; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
 
-Near-Hermitian input is folded to its Hermitian part ``(M + M*)/2``
+Near-Hermitian input is folded to its Hermitian part ``M/2 + M*/2``
+(halved first, so entries near the double range cannot overflow)
 before either kernel runs; asymmetry beyond ``DEFAULT_TOL`` (relative
 Frobenius) is an error rather than something to fix silently, so that
 assembly bugs surface where they happen.
@@ -143,17 +144,17 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
 
 
 def _hermitian_part(matrix, where: str) -> np.ndarray:
-    """Validate square, finite, near-Hermitian input and fold it to (M + M*)/2."""
+    """Validate square, finite, near-Hermitian input and fold it to M/2 + M*/2."""
     mat = as_matrix(matrix)
     require_square(mat, where)
+    mat *= 0.5  # exact for normal numbers, and M + M* may overflow
     adjoint = mat.conj().T
     defect = relative_drift(mat, adjoint)
     if defect > DEFAULT_TOL:
         raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
                                 f"{DEFAULT_TOL:.0e}")
-    work = mat + adjoint
-    work *= 0.5
-    return work
+    mat += adjoint
+    return mat
 
 
 def hermitian_eigen(matrix) -> SpectralResult:
@@ -203,8 +204,8 @@ def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
     require_square(mat, "psd_check")
     if tol < 0:
         raise ValueError("psd_check: tolerance must be nonnegative")
-    herm = (mat + mat.conj().T) / 2.0
-    low, high = hermitian_eigen(herm).eigenvalues[[0, -1]]
+    mat *= 0.5
+    low, high = hermitian_eigen(mat + mat.conj().T).eigenvalues[[0, -1]]
     return bool(low >= -tol * max(-low, high))
 
 
@@ -250,7 +251,8 @@ def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
                                   f"not above {tol:.3e} times the largest |eigenvalue|")
     vecs = result.eigenvectors
     inv = (vecs / result.eigenvalues) @ vecs.conj().T
-    return (inv + inv.conj().T) / 2.0
+    inv *= 0.5
+    return inv + inv.conj().T
 
 
 def psd_sqrt(matrix) -> np.ndarray:

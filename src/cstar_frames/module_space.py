@@ -208,6 +208,7 @@ def cauchy_schwarz_probe(
         gap = inner_product(tx, tx) - bound * inner_product(x, x)
         # gap cancels to far below the size of its terms, and their rounding
         # is asymmetric; fold it before hermitian_eigen checks symmetry.
-        top = float(hermitian_eigen((gap + gap.conj().T) / 2.0).eigenvalues[-1])
+        gap *= 0.5
+        top = float(hermitian_eigen(gap + gap.conj().T).eigenvalues[-1])
         worst = max(worst, top)
     return worst

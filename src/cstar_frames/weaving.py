@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
-from .constructors import ScalarProfile, _basis_frame, eigenprofile_operator
+from .constructors import CompactTightCert, ScalarProfile, _basis_frame
 from .frames import FrameSystem
 from .linalg import DEFAULT_TOL, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
@@ -154,17 +154,17 @@ def universal_bounds(
 class AdversarialScenario:
     """Interleaved pair of compact-tight frames with its degenerate partition.
 
-    Each family is a frame on its own (operator I + compact part), but
-    the partition mixing the two decaying tails has weaving operator
-    exactly compact_a + compact_b.
+    Each family is a frame on its own, with operator I + K certified by
+    cert_a or cert_b, but the partition mixing the two decaying tails has
+    weaving operator exactly K_a + K_b.
     """
 
     frame_a: FrameSystem
     frame_b: FrameSystem
     sigma: tuple[int, ...]
     adversarial: Partition
-    compact_a: ModuleOperator
-    compact_b: ModuleOperator
+    cert_a: CompactTightCert
+    cert_b: CompactTightCert
 
 
 def adversarial_scenario(
@@ -197,12 +197,6 @@ def adversarial_scenario(
     scales_a = np.where(odd, 1.0, np.sqrt(profile_a.values(count)))
     scales_b = np.where(odd, np.sqrt(profile_b.values(count)), 1.0)
 
-    compact_a = eigenprofile_operator(
-        [profile_a.eval(2 * i) for i in range(1, half + 1)], shape
-    )
-    compact_b = eigenprofile_operator(
-        [profile_b.eval(2 * i - 1) for i in range(1, half + 1)], shape
-    )
     sigma = tuple(range(1, count, 2))
     assignment = tuple(2 if k % 2 == 1 else 1 for k in range(1, count + 1))
     return AdversarialScenario(
@@ -210,6 +204,6 @@ def adversarial_scenario(
         frame_b=_basis_frame(shape, directions, scales_b),
         sigma=sigma,
         adversarial=Partition(assignment),
-        compact_a=compact_a,
-        compact_b=compact_b,
+        cert_a=CompactTightCert(shape, 1.0, profile_a.values(count)[1::2]),
+        cert_b=CompactTightCert(shape, 1.0, profile_b.values(count)[::2]),
     )

@@ -178,7 +178,7 @@ def test_criterion_07_repetition_spectrum_and_rank():
         w = hermitian_eigen(frame_operator(system).mat).eigenvalues
         expected = np.sort(np.repeat([3.0, 2.0, 1.0, 1.0, 1.0], d))
         np.testing.assert_allclose(np.sort(w), expected, atol=1e-12)
-        kw = hermitian_eigen(cert.compact_part.mat).eigenvalues
+        kw = hermitian_eigen(eigenprofile_operator(cert.alphas, cert.shape).mat).eigenvalues
         assert int(np.sum(kw > 1e-9)) == 2 * d
     passed(
         "criterion 7: repetition frame (n=5, counts {1:3, 4:2}) has spectrum "
@@ -195,11 +195,12 @@ def test_criterion_08_dual_identities_and_reconstruction():
     for system, cert in cases:
         dim = system.shape.dim
         source = ModuleOperator(system.shape, cert.operator_matrix())
-        remainder = dual_decomposition(cert.xi, cert.compact_part, source)
+        compact = eigenprofile_operator(cert.alphas, cert.shape)
+        remainder = dual_decomposition(cert.xi, compact, source)
         inv_identity = (remainder.mat + np.eye(dim) / cert.xi) @ source.mat
         assert np.linalg.norm(inv_identity - np.eye(dim)) <= 1e-9
         assert np.linalg.norm(
-            remainder.mat @ source.mat + cert.compact_part.mat / cert.xi
+            remainder.mat @ source.mat + compact.mat / cert.xi
         ) <= 1e-9
         dual = dual_frame(system)
         for _ in range(50):
@@ -222,7 +223,8 @@ def test_criterion_09_adversarial_pair_desk_scale():
         mixed = weaving_operator(
             [scenario.frame_a, scenario.frame_b], scenario.adversarial
         )
-        target = scenario.compact_a.mat + scenario.compact_b.mat
+        target = eigenprofile_operator(scenario.cert_a.alphas + scenario.cert_b.alphas,
+                                       scenario.cert_a.shape).mat
         assert np.linalg.norm(mixed.mat - target) <= 1e-12
         smallest = float(hermitian_eigen(mixed.mat).eigenvalues[0])
         envelope = 2.0 * (profile.eval(size - 1) + profile.eval(size - 1))

@@ -504,6 +504,62 @@ def test_perturb_huge_entry_exit_0(capsys, tmp_path):
     assert report["sandwich"] == {"applicable": True, "holds": True}
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_entries_near_double_range_exit_0(capsys, tmp_path):
+    # S has entries up to 1e308, so S + S* overflows: the Hermitian folds halve first.
+    path = str(tmp_path / "big.json")
+    code, out, err = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1",
+                         "--c", "1e308", "--n", "4", "--out", path, "--format", "json")
+    assert code == 0, err
+    bounds = _strict_json(out)["bounds"]
+    assert bounds["upper"] == 1e308 and bounds["isFrame"] is True
+    for argv in (["analyze", path, "--xi", "1", "--eta", "1", "--alpha", "1"],
+                 ["dual", path, "--out", str(tmp_path / "dual.json")],
+                 ["perturb", path, path, "--xi", "1"]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        _strict_json(out)
+
+
+def test_dual_near_double_range_exit_0(capsys, tmp_path):
+    # S = 1e-308 I, so S^-1 = 1e308 I: its fold must halve before adding too.
+    path = tmp_path / "small.json"
+    save_frame(path, FrameSystem([1e-154 * e for e in standard_basis(ModuleShape(1, 2))]))
+    code, out, err = run(capsys, "dual", str(path), "--out", str(tmp_path / "dual.json"),
+                         "--format", "json")
+    assert code == 0, err
+    assert _strict_json(out)["dual"]["lower"] == pytest.approx(1e308, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ["t4", "--kind", "power", "--xi", "1", "--c", "1", "--p", "inf", "--n", "4"],
+    ["t49", "--n", "4", "--profile1", "gaussian:1", "--profile2", "power:1:inf"],
+])
+def test_construct_infinite_exponent_exit_4(capsys, tmp_path, argv):
+    code, _, err = run(capsys, "construct", *argv, "--out", str(tmp_path / "out"))
+    assert code == 4
+    assert "exponent p must be finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_dual_of_subnormal_shift_writes_no_certificate(capsys, tmp_path):
+    # 1/xi overflows at xi = 1e-320: the dual is written without a certificate, silently.
+    source, out = tmp_path / "t4.json", tmp_path / "dual.json"
+    run_json(capsys, "construct", "t4", "--kind", "geometric", "--xi", "1e-320", "--c", "1",
+             "--r", "0.5", "--n", "4", "--out", str(source))
+    code, stdout, err = run(capsys, "dual", str(source), "--out", str(out), "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(stdout)["certificateEmbedded"] is False
+    assert "certificate" not in json.loads(out.read_text())
+
+
 # Each size is the smallest just above MAX_FRAME_ENTRIES = 2^18, so a missing
 # check shows as a slow test rather than an exhausted machine.
 @pytest.mark.parametrize("argv", [

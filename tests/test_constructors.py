@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cstar_frames.constructors import (
     CompactTightCert,
@@ -13,9 +15,10 @@ from cstar_frames.constructors import (
     repetition_frame,
     representation_unique,
 )
-from cstar_frames.errors import LengthMismatchError, NotSameOperatorError
+from cstar_frames.decomposition import dual_decomposition
+from cstar_frames.errors import LengthMismatchError, NotSameOperatorError, SingularMatrixError
 from cstar_frames.frames import frame_operator, optimal_bounds
-from cstar_frames.linalg import hermitian_eigen
+from cstar_frames.linalg import ROUNDING_RTOL, hermitian_eigen, relative_drift
 from cstar_frames.module_space import ModuleOperator, ModuleShape
 
 
@@ -107,7 +110,7 @@ def test_profile_frame_constant_is_onb():
     report = optimal_bounds(system)
     assert report.tight
     assert report.lower == pytest.approx(1.0)
-    np.testing.assert_allclose(cert.compact_part.mat, np.zeros((6, 6)))
+    np.testing.assert_allclose(eigenprofile_operator(cert.alphas, cert.shape).mat, np.zeros((6, 6)))
 
 
 def test_profile_frame_geometric_bounds():
@@ -137,7 +140,7 @@ def test_profile_frame_certificate_consistency():
     system, cert = profile_frame(profile, shape)
     drift = np.linalg.norm(frame_operator(system).mat - cert.operator_matrix())
     assert drift <= 1e-10 * max(1.0, np.linalg.norm(cert.operator_matrix()))
-    alphas = cert.direction_eigenvalues()
+    alphas = cert.alphas
     np.testing.assert_allclose(
         alphas, [profile.eval(k) - 1.0 for k in range(1, 5)], atol=1e-12
     )
@@ -151,7 +154,7 @@ def test_profile_frame_truncation():
     assert report.lower == 0.0  # two basis directions uncovered
     assert not report.is_frame
     np.testing.assert_allclose(
-        cert.direction_eigenvalues()[3:], np.zeros(2), atol=1e-12
+        cert.alphas[3:], np.zeros(2), atol=1e-12
     )
 
 
@@ -213,7 +216,7 @@ def test_repetition_trivial_is_onb():
     system, cert = repetition_frame(ModuleShape(1, 3), {1: 1})
     assert len(system) == 3
     np.testing.assert_allclose(frame_operator(system).mat, np.eye(3))
-    np.testing.assert_allclose(cert.compact_part.mat, np.zeros((3, 3)))
+    np.testing.assert_allclose(eigenprofile_operator(cert.alphas, cert.shape).mat, np.zeros((3, 3)))
     assert cert.permutation == ()
 
 
@@ -228,7 +231,7 @@ def test_repetition_integer_spectrum():
     system, cert = repetition_frame(ModuleShape(1, 3), {1: 3, 3: 2})
     w = hermitian_eigen(frame_operator(system).mat).eigenvalues
     np.testing.assert_allclose(np.sort(w), [1.0, 2.0, 3.0], atol=1e-12)
-    kw = hermitian_eigen(cert.compact_part.mat).eigenvalues
+    kw = hermitian_eigen(eigenprofile_operator(cert.alphas, cert.shape).mat).eigenvalues
     assert int(np.sum(kw > 1e-9)) == 2
     assert cert.permutation == (1, 3)
 
@@ -236,7 +239,7 @@ def test_repetition_integer_spectrum():
 @pytest.mark.parametrize("d", [1, 2])
 def test_repetition_rank_scales_with_algebra(d):
     _, cert = repetition_frame(ModuleShape(d, 5), {1: 3, 4: 2})
-    kw = hermitian_eigen(cert.compact_part.mat).eigenvalues
+    kw = hermitian_eigen(eigenprofile_operator(cert.alphas, cert.shape).mat).eigenvalues
     assert int(np.sum(kw > 1e-9)) == 2 * d
 
 
@@ -273,12 +276,11 @@ def test_uniqueness_rejects_shifted_redeclaration():
     # then tends to 1, not to the new shift, so the part is not compact.
     cert = make_reference_cert()
     shifted = CompactTightCert(
-        xi=0.9,
+        cert.shape,
+        0.9,
+        cert.alphas + 0.1,
         profile=cert.profile,
         permutation=cert.permutation,
-        compact_part=ModuleOperator(
-            cert.compact_part.shape, cert.compact_part.mat + 0.1 * np.eye(6)
-        ),
     )
     verdict = representation_unique(cert, shifted)
     assert not verdict.equal
@@ -289,12 +291,11 @@ def test_uniqueness_independent_constructions_agree():
     profile = ScalarProfile("gaussian", xi=1.0, c=1.0)
     _, cert_a = profile_frame(profile, ModuleShape(1, 6))
     manual = CompactTightCert(
-        xi=1.0,
+        ModuleShape(1, 6),
+        1.0,
+        [profile.eval(k) - 1.0 for k in range(1, 7)],
         profile=profile,
         permutation=tuple(range(1, 7)),
-        compact_part=eigenprofile_operator(
-            [profile.eval(k) - 1.0 for k in range(1, 7)], ModuleShape(1, 6)
-        ),
     )
     verdict = representation_unique(cert_a, manual)
     assert verdict.equal
@@ -303,10 +304,11 @@ def test_uniqueness_independent_constructions_agree():
 def test_uniqueness_requires_same_operator():
     cert = make_reference_cert()
     other = CompactTightCert(
-        xi=2.0,
+        cert.shape,
+        2.0,
+        cert.alphas,
         profile=ScalarProfile("gaussian", xi=2.0, c=1.0),
         permutation=cert.permutation,
-        compact_part=cert.compact_part,
     )
     with pytest.raises(NotSameOperatorError):
         representation_unique(cert, other)
@@ -316,8 +318,57 @@ def test_certificate_rejects_profile_mismatch():
     profile = ScalarProfile("gaussian", xi=1.0, c=1.0)
     with pytest.raises(ValueError):
         CompactTightCert(
-            xi=1.0,
+            ModuleShape(1, 2),
+            1.0,
+            [5.0, 5.0],
             profile=profile,
             permutation=(1, 2),
-            compact_part=eigenprofile_operator([5.0, 5.0], ModuleShape(1, 2)),
         )
+
+
+def test_certificate_alphas_are_read_only():
+    cert = CompactTightCert(ModuleShape(2, 3), 1.0, [0.5, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        cert.alphas[0] = 1.0
+    np.testing.assert_array_equal(cert.operator_matrix(),
+                                  np.kron(np.diag([1.5, 1.0, 3.0]), np.eye(2)))
+
+
+# ------------------------------------------------------------ dual certificate
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.integers(1, 3), st.data())
+def test_dual_certificate_matches_dual_decomposition(n, d, data):
+    # The spectrum of S is drawn in [-1, 10], so S is singular in some draws.
+    xi = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(st.floats(1e-3, 10.0))
+    spectrum = data.draw(st.lists(st.floats(-1.0, 10.0), min_size=n, max_size=n))
+    alphas = np.array(spectrum) - xi
+    shape = ModuleShape(d, n)
+    cert = CompactTightCert(shape, xi, alphas, permutation=tuple(range(1, n + 1)))
+    dual = cert.dual()
+    source = ModuleOperator(shape, cert.operator_matrix())
+    try:
+        reference = dual_decomposition(xi, eigenprofile_operator(alphas, shape), source)
+    except SingularMatrixError:
+        assert dual is None
+        return
+    assert dual is not None
+    assert dual.xi == 1.0 / xi and dual.permutation == cert.permutation
+    blocks = eigenprofile_operator(dual.alphas, shape).mat
+    assert relative_drift(reference.mat, blocks) <= ROUNDING_RTOL
+    # Going back divides by xi^-1 + beta = 1 / (alpha + xi), which cancels
+    # when alpha + xi is large against xi: that growth bounds the error.
+    back = dual.dual()
+    growth = max(1.0, float(np.abs(alphas + xi).max()) / abs(xi))
+    assert back is not None and back.xi == 1.0 / dual.xi
+    assert relative_drift(cert.alphas, back.alphas, xi) <= ROUNDING_RTOL * growth
+
+
+def test_dual_certificate_none_and_signed_zero():
+    shape = ModuleShape(2, 2)
+    assert CompactTightCert(shape, 0.0, [1.0, 2.0]).dual() is None
+    assert CompactTightCert(shape, 1.0, [0.0, -1.0]).dual() is None  # S singular
+    assert CompactTightCert(shape, 1e-320, [0.5, 0.0]).dual() is None  # 1/xi overflows
+    dual = CompactTightCert(shape, 2.0, [0.0, 2.0]).dual()
+    assert dual.xi == 0.5
+    assert [a.hex() for a in dual.alphas.tolist()] == [(0.0).hex(), (-0.25).hex()]

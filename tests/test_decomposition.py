@@ -20,7 +20,7 @@ from cstar_frames.decomposition import (
 from cstar_frames.errors import InconsistentDecompositionError, SingularMatrixError
 from cstar_frames.frames import FrameSystem, frame_from_operator, optimal_bounds
 from cstar_frames.linalg import hermitian_eigen, psd_check
-from cstar_frames.constructors import ScalarProfile, profile_frame
+from cstar_frames.constructors import ScalarProfile, eigenprofile_operator, profile_frame
 from cstar_frames.module_space import (
     ModuleOperator,
     ModuleShape,
@@ -393,10 +393,11 @@ def test_dual_decomposition_profile_frame():
     profile = ScalarProfile("gaussian", xi=1.0, c=1.0)
     system, cert = profile_frame(profile, ModuleShape(1, 8))
     source = ModuleOperator(system.shape, cert.operator_matrix())
-    out = dual_decomposition(cert.xi, cert.compact_part, source)
+    compact = eigenprofile_operator(cert.alphas, cert.shape)
+    out = dual_decomposition(cert.xi, compact, source)
     identity = (out.mat + np.eye(8) / cert.xi) @ source.mat
     assert np.linalg.norm(identity - np.eye(8)) <= 1e-9
-    assert np.linalg.norm(out.mat @ source.mat + cert.compact_part.mat / cert.xi) <= 1e-9
+    assert np.linalg.norm(out.mat @ source.mat + compact.mat / cert.xi) <= 1e-9
 
 
 def test_dual_decomposition_rejects_zero_xi():

@@ -52,9 +52,7 @@ def test_round_trip_preserves_certificate(tmp_path):
     assert loaded.certificate.xi == cert.xi
     assert loaded.certificate.profile == profile
     assert loaded.certificate.permutation == cert.permutation
-    np.testing.assert_allclose(
-        loaded.certificate.compact_part.mat, cert.compact_part.mat, atol=1e-12
-    )
+    np.testing.assert_allclose(loaded.certificate.alphas, cert.alphas, atol=1e-12)
 
 
 def test_round_trip_repetition_certificate(tmp_path):
@@ -65,7 +63,7 @@ def test_round_trip_repetition_certificate(tmp_path):
     assert loaded.certificate is not None
     assert loaded.certificate.profile is None
     np.testing.assert_allclose(
-        loaded.certificate.direction_eigenvalues(), [2.0, 0.0, 0.0, 1.0, 0.0]
+        loaded.certificate.alphas, [2.0, 0.0, 0.0, 1.0, 0.0]
     )
 
 
@@ -83,7 +81,7 @@ def test_certificate_without_alphas_derived_from_profile(tmp_path):
     del payload["certificate"]["alphas"]
     loaded = payload_to_frame(payload)
     np.testing.assert_allclose(
-        loaded.certificate.direction_eigenvalues(),
+        loaded.certificate.alphas,
         [profile.eval(k) - 1.0 for k in range(1, 5)],
         atol=1e-12,
     )
@@ -578,3 +576,17 @@ def test_cli_writes_canonical_json(tmp_path, capsys):
         assert text == _canonical(json.loads(text)), path.name
     assert "certificate" in json.loads(files[-2].read_text())
     assert "certificate" not in json.loads(files[-1].read_text())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind,extra", [("gaussian", ["--c", "1"]),
+                                        ("geometric", ["--c", "1.3", "--r", "0.7"]),
+                                        ("power", ["--c", "0.5", "--p", "1.5"])])
+def test_construct_writes_profile_alphas_bit_exact(tmp_path, capsys, kind, extra, d):
+    out = tmp_path / "t4.json"
+    assert main(["construct", "t4", "--kind", kind, "--xi", "1", "--n", "6", "--d", str(d),
+                 "--out", str(out), *extra]) == 0
+    written = json.loads(out.read_text())["certificate"]
+    profile = ScalarProfile(**written["profile"])
+    expected = profile.values(6) - profile.xi
+    assert [a.hex() for a in written["alphas"]] == [a.hex() for a in expected.tolist()]

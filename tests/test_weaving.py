@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cstar_frames.constructors import ScalarProfile
+from cstar_frames.constructors import ScalarProfile, eigenprofile_operator
 from cstar_frames.errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from cstar_frames.frames import FrameSystem, optimal_bounds
 from cstar_frames.linalg import hermitian_eigen
@@ -233,7 +233,8 @@ def test_scenario_operator_identity():
         mixed = weaving_operator(
             [scenario.frame_a, scenario.frame_b], scenario.adversarial
         )
-        target = scenario.compact_a.mat + scenario.compact_b.mat
+        target = eigenprofile_operator(scenario.cert_a.alphas + scenario.cert_b.alphas,
+                                       scenario.cert_a.shape).mat
         assert np.linalg.norm(mixed.mat - target) <= 1e-12
 
 
@@ -248,8 +249,8 @@ def test_scenario_each_family_is_shifted_identity():
     scenario = adversarial_scenario(6, GAUSS0, GAUSS0)
     sa = scenario.frame_a.frame_op.mat
     sb = scenario.frame_b.frame_op.mat
-    np.testing.assert_allclose(sa, np.eye(3) + scenario.compact_a.mat, atol=1e-12)
-    np.testing.assert_allclose(sb, np.eye(3) + scenario.compact_b.mat, atol=1e-12)
+    np.testing.assert_allclose(sa, scenario.cert_a.operator_matrix(), atol=1e-12)
+    np.testing.assert_allclose(sb, scenario.cert_b.operator_matrix(), atol=1e-12)
 
 
 def test_scenario_decay_with_envelope():
@@ -279,7 +280,8 @@ def test_scenario_matrix_algebra_case():
     mixed = weaving_operator(
         [scenario.frame_a, scenario.frame_b], scenario.adversarial
     )
-    target = scenario.compact_a.mat + scenario.compact_b.mat
+    target = eigenprofile_operator(scenario.cert_a.alphas + scenario.cert_b.alphas,
+                                   scenario.cert_a.shape).mat
     assert np.linalg.norm(mixed.mat - target) <= 1e-12
 
 
