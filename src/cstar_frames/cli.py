@@ -3,10 +3,10 @@
 Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
     0  success
-    2  file parse or validation error (a file that is not UTF-8 text, too,
+    2  file parse or validation error (JSON nested too deeply or not UTF-8, too,
        and a written frame whose bounds drift when it is read back)
     3  dimension mismatch between operands
-    4  invalid flags, out-of-range values, or a frame too large to build
+    4  invalid flags, out-of-range values, or a frame or dual too large to build
     5  partition enumeration cap exceeded
     6  input is not a frame
 
@@ -437,7 +437,11 @@ def cmd_dual(args) -> dict:
     loaded = load_frame(args.file)
     system = loaded.system
     bounds = optimal_bounds(system, args.tol)
-    dual = dual_frame(system, args.tol)
+    try:
+        dual = dual_frame(system, args.tol)
+    except OverflowError as exc:
+        raise UsageError(f"the dual frame is past the double range: the smallest "
+                         f"eigenvalue of the frame operator is {bounds.lower:.3e}") from exc
     # A certificate that barely clears the file tolerance can still be
     # numerically singular; in that case the dual is written without one.
     cert = loaded.certificate

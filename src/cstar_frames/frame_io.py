@@ -6,8 +6,8 @@ bit-exactly, so parse(serialize(F)) reproduces F to the bit.  Written
 files are the canonical text json.dumps(payload, sort_keys=True,
 indent=2) plus a newline, produced without the standard library's
 pure-Python encoder: the numbers of "vectors" are laid out in one
-template per vector (see dumps_payload), and on load they are checked
-and converted in one vectorized pass.
+template per vector (see dumps_payload), and on load checked one list
+level at a time, then converted in one pass (see _decode_synthesis).
 
 Layout::
 
@@ -29,14 +29,13 @@ Layout::
     }
 
 where each block is a d x d row-major array of [re, im] pairs: "vectors"
-is the synthesis matrix as one (N, n, d, d, 2) array, written and checked
-as one array.  The "alphas" list makes certificates self-contained even
-when the eigenvalue sequence has no closed-form profile (repetition
-frames, canonical duals); it may be left out when a profile is given,
-and is then derived from the profile (see CompactTightCert).  A present
-certificate is validated against the vectors on load: the frame
-operator must match alphas + xi * I within DEFAULT_TOL relative to its
-Frobenius norm.
+is the synthesis matrix as one (N, n, d, d, 2) array.  The "alphas" list
+makes certificates self-contained even when the eigenvalue sequence has
+no closed-form profile (repetition frames, canonical duals); it may be
+left out when a profile is given, and is then derived from the profile
+(see CompactTightCert).  A present certificate is validated against the
+vectors on load: the frame operator must match alphas + xi * I within
+DEFAULT_TOL relative to its Frobenius norm.
 
 Partition files are a small companion format::
 
@@ -46,9 +45,11 @@ Partition files are a small companion format::
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -101,54 +102,37 @@ def _as_finite_float(value, where: str) -> float:
     return number
 
 
-def _entry_where(index) -> str:
-    """'vector 2, block 1, row 3, column 1 (im)' for a 0-based index into "vectors"."""
+def _entry_where(flat: int, shape: tuple[int, ...]) -> str:
+    """'vector 2, block 1, row 3, column 1 (im)' for a flat index into "vectors" of this shape."""
+    index = np.unravel_index(flat, shape)
     labels = ("vector", "block", "row", "column")
     where = ", ".join(f"{label} {i + 1}" for label, i in zip(labels, index))
     return f"{where} ({('re', 'im')[index[4]]})" if len(index) == 5 else where
 
 
-def _doubles(entries: np.ndarray) -> np.ndarray:
-    """The entries as flat doubles: NaN for any other value, inf past the double range.
-
-    JSON numbers decode to exact ints and floats, which one cast converts; the
-    per-entry ``_as_double`` runs only when the cast cannot, to place the fault.
-    """
-    if set(map(type, entries.flat)) <= {float, int}:
-        try:
-            return entries.astype(float).ravel()
-        except OverflowError:  # an integer past the double range
-            pass
-    return np.fromiter(map(_as_double, entries.flat), float, entries.size)
-
-
 def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
-    """The synthesis matrix of a "vectors" list, checked as one array.
+    """The synthesis matrix of a "vectors" list, checked one level at a time.
 
-    numpy nests lists only as deep as their lengths agree, so the first
-    level where the array departs from (N, n, d, d, 2) holds the fault.
-    A single fault is named by its position; of several, one is named.
+    At each of the four list levels, the first item that is not a list of the
+    expected length is named by its position; then the first non-finite number.
     """
     expected = (len(raw), shape.n, shape.d, shape.d, 2)
     what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
             "an [re, im] pair")
-    entries = np.array(raw, dtype=object)
+    items = raw
     for k in range(1, 5):
-        if entries.ndim > k and entries.shape[k] == expected[k]:
-            continue
-        # Either all containers at level k share one wrong length, or lengths vary.
-        flat = 0 if entries.ndim > k else next(
-            i for i, item in enumerate(entries.flat)
-            if not (isinstance(item, list) and len(item) == expected[k]))
-        index = np.unravel_index(flat, expected[:k])
-        raise FrameFileError(f"{_entry_where(index)}: expected {what[k]}")
-    if entries.ndim > 5:  # every number is itself a list
-        _as_finite_float(raw[0][0][0][0][0], _entry_where((0,) * 5))
-    values = _doubles(entries)
+        if set(map(type, items)) != {list} or set(map(len, items)) != {expected[k]}:
+            flat = next(i for i, item in enumerate(items)
+                        if not (isinstance(item, list) and len(item) == expected[k]))
+            raise FrameFileError(f"{_entry_where(flat, expected[:k])}: expected {what[k]}")
+        items = list(chain.from_iterable(items))
+    # Files the package writes hold floats only; _as_double marks any fault NaN or inf.
+    numbers = items if set(map(type, items)) == {float} else map(_as_double, items)
+    values = np.fromiter(numbers, float, len(items))
     finite = np.isfinite(values)
     if not finite.all():
-        index = np.unravel_index(np.argmin(finite), expected)
-        _as_finite_float(entries[index], _entry_where(index))
+        flat = int(np.argmin(finite))
+        _as_finite_float(items[flat], _entry_where(flat, expected))
     # Viewing each [re, im] pair as one complex keeps every bit, the sign of zero too.
     blocks = values.view(complex).reshape(expected[:4])
     return blocks.transpose(0, 2, 1, 3).reshape(-1, shape.dim)
@@ -361,6 +345,9 @@ def save_frame(
 
 def _read_json(path: Path):
     """Decode a UTF-8 JSON file; read and parse errors carry the path, line and column."""
+    # Decoded JSON holds no cycles, but its many lists set off collections that free nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
@@ -369,6 +356,11 @@ def _read_json(path: Path):
         raise FrameFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise FrameFileError(f"{path}: invalid JSON: nested too deeply to decode") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_frame(path) -> LoadedFrame:

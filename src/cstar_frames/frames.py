@@ -177,8 +177,8 @@ def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
     """Canonical dual {S^-1 f_k}; requires the optimal lower bound to exceed tol * upper.
 
     The dual's frame operator is S^-1, so its optimal bounds are the
-    reciprocals of the original ones in swapped order, and
-    sum_k <f, dual_k> f_k reconstructs f.
+    reciprocals of the original ones in swapped order, and sum_k <f, dual_k> f_k
+    reconstructs f.  A dual past the double range raises OverflowError.
     """
     bounds = optimal_bounds(system, tol)
     if not bounds.is_frame:

@@ -250,7 +250,10 @@ def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise SingularMatrixError(f"hermitian_inverse: smallest eigenvalue {smallest:.3e} is "
                                   f"not above {tol:.3e} times the largest |eigenvalue|")
     vecs = result.eigenvectors
-    inv = (vecs / result.eigenvalues) @ vecs.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        inv = (vecs / result.eigenvalues) @ vecs.conj().T
+    if not np.isfinite(inv).all():
+        raise OverflowError(f"hermitian_inverse: 1 / {smallest:.3e} overflows a double")
     inv *= 0.5
     return inv + inv.conj().T
 

@@ -537,6 +537,19 @@ def test_dual_near_double_range_exit_0(capsys, tmp_path):
     assert _strict_json(out)["dual"]["lower"] == pytest.approx(1e308, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
+def test_dual_past_double_range_exit_4(capsys, tmp_path):
+    # S = 1e-310 is subnormal, so S^-1 overflows: no dual is written, and numpy stays quiet.
+    path, out = tmp_path / "tiny.json", tmp_path / "dual.json"
+    save_frame(path, FrameSystem(np.array([[1e-155 + 0j]]), shape=ModuleShape(1, 1)))
+    code, stdout, err = run(capsys, "dual", str(path), "--out", str(out))
+    assert code == 4 and stdout == ""
+    assert err == ("error: the dual frame is past the double range: the smallest "
+                   "eigenvalue of the frame operator is 1.000e-310\n")
+    assert not out.exists()
+    assert run(capsys, "analyze", str(path))[0] == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["t4", "--kind", "power", "--xi", "1", "--c", "1", "--p", "inf", "--n", "4"],
     ["t49", "--n", "4", "--profile1", "gaussian:1", "--profile2", "power:1:inf"],

@@ -1,7 +1,12 @@
 """Frame-file round-trips, certificate validation, and parse diagnostics."""
 
+import copy
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cstar_frames
 from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
 from cstar_frames.errors import FrameFileError
@@ -406,6 +412,102 @@ def test_single_fault_at_the_last_entry(value, message):
     assert str(info.value) == f"vector 3, block 2, row 2, column 2 (im): {message}"
 
 
+# The fault locator as a property: one or two faults anywhere in a small frame.
+# A fault sits at a path into "vectors" of shape `expected` = (N, n, d, d, 2):
+# a path of length k (1 to 4) names a list that must hold expected[k] items,
+# and a path of length 5 names a number.
+
+_LEVEL_WORDS = ("blocks", "rows", "entries")
+_BAD_NUMBERS = [True, "1.5", None, [1.5], math.inf, math.nan, 10**400]
+
+
+def _where(path):
+    labels = ("vector", "block", "row", "column")
+    where = ", ".join(f"{label} {i + 1}" for label, i in zip(labels, path))
+    return f"{where} ({('re', 'im')[path[4]]})" if len(path) == 5 else where
+
+
+def _fault_message(path, expected, value):
+    if len(path) < 5:
+        k = len(path)
+        wanted = (f"{expected[k]} {_LEVEL_WORDS[k - 1]}" if k < 4
+                  else "an [re, im] pair")
+        return f"{_where(path)}: expected {wanted}"
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return f"{_where(path)}: number must be finite"
+    return f"{_where(path)}: expected a number, got {value!r}"
+
+
+@st.composite
+def _faults(draw, expected):
+    """A path into an (N, n, d, d, 2) nesting and the fault to put there."""
+    depth = draw(st.integers(1, 5))
+    path = tuple(draw(st.integers(0, size - 1)) for size in expected[:depth])
+    if depth == 5:
+        return path, ("number", draw(st.sampled_from(_BAD_NUMBERS)))
+    kind = draw(st.sampled_from(["length", "string", "dict"]))
+    size = expected[depth]
+    length = draw(st.integers(0, size + 2).filter(lambda m: m != size))
+    return path, (kind, length)
+
+
+def _inject(vectors, path, fault):
+    *parents, last = path
+    node = vectors
+    for i in parents:
+        node = node[i]
+    kind, arg = fault
+    if kind == "number":
+        node[last] = arg
+    elif kind == "string":
+        node[last] = "x" * len(node[last])
+    elif kind == "dict":
+        node[last] = {str(i): item for i, item in enumerate(node[last])}
+    else:  # a list of the wrong length, its items distinct objects
+        items = node[last]
+        node[last] = [copy.deepcopy(items[i % len(items)]) for i in range(arg)]
+
+
+@st.composite
+def _faulty_payloads(draw, count):
+    length, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    expected = (length, n, d, d, 2)
+    # All floats, as the package writes them, or JSON integers as every real part.
+    real = int if draw(st.booleans()) else float
+    numbers = iter(range(length * n * d * d))
+    vectors = [[[[[real(next(numbers)), 0.5] for _ in range(d)] for _ in range(d)]
+                 for _ in range(n)] for _ in range(length)]
+    faults = draw(st.lists(_faults(expected), min_size=count, max_size=count,
+                           unique_by=lambda fault: fault[0]))
+    # Deepest first, so a path is still in place when its fault is put there.
+    for path, fault in sorted(faults, key=lambda f: -len(f[0])):
+        _inject(vectors, path, fault)
+    payload = {"schema": "cstar-frames/1", "algebra": {"d": d}, "module": {"n": n},
+               "vectors": vectors}
+    return payload, expected, faults
+
+
+def _load_message(payload):
+    with pytest.raises(FrameFileError) as info:
+        payload_to_frame(payload)
+    return str(info.value)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_faulty_payloads(1))
+def test_any_single_fault_named_at_its_position(case):
+    payload, expected, [(path, (_, arg))] = case
+    assert _load_message(payload) == _fault_message(path, expected, arg)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_faulty_payloads(2))
+def test_of_two_faults_the_first_at_the_shallowest_level_is_named(case):
+    payload, expected, faults = case
+    path, (_, arg) = min(faults, key=lambda f: (len(f[0]), f[0]))
+    assert _load_message(payload) == _fault_message(path, expected, arg)
+
+
 def test_integer_entries_load_as_their_doubles():
     payload = _vectors_payload()
     vectors = payload["vectors"]
@@ -590,3 +692,79 @@ def test_construct_writes_profile_alphas_bit_exact(tmp_path, capsys, kind, extra
     profile = ScalarProfile(**written["profile"])
     expected = profile.values(6) - profile.xi
     assert [a.hex() for a in written["alphas"]] == [a.hex() for a in expected.tolist()]
+
+
+# Loading pauses the cyclic collector while JSON is decoded, and leaves it as it
+# found it on every path out.
+
+_DEEP = '{"schema": "cstar-frames/1", "vectors": ' + "[" * 100000 + "]" * 100000 + "}"
+
+
+def test_deeply_nested_json_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    src = Path(cstar_frames.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stderr == f"error: {path}: invalid JSON: nested too deeply to decode\n"
+
+
+def test_partition_deeply_nested_json_rejected(tmp_path):
+    path = tmp_path / "part.json"
+    path.write_text(_DEEP)
+    with pytest.raises(FrameFileError) as info:
+        load_partition(path)
+    assert str(info.value) == f"{path}: invalid JSON: nested too deeply to decode"
+
+
+@pytest.fixture
+def collector():
+    """Restores the collector's state after a test that changes it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+_GC_CASES = {
+    "valid": None,
+    "invalid JSON": '{"schema": oops}',
+    "deep nesting": _DEEP,
+    "not UTF-8": _NOT_UTF8,
+    "schema fault": '{"schema": "something-else", "families": true}',
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", list(_GC_CASES))
+@pytest.mark.parametrize("load", [load_frame, load_partition])
+def test_load_leaves_the_collector_as_found(tmp_path, collector, load, case, enabled):
+    path = tmp_path / "file.json"
+    content = _GC_CASES[case]
+    if content is None:
+        if load is load_frame:
+            save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
+        else:
+            save_partition(path, Partition((1, 2)), 2)
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    (gc.enable if enabled else gc.disable)()
+    if content is None:
+        load(path)
+    else:
+        with pytest.raises(FrameFileError):
+            load(path)
+    assert gc.isenabled() is enabled
+
+
+def test_collector_paused_while_decoding(tmp_path, monkeypatch, collector):
+    path = tmp_path / "part.json"
+    save_partition(path, Partition((1, 2)), 2)
+    seen = []
+    decode = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or decode(text))
+    gc.enable()
+    load_partition(path)
+    assert seen == [False] and gc.isenabled()

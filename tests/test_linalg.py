@@ -360,6 +360,12 @@ def test_inverse_singular_rejected():
         hermitian_inverse(np.diag([1.0, 0.0]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_inverse_past_double_range_rejected():
+    with pytest.raises(OverflowError, match=r"^hermitian_inverse: 1 / 1\.000e-310 overflows a double$"):
+        hermitian_inverse(np.diag([1e-310, 1.0e-309]))
+
+
 # ------------------------------------------------------------------- psd_sqrt
 
 def test_sqrt_diagonal():
