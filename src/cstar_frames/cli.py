@@ -4,7 +4,8 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
     0  success
     2  file parse or validation error (JSON nested too deeply or not UTF-8, too,
-       and a written frame whose bounds drift when it is read back)
+       a frame file above MAX_FRAME_ENTRIES, and a written frame whose bounds
+       drift when it is read back)
     3  dimension mismatch between operands
     4  invalid flags, out-of-range values, or a frame or dual too large to build
     5  partition enumeration cap exceeded
@@ -49,7 +50,7 @@ from .frame_io import (
     save_frame,
     save_partition,
 )
-from .frames import dual_frame, optimal_bounds, perturbation_distance
+from .frames import _oversized, dual_frame, optimal_bounds, perturbation_distance
 from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
 from .module_space import ModuleShape
 from .weaving import (
@@ -60,12 +61,6 @@ from .weaving import (
 )
 
 THREADS_ENV = "CSTAR_FRAMES_THREADS"
-
-#: Largest frame that construct and --sweep build, in complex entries of its
-#: synthesis matrix or frame operator, whichever is larger.  A frame file
-#: takes about 100 bytes of JSON per entry, so this caps a written file near
-#: 26 MB: four times the largest frame the benchmark builds (1064 x 64).
-MAX_FRAME_ENTRIES = 1 << 18
 
 
 class UsageError(Exception):
@@ -111,10 +106,9 @@ def _positive_int(text: str) -> int:
 
 def _require_size(vectors: int, d: int, n: int) -> None:
     """Refuse a frame above MAX_FRAME_ENTRIES before anything is allocated."""
-    entries = max(vectors, n) * d * n * d
-    if entries > MAX_FRAME_ENTRIES:
-        raise UsageError(f"a frame of {vectors} vectors with n = {n}, d = {d} has "
-                         f"{entries} entries, above the limit {MAX_FRAME_ENTRIES}")
+    refusal = _oversized(vectors, d, n)
+    if refusal is not None:
+        raise UsageError(refusal)
 
 
 def _write(save, path, *args) -> None:

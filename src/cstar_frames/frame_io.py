@@ -48,6 +48,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -56,7 +57,7 @@ import numpy as np
 
 from .constructors import CompactTightCert, ScalarProfile
 from .errors import FrameFileError
-from .frames import FrameSystem, frame_operator
+from .frames import FrameSystem, _oversized, frame_operator
 from .linalg import DEFAULT_TOL, relative_drift
 from .module_space import ModuleShape
 from .weaving import Partition
@@ -225,6 +226,8 @@ def payload_to_frame(payload) -> LoadedFrame:
     raw_vectors = payload.get("vectors")
     _require(isinstance(raw_vectors, list) and len(raw_vectors) >= 1,
              "vectors: expected a nonempty list")
+    refusal = _oversized(len(raw_vectors), d, n)
+    _require(refusal is None, f"vectors: {refusal}")
     synthesis = _decode_synthesis(raw_vectors, shape)
     try:
         system = FrameSystem(synthesis, shape=shape)
@@ -344,20 +347,33 @@ def save_frame(
 
 
 def _read_json(path: Path):
-    """Decode a UTF-8 JSON file; read and parse errors carry the path, line and column."""
-    # Decoded JSON holds no cycles, but its many lists set off collections that free nothing.
-    enabled = gc.isenabled()
-    gc.disable()
+    """Decode a UTF-8 JSON file; read and parse errors carry the line and column."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
-        raise FrameFileError(f"{path}: {exc}") from exc
+        raise FrameFileError(str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise FrameFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except RecursionError as exc:
-        raise FrameFileError(f"{path}: invalid JSON: nested too deeply to decode") from exc
+        raise FrameFileError("invalid JSON: nested too deeply to decode") from exc
+
+
+@contextmanager
+def _loading(path: Path):
+    """Name `path` in every FrameFileError, with the cyclic collector paused.
+
+    Decoded JSON holds no cycles, but its many lists set off collections that
+    free nothing.  The collector resumes only if it ran on entry; each loader
+    decodes and checks in one expression, so the tree is freed before it does.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    except FrameFileError as exc:
+        raise FrameFileError(f"{path}: {exc}") from exc
     finally:
         if enabled:
             gc.enable()
@@ -366,11 +382,8 @@ def _read_json(path: Path):
 def load_frame(path) -> LoadedFrame:
     """Read and validate a frame file; parse errors carry line and column."""
     path = Path(path)
-    payload = _read_json(path)
-    try:
-        return payload_to_frame(payload)
-    except FrameFileError as exc:
-        raise FrameFileError(f"{path}: {exc}") from exc
+    with _loading(path):
+        return payload_to_frame(_read_json(path))
 
 
 def partition_to_payload(partition: Partition, families: int,
@@ -390,16 +403,19 @@ def save_partition(path, partition: Partition, families: int,
     Path(path).write_text(dumps_payload(partition_to_payload(partition, families, sigma)))
 
 
-def load_partition(path) -> tuple[Partition, int]:
-    path = Path(path)
-    payload = _read_json(path)
+def _decode_partition(payload) -> tuple[Partition, int]:
     _require(isinstance(payload, dict) and payload.get("schema") == PARTITION_SCHEMA,
-             f"{path}: unsupported partition schema")
+             "unsupported partition schema")
     families = payload.get("families")
-    _require(_is_int(families) and families >= 1,
-             f"{path}: families must be an integer >= 1")
+    _require(_is_int(families) and families >= 1, "families must be an integer >= 1")
     assignment = payload.get("assignment")
     _require(isinstance(assignment, list) and len(assignment) >= 1
              and all(_is_int(a) and 1 <= a <= families for a in assignment),
-             f"{path}: assignment must list family numbers in 1..{families}")
+             f"assignment must list family numbers in 1..{families}")
     return Partition(tuple(assignment)), families
+
+
+def load_partition(path) -> tuple[Partition, int]:
+    path = Path(path)
+    with _loading(path):
+        return _decode_partition(_read_json(path))

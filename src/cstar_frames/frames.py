@@ -27,6 +27,23 @@ from .module_space import (
 )
 
 
+#: Largest frame built from user input (construct, weave --sweep, a frame
+#: file), in complex entries of its synthesis matrix or frame operator,
+#: whichever is larger.  A frame file takes about 100 bytes of JSON per entry,
+#: so this caps a written file near 26 MB: four times the largest frame the
+#: benchmark builds (1064 x 64).  It also keeps n*d <= 512.
+MAX_FRAME_ENTRIES = 1 << 18
+
+
+def _oversized(vectors: int, d: int, n: int) -> str | None:
+    """Why a frame of this size is refused before anything is allocated, or None."""
+    entries = max(vectors, n) * d * n * d
+    if entries <= MAX_FRAME_ENTRIES:
+        return None
+    return (f"a frame of {vectors} vectors with n = {n}, d = {d} has "
+            f"{entries} entries, above the limit {MAX_FRAME_ENTRIES}")
+
+
 class FrameSystem:
     """Finite ordered family of module vectors, held as one synthesis matrix.
 

@@ -143,18 +143,32 @@ def _jacobi_rotate(work: np.ndarray, vecs: np.ndarray, p: int, q: int) -> None:
     vecs[:, cols] = vecs[:, cols] @ rot
 
 
-def _hermitian_part(matrix, where: str) -> np.ndarray:
-    """Validate square, finite, near-Hermitian input and fold it to M/2 + M*/2."""
-    mat = as_matrix(matrix)
+def _hermitian_part(matrix, where: str) -> tuple[np.ndarray, float]:
+    """Validate square, finite, near-Hermitian input; return M/2 + M*/2 and the defect.
+
+    The defect is relative_drift(M/2, (M/2)*), the part folded away.  A
+    positive, finite ||M||_F^2 stands for the 2-D, nonempty and finite checks
+    of as_matrix (a NaN or inf makes it NaN or inf); any other matrix goes
+    through as_matrix, which raises in that order.  Where ||M/2||_F^2 needs no
+    rescaling, relative_drift's arithmetic is inlined.
+    """
+    mat = np.array(matrix, dtype=complex, order="C")
+    if mat.ndim != 2 or not 0.0 < np.vdot(mat, mat).real < math.inf:
+        mat = as_matrix(mat)
     require_square(mat, where)
     mat *= 0.5  # exact for normal numbers, and M + M* may overflow
     adjoint = mat.conj().T
-    defect = relative_drift(mat, adjoint)
+    size = np.vdot(mat, mat).real
+    if 2.0**-900 < size < 2.0**900:
+        diff = mat - adjoint
+        defect = math.sqrt(np.vdot(diff, diff).real / size)
+    else:
+        defect = relative_drift(mat, adjoint)
     if defect > DEFAULT_TOL:
         raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
                                 f"{DEFAULT_TOL:.0e}")
     mat += adjoint
-    return mat
+    return mat, defect
 
 
 def hermitian_eigen(matrix) -> SpectralResult:
@@ -162,7 +176,7 @@ def hermitian_eigen(matrix) -> SpectralResult:
 
     Raises NoConvergenceError if LAPACK reports that it failed to converge.
     """
-    work = _hermitian_part(matrix, "hermitian_eigen")
+    work, _ = _hermitian_part(matrix, "hermitian_eigen")
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(work)
     except np.linalg.LinAlgError as exc:
@@ -178,7 +192,7 @@ def jacobi_eigen(matrix, *, max_sweeps: int = JACOBI_SWEEP_CAP) -> SpectralResul
     mass drops below 1e-13 * ||M||_F; raises NoConvergenceError if
     `max_sweeps` full sweeps do not get there.
     """
-    work = _hermitian_part(matrix, "jacobi_eigen")
+    work, _ = _hermitian_part(matrix, "jacobi_eigen")
     n = work.shape[0]
     vecs = np.eye(n, dtype=complex)
     target = _JACOBI_OFFDIAG_RTOL * frobenius(work)

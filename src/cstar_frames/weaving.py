@@ -3,9 +3,14 @@
 Weaving asks whether every way of mixing several same-length families
 (vector j taken from exactly one family) stays a frame with common
 bounds.  At desk scale the quantifier over partitions is answered by
-literal exhaustion: all m^N assignments, capped, are streamed in
-lexicographic order through one loop that keeps the first strict
-minimum of the smallest eigenvalue and the maximum of the largest.
+literal exhaustion: all m^N assignments, capped, in lexicographic order,
+keeping the first strict minimum of the smallest eigenvalue and the
+maximum of the largest.  The weaving operators come in blocks of at most
+LEAF_BLOCK_BYTES, each summed in the order ndarray.sum sums one gathered
+stack, so to the bit: running prefix sums over the leading positions,
+with the trailing ones appended a level at a time (1 x 1 operators, which
+numpy sums pairwise, are gathered and summed alike).  Each spectrum is one
+hermitian_eigen call.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -32,6 +37,12 @@ from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
 DEFAULT_PARTITION_CAP = 1 << 20
+
+#: universal_bounds builds the weaving operators in blocks of at most this
+#: many bytes (256 KiB), or one operator where a single one is larger.  Larger
+#: blocks were no faster on the benchmark's 6 x 6 and 7 x 7 operators and
+#: raised the peak memory of a weave.
+LEAF_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -104,6 +115,57 @@ def weaving_operator(
     return ModuleOperator(shape, mixed.conj().T @ mixed)
 
 
+def _leaf_depth(m: int, count: int, leaf_bytes: int) -> int:
+    """The most trailing positions whose m^depth leaves fit in LEAF_BLOCK_BYTES."""
+    depth = 0
+    while depth < count and leaf_bytes * m ** (depth + 1) <= LEAF_BLOCK_BYTES:
+        depth += 1
+    return depth
+
+
+def _append(block: np.ndarray | None, options: np.ndarray) -> np.ndarray:
+    """Each Gram of `block` plus each of `options`, lexicographically; None is one zero Gram."""
+    if block is None:
+        return options
+    return (block[:, None] + options[None]).reshape(-1, *options.shape[1:])
+
+
+def _leaf_blocks(contribs: np.ndarray, depth: int):
+    """The weaving operators of all m^N partitions in lexicographic order, m^depth at a time.
+
+    The leading N - depth positions are walked with running prefix sums, and
+    each block appends the trailing positions one level at a time, so every
+    Gram is summed left to right, as ndarray.sum(axis=0) sums an (N, D, D)
+    stack with D > 1.
+    """
+    m, count = contribs.shape[:2]
+    lead = count - depth
+    prefix = [None] * (lead + 1)  # prefix[k]: the (1, D, D) sum over the first k positions
+    for head in itertools.product(range(m), repeat=lead):
+        # From the head before, the positions from the last nonzero family on changed.
+        changed = max((k for k, family in enumerate(head) if family), default=0)
+        for k in range(changed, lead):
+            prefix[k + 1] = _append(prefix[k], contribs[head[k], k][None])
+        block = prefix[lead]
+        for k in range(lead, count):
+            block = _append(block, contribs[:, k])
+        yield block
+
+
+def _gathered_blocks(contribs: np.ndarray, depth: int):
+    """The same operators as _leaf_blocks for D = 1, summed as ndarray.sum sums them.
+
+    numpy sums a contiguous axis pairwise, not left to right, and an (N, 1, 1)
+    stack is one; so each block gathers its m^depth stacks and sums them alike.
+    """
+    m, count = contribs.shape[:2]
+    places, positions = m ** np.arange(count - 1, -1, -1), np.arange(count)
+    leaves = m**depth
+    for start in range(0, m**count, leaves):
+        assignments = np.arange(start, start + leaves)[:, None] // places % m
+        yield contribs[assignments, positions].sum(axis=1)
+
+
 def universal_bounds(
     families: Sequence[FrameSystem],
     tol: float = DEFAULT_TOL,
@@ -116,8 +178,10 @@ def universal_bounds(
     weaving eigenvalue (its argmin, lexicographically smallest on ties,
     is the worst partition); universal_upper the maximum of the largest;
     the families are woven iff universal_lower > tol * universal_upper.
-    Partitions stream one at a time through the calling thread; `workers`
-    is accepted and ignored, so the report is the same for any value.
+    The weaving operators are built in lexicographic blocks of at most
+    LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, on the
+    calling thread; `workers` is accepted and ignored, so the report is the
+    same for any value.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -130,21 +194,28 @@ def universal_bounds(
     # rep(f)* rep(f) for every vector of every family; a weaving operator
     # sums one of them per position.
     contribs = rows.conj().swapaxes(-1, -2) @ rows
-    positions = np.arange(count)
+    if contribs.shape[-1] > 1:
+        blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
+    else:
+        blocks = _gathered_blocks(contribs, _leaf_depth(m, count, contribs[0].nbytes))
     low, worst, high = np.inf, None, -np.inf
-    # Family numbers counted from 0, in lexicographic order, so the first
-    # strict minimum is the lexicographically smallest argmin.
-    for assignment in itertools.product(range(m), repeat=count):
-        gram = contribs[assignment, positions].sum(axis=0)
-        eigenvalues = hermitian_eigen(gram).eigenvalues
-        if eigenvalues[0] < low:
-            low, worst = float(eigenvalues[0]), assignment
-        high = max(high, float(eigenvalues[-1]))
+    start = 0
+    for block in blocks:
+        spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
+        # argmin keeps the first of equal minima: blocks and their Grams come
+        # in lexicographic order, so this is the lexicographically smallest argmin.
+        first = int(np.argmin(spectra[:, 0]))
+        if spectra[first, 0] < low:
+            low, worst = float(spectra[first, 0]), start + first
+        high = max(high, float(spectra[:, -1].max()))
+        start += len(block)
 
+    # The base-m digits of the worst partition's place in lexicographic order.
+    assignment = tuple(worst // m**k % m + 1 for k in reversed(range(count)))
     return WeavingReport(
         universal_lower=low,
         universal_upper=high,
-        worst_partition=Partition(tuple(a + 1 for a in worst)),
+        worst_partition=Partition(assignment),
         is_woven=low > tol * high,
         partitions_checked=total,
     )

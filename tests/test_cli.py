@@ -2,16 +2,20 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cstar_frames
 from cstar_frames import cli
-from cstar_frames.cli import EXIT_CODES, MAX_FRAME_ENTRIES, main
+from cstar_frames.cli import EXIT_CODES, main
 from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
-from cstar_frames.frames import FrameSystem
+from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
 
 
@@ -602,6 +606,20 @@ def test_oversized_sweep_exit_4(capsys, tmp_path):
                        "--sweep", "4,726")
     assert code == 4
     assert "above the limit" in err
+
+
+def test_oversized_frame_file_exit_2(tmp_path):
+    # 16 KB of JSON whose one vector in A^1000 would need a 1000 x 1000 X* X.
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                "module": {"n": 1000}, "vectors": [[[[[1.0, 0.0]]]] * 1000]}))
+    assert path.stat().st_size < 16 * 1024
+    src = Path(cstar_frames.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", "analyze", str(path)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 2
+    assert done.stderr == (f"error: {path}: vectors: a frame of 1 vectors with n = 1000, d = 1 "
+                           f"has 1000000 entries, above the limit {MAX_FRAME_ENTRIES}\n")
 
 
 @pytest.mark.parametrize("vectors,d,n", [

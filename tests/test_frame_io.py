@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cstar_frames
+from cstar_frames import frame_io
 from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
 from cstar_frames.errors import FrameFileError
@@ -28,7 +29,7 @@ from cstar_frames.frame_io import (
     save_frame,
     save_partition,
 )
-from cstar_frames.frames import FrameSystem
+from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, random_vector, standard_basis
 from cstar_frames.weaving import Partition
 
@@ -768,3 +769,35 @@ def test_collector_paused_while_decoding(tmp_path, monkeypatch, collector):
     gc.enable()
     load_partition(path)
     assert seen == [False] and gc.isenabled()
+
+
+def test_collector_paused_while_checking(tmp_path, monkeypatch, collector):
+    # The decoded tree is still alive while payload_to_frame checks it.
+    path = tmp_path / "frame.json"
+    save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
+    seen = []
+    check = frame_io.payload_to_frame
+    monkeypatch.setattr(frame_io, "payload_to_frame",
+                        lambda payload: seen.append(gc.isenabled()) or check(payload))
+    gc.enable()
+    load_frame(path)
+    assert seen == [False] and gc.isenabled()
+
+
+@pytest.mark.parametrize("count,d,n", [(262145, 1, 1), (1, 1, 513), (2, 2, 363)])
+def test_oversized_frame_refused_before_decoding(count, d, n):
+    # Every entry is malformed, so a message about the entries would mean
+    # the size was checked too late.
+    payload = {"schema": "cstar-frames/1", "algebra": {"d": d}, "module": {"n": n},
+               "vectors": [None] * count}
+    entries = max(count, n) * d * n * d
+    with pytest.raises(FrameFileError) as info:
+        payload_to_frame(payload)
+    assert str(info.value) == (f"vectors: a frame of {count} vectors with n = {n}, d = {d} "
+                               f"has {entries} entries, above the limit {MAX_FRAME_ENTRIES}")
+
+
+def test_size_limit_admits_the_largest_benchmark_frame(tmp_path):
+    path = tmp_path / "tall.json"
+    save_frame(path, FrameSystem(np.ones((1064, 64)), shape=ModuleShape(1, 64)))
+    assert load_frame(path).system.synthesis.shape == (1064, 64)

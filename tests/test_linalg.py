@@ -15,6 +15,9 @@ from cstar_frames.errors import (
     SingularMatrixError,
 )
 from cstar_frames.linalg import (
+    DEFAULT_TOL,
+    _hermitian_part,
+    as_matrix,
     hermitian_eigen,
     hermitian_inverse,
     jacobi_eigen,
@@ -22,6 +25,7 @@ from cstar_frames.linalg import (
     psd_check,
     psd_sqrt,
     relative_drift,
+    require_square,
     sigma_min,
 )
 
@@ -224,6 +228,99 @@ def test_lapack_agrees_with_jacobi_reference(mat):
     lapack, _ = hermitian_eigen(mat)
     jacobi, _ = jacobi_eigen(mat)
     assert np.max(np.abs(lapack - jacobi)) <= tolerance
+
+
+# ------------------------------------------------------------ _hermitian_part
+
+def checked_fold(matrix, where):
+    """The validation one check at a time: the reference for _hermitian_part."""
+    mat = as_matrix(matrix)
+    require_square(mat, where)
+    mat *= 0.5
+    adjoint = mat.conj().T
+    defect = relative_drift(mat, adjoint)
+    if defect > DEFAULT_TOL:
+        raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
+                                f"{DEFAULT_TOL:.0e}")
+    return mat + adjoint, defect
+
+
+def outcome(fold, matrix):
+    """The fold's bits and defect, or the type and message of what it raised."""
+    try:
+        folded, defect = fold(matrix, "where")
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+    return folded.shape, folded.view(np.int64).tobytes(), defect
+
+
+@settings(deadline=None)
+@given(st.integers(1, 9), st.integers(-30, 30), st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)),
+       st.integers(0, 2**32 - 1))
+def test_hermitian_part_matches_the_checks_one_at_a_time(size, exponent, skew, seed):
+    rng = np.random.default_rng(seed)
+    mat = 2.0**exponent * (random_hermitian(rng, size) + skew * random_complex(rng, size, size))
+    result = outcome(_hermitian_part, mat)
+    assert result == outcome(checked_fold, mat)
+    half = mat * 0.5
+    defect = relative_drift(half, half.conj().T)
+    if defect <= DEFAULT_TOL:
+        folded = half + half.conj().T
+        assert result == (folded.shape, folded.view(np.int64).tobytes(), defect)
+    else:
+        assert result == (NotHermitianError, f"where: relative symmetry defect {defect:.3e} "
+                                              f"exceeds {DEFAULT_TOL:.0e}")
+
+
+def _with(entry, value):
+    mat = np.eye(3, dtype=complex)
+    mat[entry] = value
+    return mat
+
+
+@pytest.mark.parametrize("matrix", [
+    pytest.param(1e200 * np.array([[2.0, 1j], [-1j, 3.0]]), id="huge"),
+    pytest.param(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]), id="huge-skew"),
+    pytest.param(np.full((3, 3), 1.7e308), id="near-max"),
+    pytest.param(1e-200 * np.array([[2.0, 1j], [-1j, 3.0]]), id="tiny"),
+    pytest.param(1e-200 * np.array([[1.0, 1.0], [0.0, 1.0]]), id="tiny-skew"),
+    pytest.param(np.array([[5e-324, 0.0], [0.0, 5e-324]]), id="subnormal"),
+    pytest.param(np.zeros((3, 3)), id="zero"),
+    pytest.param(_with((1, 1), math.nan), id="nan-real"),
+    pytest.param(_with((0, 2), complex(0.0, math.nan)), id="nan-imag"),
+    pytest.param(_with((2, 0), math.inf), id="inf-real"),
+    pytest.param(_with((1, 2), complex(0.0, -math.inf)), id="inf-imag"),
+    pytest.param(np.array([[1.0, 2.0, math.nan], [2.0, 1.0, 0.0]]), id="non-square-nan"),
+    pytest.param(np.ones((2, 3)), id="non-square"),
+    pytest.param(np.ones(3), id="1-D"),
+    pytest.param(np.ones((2, 2, 2)), id="3-D"),
+    pytest.param(np.zeros((0, 3)), id="empty"),
+    pytest.param(np.zeros((0, 0)), id="empty-square"),
+    pytest.param(5.0, id="scalar"),
+])
+def test_hermitian_part_edge_cases_match_the_checks(matrix):
+    # No NaN or inf reaches arithmetic (inf * (0.5 + 0j) would warn) before it is refused.
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert outcome(_hermitian_part, matrix) == outcome(checked_fold, matrix)
+
+
+@pytest.mark.parametrize("exponent", [-500, 0, 500])
+def test_hermitian_part_decides_the_threshold_as_the_checks(exponent):
+    # Bisect the skew to two neighbouring doubles whose defects straddle DEFAULT_TOL.
+    rng = np.random.default_rng(7)
+    base = 2.0**exponent * random_hermitian(rng, 4)
+    skew = 2.0**exponent * random_complex(rng, 4, 4)
+    low, high = 0.0, 1e-6
+    while (middle := (low + high) / 2) not in (low, high):
+        if outcome(checked_fold, base + middle * skew)[0] is NotHermitianError:
+            high = middle
+        else:
+            low = middle
+    below, above = base + low * skew, base + high * skew
+    assert outcome(checked_fold, below)[2] <= DEFAULT_TOL
+    assert outcome(checked_fold, above)[0] is NotHermitianError
+    assert outcome(_hermitian_part, below) == outcome(checked_fold, below)
+    assert outcome(_hermitian_part, above) == outcome(checked_fold, above)
 
 
 # ----------------------------------------------------------------- psd_check

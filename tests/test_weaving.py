@@ -13,6 +13,8 @@ from cstar_frames.errors import LengthMismatchError, ShapeMismatchError, TooMany
 from cstar_frames.frames import FrameSystem, optimal_bounds
 from cstar_frames.linalg import hermitian_eigen
 from cstar_frames.module_space import ModuleShape, standard_basis
+from cstar_frames import weaving
+from cstar_frames.constructors import _basis_frame
 from cstar_frames.weaving import (
     Partition,
     adversarial_scenario,
@@ -217,6 +219,96 @@ def test_universal_bounds_enclose_each_family(families):
         bounds = optimal_bounds(family)
         assert report.universal_lower <= bounds.lower + rounding
         assert report.universal_upper >= bounds.upper - rounding
+
+
+def reference_bounds(families):
+    """One partition at a time: the gather, sum and eigensolve of the streaming loop."""
+    shape, count, m = families[0].shape, len(families[0]), len(families)
+    rows = np.stack([fam.synthesis for fam in families]).reshape(m, count, shape.d, shape.dim)
+    contribs = rows.conj().swapaxes(-1, -2) @ rows
+    positions = np.arange(count)
+    low, worst, high = np.inf, None, -np.inf
+    for assignment in itertools.product(range(m), repeat=count):
+        eigenvalues = hermitian_eigen(contribs[assignment, positions].sum(axis=0)).eigenvalues
+        if eigenvalues[0] < low:
+            low, worst = float(eigenvalues[0]), assignment
+        high = max(high, float(eigenvalues[-1]))
+    return low, high, tuple(a + 1 for a in worst)
+
+
+@st.composite
+def weaving_families(draw):
+    """Two or three dense or scaled-basis families of 1-8 vectors in A^n (d, n <= 2).
+
+    Dense vectors get magnitudes over six decades, so the order of the sums
+    shows in the last bits; scaled-basis weights come from three values, so
+    equal minima are frequent.
+    """
+    m = draw(st.sampled_from([2, 3]))
+    count = draw(st.integers(1, 8))
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shape = ModuleShape(d, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = (count * d, n * d)
+        scales = np.repeat(10.0 ** rng.uniform(-3, 3, count), d)[:, None]
+        return [FrameSystem(scales * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows)),
+                            shape=shape) for _ in range(m)]
+    return [_basis_frame(shape, rng.integers(0, n, count), rng.choice([0.5, 1.0, 3.0**0.5], count))
+            for _ in range(m)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(weaving_families())
+def test_universal_bounds_bit_identical_to_one_partition_at_a_time(families):
+    expected = reference_bounds(families)
+    m, count, dim = len(families), len(families[0]), families[0].shape.dim
+    # One leaf per block, then m, m^2, ... up to all of them in one block.
+    leaf = 16 * dim * dim if dim > 1 else 16 * count
+    saved = weaving.LEAF_BLOCK_BYTES
+    try:
+        for budget in [1] + [leaf * m**depth for depth in range(count + 1)]:
+            weaving.LEAF_BLOCK_BYTES = budget
+            report = universal_bounds(families)
+            got = (report.universal_lower, report.universal_upper,
+                   report.worst_partition.assignment)
+            assert got == expected, budget
+    finally:
+        weaving.LEAF_BLOCK_BYTES = saved
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scalar_weaving_sums_as_numpy_does(seed):
+    # numpy sums an (N, 1, 1) stack pairwise, not left to right, so scalar
+    # families would show a left-to-right walk in the last bits.
+    rng = np.random.default_rng(seed)
+    m, count = (2, 8) if seed % 2 else (3, 6)
+    scales = 10.0 ** rng.uniform(-3, 3, (count, 1))
+    families = [FrameSystem(scales * (rng.standard_normal((count, 1))
+                                      + 1j * rng.standard_normal((count, 1))),
+                            shape=ModuleShape(1, 1)) for _ in range(m)]
+    expected = reference_bounds(families)
+    saved = weaving.LEAF_BLOCK_BYTES
+    try:
+        for budget in (1, saved):
+            weaving.LEAF_BLOCK_BYTES = budget
+            report = universal_bounds(families)
+            assert (report.universal_lower, report.universal_upper,
+                    report.worst_partition.assignment) == expected
+    finally:
+        weaving.LEAF_BLOCK_BYTES = saved
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_family_of_many_vectors(d):
+    # One family has one partition however long it is: 70 positions, more
+    # than an ndarray has dimensions.
+    rng = np.random.default_rng(d)
+    family = FrameSystem(rng.standard_normal((70 * d, 2 * d)), shape=ModuleShape(d, 2))
+    report = universal_bounds([family])
+    assert (report.universal_lower, report.universal_upper,
+            report.worst_partition.assignment) == reference_bounds([family])
+    assert report.partitions_checked == 1
 
 
 def test_universal_bounds_cap():
