@@ -242,16 +242,16 @@ def checked_fold(matrix, where):
     if defect > DEFAULT_TOL:
         raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
                                 f"{DEFAULT_TOL:.0e}")
-    return mat + adjoint, defect
+    return mat + adjoint
 
 
 def outcome(fold, matrix):
-    """The fold's bits and defect, or the type and message of what it raised."""
+    """The fold's shape and bits, or the type and message of what it raised."""
     try:
-        folded, defect = fold(matrix, "where")
+        folded = fold(matrix, "where")
     except Exception as exc:  # noqa: BLE001 - the comparison is the point
         return type(exc), str(exc)
-    return folded.shape, folded.view(np.int64).tobytes(), defect
+    return folded.shape, folded.view(np.int64).tobytes()
 
 
 @settings(deadline=None)
@@ -266,7 +266,7 @@ def test_hermitian_part_matches_the_checks_one_at_a_time(size, exponent, skew, s
     defect = relative_drift(half, half.conj().T)
     if defect <= DEFAULT_TOL:
         folded = half + half.conj().T
-        assert result == (folded.shape, folded.view(np.int64).tobytes(), defect)
+        assert result == (folded.shape, folded.view(np.int64).tobytes())
     else:
         assert result == (NotHermitianError, f"where: relative symmetry defect {defect:.3e} "
                                               f"exceeds {DEFAULT_TOL:.0e}")
@@ -306,10 +306,15 @@ def test_hermitian_part_edge_cases_match_the_checks(matrix):
 
 @pytest.mark.parametrize("exponent", [-500, 0, 500])
 def test_hermitian_part_decides_the_threshold_as_the_checks(exponent):
-    # Bisect the skew to two neighbouring doubles whose defects straddle DEFAULT_TOL.
+    # Bisect the skew to two neighbouring doubles whose defects straddle
+    # DEFAULT_TOL.  It sits in an entry where the Hermitian base is zero, so
+    # each step of it moves the defect by about one rounding, and a defect
+    # computed any less exactly would decide one of the two differently.
     rng = np.random.default_rng(7)
     base = 2.0**exponent * random_hermitian(rng, 4)
-    skew = 2.0**exponent * random_complex(rng, 4, 4)
+    base[0, 1] = base[1, 0] = 0.0
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1] = 2.0**exponent * (0.6 + 0.8j)
     low, high = 0.0, 1e-6
     while (middle := (low + high) / 2) not in (low, high):
         if outcome(checked_fold, base + middle * skew)[0] is NotHermitianError:
@@ -317,7 +322,7 @@ def test_hermitian_part_decides_the_threshold_as_the_checks(exponent):
         else:
             low = middle
     below, above = base + low * skew, base + high * skew
-    assert outcome(checked_fold, below)[2] <= DEFAULT_TOL
+    assert relative_drift(below / 2, below.conj().T / 2) <= DEFAULT_TOL
     assert outcome(checked_fold, above)[0] is NotHermitianError
     assert outcome(_hermitian_part, below) == outcome(checked_fold, below)
     assert outcome(_hermitian_part, above) == outcome(checked_fold, above)

@@ -222,7 +222,7 @@ def test_universal_bounds_enclose_each_family(families):
 
 
 def reference_bounds(families):
-    """One partition at a time: the gather, sum and eigensolve of the streaming loop."""
+    """One partition at a time: itertools.product, a gather and sum, and one eigensolve each."""
     shape, count, m = families[0].shape, len(families[0]), len(families)
     rows = np.stack([fam.synthesis for fam in families]).reshape(m, count, shape.d, shape.dim)
     contribs = rows.conj().swapaxes(-1, -2) @ rows
