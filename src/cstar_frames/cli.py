@@ -7,7 +7,9 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
        a frame file above MAX_FRAME_ENTRIES, and a written frame whose bounds
        drift when it is read back)
     3  dimension mismatch between operands
-    4  invalid flags, out-of-range values, or a frame or dual too large to build
+    4  invalid flags, out-of-range values, an --out that cannot be written
+       (the message is the OS error), a frame too large to build, or a dual
+       or weaving operator past the double range
     5  partition enumeration cap exceeded
     6  input is not a frame
 
@@ -67,9 +69,13 @@ class UsageError(Exception):
     """Flag-level misuse; mapped to exit code 4."""
 
 
-#: Exit code of each error that is reported without a traceback.
+#: Exit code of each error that is reported without a traceback; no command
+#: handler catches an error to translate it.  OSError is an --out that cannot
+#: be written (reading a file reports FrameFileError), and OverflowError a dual
+#: or weaving operator past the double range.
 EXIT_CODES = {FrameFileError: 2, ShapeMismatchError: 3, LengthMismatchError: 3,
-              UsageError: 4, TooManyPartitionsError: 5, NotAFrameError: 6}
+              UsageError: 4, OSError: 4, OverflowError: 4,
+              TooManyPartitionsError: 5, NotAFrameError: 6}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,14 +115,6 @@ def _require_size(vectors: int, d: int, n: int) -> None:
     refusal = _oversized(vectors, d, n)
     if refusal is not None:
         raise UsageError(refusal)
-
-
-def _write(save, path, *args) -> None:
-    """Run a frame_io writer; an unwritable output path is a flag error."""
-    try:
-        save(path, *args)
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _workers_from_env() -> int:
@@ -225,7 +223,7 @@ def cmd_analyze(args) -> dict:
 
 def _save_checked(path, system, certificate, scenario=None):
     """Write a constructed frame; return its bounds if reading the file back keeps them."""
-    _write(save_frame, path, system, certificate, scenario)
+    save_frame(path, system, certificate, scenario)
     bounds = optimal_bounds(system)
     again = optimal_bounds(load_frame(path).system)
     if relative_drift((bounds.lower, bounds.upper), (again.lower, again.upper)) > DEFAULT_TOL:
@@ -318,8 +316,7 @@ def cmd_construct_t49(args) -> dict:
         files[role] = f"{args.out}-{role}.json"
         bounds[role] = _save_checked(files[role], frame, cert, {**meta, "role": role})
     files["partition"] = f"{args.out}-partition.json"
-    _write(save_partition, files["partition"], scenario.adversarial, 2,
-           list(scenario.sigma))
+    save_partition(files["partition"], scenario.adversarial, 2, list(scenario.sigma))
     return {
         "files": files,
         "size": args.n,
@@ -431,16 +428,12 @@ def cmd_dual(args) -> dict:
     loaded = load_frame(args.file)
     system = loaded.system
     bounds = optimal_bounds(system, args.tol)
-    try:
-        dual = dual_frame(system, args.tol)
-    except OverflowError as exc:
-        raise UsageError(f"the dual frame is past the double range: the smallest "
-                         f"eigenvalue of the frame operator is {bounds.lower:.3e}") from exc
+    dual = dual_frame(system, args.tol)
     # A certificate that barely clears the file tolerance can still be
     # numerically singular; in that case the dual is written without one.
     cert = loaded.certificate
     dual_cert = cert.dual(args.tol) if cert is not None else None
-    _write(save_frame, args.out, dual, dual_cert)
+    save_frame(args.out, dual, dual_cert)
     dual_bounds = optimal_bounds(dual, args.tol)
     return {
         "out": str(args.out),

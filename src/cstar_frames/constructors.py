@@ -74,6 +74,9 @@ class ScalarProfile:
                 raise ValueError("exponent p must be finite")
         elif self.p is not None:
             raise ValueError(f"exponent p only applies to power profiles, not {self.kind!r}")
+        if not math.isfinite(self.sup):
+            raise ValueError(f"profile supremum l_1 = {self.sup} is past the double range "
+                             f"(xi = {self.xi!r}, c = {self.c!r})")
 
     def eval(self, k: int) -> float:
         """l_k for a 1-based index k."""

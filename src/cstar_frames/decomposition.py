@@ -193,6 +193,18 @@ class DeviationCertificate:
     slack: float
 
 
+def _eta_fraction(eta: float) -> float:
+    """eta^2 / (1 + eta^2), or its limit 1 where eta^2 overflows (inf / inf would be NaN)."""
+    square = eta * eta
+    return square / (1.0 + square) if square < math.inf else 1.0
+
+
+def _eta_stretch(eta: float) -> float:
+    """sqrt(1 + eta^2), or eta where eta^2 overflows (long after 1 + eta^2 rounds to eta^2)."""
+    square = eta * eta
+    return math.sqrt(1.0 + square) if square < math.inf else eta
+
+
 def deviation_certificate(
     T: ModuleOperator, alpha: float, eta: float
 ) -> DeviationCertificate:
@@ -203,7 +215,7 @@ def deviation_certificate(
     # scale its smallest eigenvalue back by s^2 (exact, unless that overflows).
     mat, scale = _scaled_down(T.mat, abs(alpha))
     level = alpha / scale
-    csq = eta * eta / (1.0 + eta * eta)
+    csq = _eta_fraction(eta)
     shifted = level * np.eye(T.shape.dim) - mat
     witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
     # The two products round asymmetrically and can cancel to far below
@@ -240,11 +252,11 @@ def alignment_predicates(
 
     lhs = leq(
         module_norm(f) * module_norm(g),
-        math.sqrt(1.0 + eta * eta) * operator_norm(inner_product(f, g)),
+        _eta_stretch(eta) * operator_norm(inner_product(f, g)),
     )
     rhs = leq(
         module_norm(alpha * f - g),
-        math.sqrt(eta * eta / (1.0 + eta * eta)) * module_norm(g),
+        math.sqrt(_eta_fraction(eta)) * module_norm(g),
     )
     return lhs, rhs
 
@@ -325,7 +337,7 @@ def frame_lower_bound(
         raise ValueError("rho must be nonnegative")
     elif rho > sharpest and relative_drift(sharpest, rho, dec.remainder.mat) > ROUNDING_RTOL:
         raise ValueError(f"rho={rho} exceeds the sharpest admissible value {sharpest}")
-    value = rho / math.sqrt(1.0 + eta * eta) - abs(dec.xi)
+    value = rho / _eta_stretch(eta) - abs(dec.xi)
     formula_only = not _remainder_positive(dec, DEFAULT_TOL)[0]
     return LowerBoundEstimate(value=value, rho=float(rho), formula_only=formula_only)
 

@@ -195,15 +195,20 @@ def dual_frame(system: FrameSystem, tol: float = DEFAULT_TOL) -> FrameSystem:
 
     The dual's frame operator is S^-1, so its optimal bounds are the
     reciprocals of the original ones in swapped order, and sum_k <f, dual_k> f_k
-    reconstructs f.  A dual past the double range raises OverflowError.
+    reconstructs f.  A dual past the double range raises OverflowError, naming
+    the smallest eigenvalue of S.
     """
     bounds = optimal_bounds(system, tol)
     if not bounds.is_frame:
         raise NotAFrameError(
             f"optimal lower bound {bounds.lower:.3e} is not above {tol:.3e} * upper bound"
         )
-    inverse = hermitian_inverse(system.frame_op.mat, tol)
-    return FrameSystem(system.synthesis @ inverse, shape=system.shape)
+    try:
+        inverse = hermitian_inverse(system.frame_op.mat, tol)
+        return FrameSystem(system.synthesis @ inverse, shape=system.shape)
+    except OverflowError as exc:
+        raise OverflowError(f"the dual frame is past the double range: the smallest "
+                            f"eigenvalue of the frame operator is {bounds.lower:.3e}") from exc
 
 
 def frame_from_operator(matrix, shape: ModuleShape) -> FrameSystem:

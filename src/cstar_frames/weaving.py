@@ -114,7 +114,12 @@ def weaving_operator(
         j = beyond[0]
         raise ValueError(f"position {j + 1} assigned to family {chosen[j] + 1} > {m}")
     mixed = _row_blocks(families)[chosen, np.arange(count)].reshape(-1, shape.dim)
-    return ModuleOperator(shape, mixed.conj().T @ mixed)
+    return FrameSystem(mixed, shape=shape).frame_op
+
+
+def _partition_at(place: int, m: int, count: int) -> Partition:
+    """The partition at `place` in lexicographic order: its base-m digits, 1-based."""
+    return Partition(tuple(place // m**k % m + 1 for k in reversed(range(count))))
 
 
 def _leaf_depth(m: int, count: int, leaf_bytes: int) -> int:
@@ -186,7 +191,10 @@ def universal_bounds(
     The weaving operators are built in lexicographic blocks of at most
     LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, on the
     calling thread; `workers` is accepted and ignored, so the report is the
-    same for any value.
+    same for any value.  Each block is checked finite before its
+    eigensolves: a weaving operator past the double range raises
+    OverflowError naming the lexicographically first such partition, though
+    every family's own frame operator may be finite.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -196,31 +204,38 @@ def universal_bounds(
             f"{m}^{count} = {total} partitions exceed the cap {max_partitions}"
         )
     rows = _row_blocks(families)
-    # rep(f)* rep(f) for every vector of every family; a weaving operator
-    # sums one of them per position.
-    contribs = rows.conj().swapaxes(-1, -2) @ rows
-    if contribs.shape[-1] > 1:
-        blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
-    else:
-        blocks = _gathered_blocks(contribs, _leaf_depth(m, count, contribs[0].nbytes))
     low, worst, high = np.inf, None, -np.inf
     start = 0
-    for block in blocks:
-        spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
-        # argmin keeps the first of equal minima: blocks and their Grams come
-        # in lexicographic order, so this is the lexicographically smallest argmin.
-        first = int(np.argmin(spectra[:, 0]))
-        if spectra[first, 0] < low:
-            low, worst = float(spectra[first, 0]), start + first
-        high = max(high, float(spectra[:, -1].max()))
-        start += len(block)
+    # The blocks are summed lazily in this loop; one past the double range is
+    # refused below, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # rep(f)* rep(f) for every vector of every family; a weaving operator
+        # sums one of them per position.
+        contribs = rows.conj().swapaxes(-1, -2) @ rows
+        if contribs.shape[-1] > 1:
+            blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
+        else:
+            blocks = _gathered_blocks(contribs, _leaf_depth(m, count, contribs[0].nbytes))
+        for block in blocks:
+            if not np.isfinite(block).all():
+                place = start + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))
+                raise OverflowError(
+                    f"the weaving operator of partition "
+                    f"{list(_partition_at(place, m, count).assignment)} overflows a double"
+                )
+            spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
+            # argmin keeps the first of equal minima: blocks and their Grams come
+            # in lexicographic order, so this is the lexicographically smallest argmin.
+            first = int(np.argmin(spectra[:, 0]))
+            if spectra[first, 0] < low:
+                low, worst = float(spectra[first, 0]), start + first
+            high = max(high, float(spectra[:, -1].max()))
+            start += len(block)
 
-    # The base-m digits of the worst partition's place in lexicographic order.
-    assignment = tuple(worst // m**k % m + 1 for k in reversed(range(count)))
     return WeavingReport(
         universal_lower=low,
         universal_upper=high,
-        worst_partition=Partition(assignment),
+        worst_partition=_partition_at(worst, m, count),
         is_woven=low > tol * high,
         partitions_checked=total,
     )

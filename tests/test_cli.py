@@ -650,3 +650,130 @@ def test_t49_scenario_profiles_written_in_file_form(capsys, tmp_path):
     scenario = json.loads(Path(built["files"]["a"]).read_text())["scenario"]
     assert scenario["profile_a"] == {"kind": "geometric", "xi": 0.0, "c": 1.5, "r": 0.5}
     assert scenario["profile_b"] == {"kind": "power", "xi": 0.0, "c": 2.0, "p": 1.5}
+
+
+# ------------------------------------------------- past the double range
+
+
+def _one_error_line(err):
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_overflowing_mix_of_finite_files_exit_4(capsys, tmp_path):
+    # Each S is about 1.44e308, but the partition taking both large vectors sums to 2.9e308.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_frame(a, FrameSystem(np.array([[1.2e154 + 0j], [1e-300]]), shape=ModuleShape(1, 1)))
+    save_frame(b, FrameSystem(np.array([[1e-300 + 0j], [1.2e154]]), shape=ModuleShape(1, 1)))
+    code, stdout, err = run(capsys, "weave", str(a), str(b))
+    assert code == 4 and stdout == ""
+    assert err == "error: the weaving operator of partition [1, 2] overflows a double\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_t49_pair_past_double_range_exit_4(capsys, tmp_path):
+    built = run_json(capsys, "construct", "t49", "--n", "4",
+                     "--profile1", "geometric:1e308:0.99", "--profile2", "geometric:1e308:0.99",
+                     "--out", str(tmp_path / "sc"))
+    code, stdout, err = run(capsys, "weave", built["files"]["a"], built["files"]["b"])
+    assert code == 4 and stdout == ""
+    assert err == "error: the weaving operator of partition [1, 1, 2, 1] overflows a double\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_construct_profile_past_double_range_exit_4(capsys, tmp_path):
+    out = tmp_path / "g.json"
+    code, stdout, err = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1e308",
+                            "--c", "1e308", "--n", "4", "--out", str(out))
+    assert code == 4 and stdout == ""
+    _one_error_line(err)
+    assert "profile supremum" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_profile_past_double_range_in_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "t4.json"
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", str(path))
+    payload = json.loads(path.read_text())
+    payload["certificate"]["profile"].update(xi=1e308, c=1e308)
+    path.write_text(json.dumps(payload))
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert code == 2 and stdout == ""
+    _one_error_line(err)
+    assert "certificate.profile: profile supremum" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_eta_past_double_range(capsys, tmp_path):
+    # eta^2 overflows at 1e155; eta^2 / (1 + eta^2) is already 1.0 at 1e150.
+    path = tmp_path / "t4.json"
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", str(path))
+    reports = []
+    for eta in ("1e150", "1e155"):
+        report = run_json(capsys, "analyze", str(path), "--xi", "1", "--eta", eta, "--alpha", "1")
+        report.pop("timing")
+        decomposition = report["decomposition"]
+        assert decomposition["lowerBound"].pop("eta") == decomposition["deviation"].pop("eta")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+# ------------------------------------------------- flag errors by message
+
+
+@pytest.mark.parametrize("repeat,message", [
+    ("a:b", "bad repeat spec 'a:b'; expected index:count"),
+    ("1-2", "bad repeat spec '1-2'; expected index:count"),
+    (",", "at least one --repeat index:count is required"),
+])
+def test_construct_bad_repeat_exit_4(capsys, tmp_path, repeat, message):
+    out = tmp_path / "rep.json"
+    code, _, err = run(capsys, "construct", "repetition", "--n", "3", "--repeat", repeat,
+                       "--out", str(out))
+    assert code == 4
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _t49_pair(capsys, prefix, profile):
+    built = run_json(capsys, "construct", "t49", "--n", "4", "--profile1", profile,
+                     "--profile2", "gaussian:1", "--out", str(prefix))
+    return built["files"]["a"], built["files"]["b"]
+
+
+@pytest.mark.parametrize("sweep,message", [
+    ("x", "bad --sweep value 'x'; expected comma-separated integers"),
+    ("3", "--sweep sizes must be even integers >= 2"),
+])
+def test_weave_bad_sweep_exit_4(capsys, tmp_path, sweep, message):
+    a, b = _t49_pair(capsys, tmp_path / "sc", "gaussian:1")
+    code, stdout, err = run(capsys, "weave", a, b, "--sweep", sweep)
+    assert code == 4 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
+def test_weave_sweep_over_different_profiles_exit_4(capsys, tmp_path):
+    a, _ = _t49_pair(capsys, tmp_path / "one", "gaussian:1")
+    _, b = _t49_pair(capsys, tmp_path / "two", "geometric:1:0.5")
+    code, stdout, err = run(capsys, "weave", a, b, "--sweep", "4")
+    assert code == 4 and stdout == ""
+    assert err == "error: --sweep: the two files carry different scenario profiles\n"
+
+
+def test_weave_non_integer_max_partitions_exit_4(capsys, tmp_path):
+    path = write_onb(tmp_path / "onb.json")
+    code, _, err = run(capsys, "weave", str(path), str(path), "--max-partitions", "abc")
+    assert code == 4
+    _one_error_line(err)
+    assert "--max-partitions: expected an integer, got 'abc'" in err
+
+
+def test_weave_text_report_lists_worst_partition(capsys, tmp_path):
+    a = write_onb(tmp_path / "a.json")
+    b = write_onb(tmp_path / "b.json", scale=math.sqrt(2.0))
+    code, stdout, _ = run(capsys, "weave", str(a), str(b))
+    assert code == 0
+    assert "worstPartition: [1, 1, 1]" in stdout.splitlines()

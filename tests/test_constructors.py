@@ -372,3 +372,19 @@ def test_dual_certificate_none_and_signed_zero():
     dual = CompactTightCert(shape, 2.0, [0.0, 2.0]).dual()
     assert dual.xi == 0.5
     assert [a.hex() for a in dual.alphas.tolist()] == [(0.0).hex(), (-0.25).hex()]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("profile", [
+    dict(kind="gaussian", xi=1e308, c=1e308),
+    dict(kind="power", xi=1e308, c=1e308, p=2.0),
+    dict(kind="geometric", xi=1.7e308, c=1e308, r=0.9),
+])
+def test_profile_supremum_past_double_range(profile):
+    with pytest.raises(ValueError, match="profile supremum l_1 = inf is past the double range"):
+        ScalarProfile(**profile)
+
+
+def test_profile_supremum_at_the_edge_of_the_double_range():
+    profile = ScalarProfile("geometric", xi=0.0, c=1e308, r=0.99)
+    assert profile.sup == 1e308 * 0.99

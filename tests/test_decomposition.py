@@ -435,3 +435,24 @@ def test_drift_checks_hold_past_overflow():
     crooked = ModuleOperator(shape, [[1e200, 1e200], [0.0, 1e200]])
     with pytest.raises(InconsistentDecompositionError):
         ShiftDecomposition.from_parts(crooked, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eta_past_double_range_takes_the_limit():
+    # eta^2 overflows at 1e155, where eta^2 / (1 + eta^2) has long been 1.0.
+    for alpha in (0.5, 1.0, 2.0):
+        huge = deviation_certificate(diag_operator(1.0, 2.0), alpha, 1e155)
+        limit = deviation_certificate(diag_operator(1.0, 2.0), alpha, 1e150)
+        assert (huge.holds, huge.slack) == (limit.holds, limit.slack)
+        assert math.isfinite(huge.slack)
+    shape = ModuleShape(1, 2)
+    f = ModuleVector(shape, [[1.0, 2.0]])
+    g = ModuleVector(shape, [[1.5, 1.0]])
+    for alpha in (0.0, 1.0, 1.5):
+        assert alignment_predicates(f, g, alpha, 1e155) == alignment_predicates(f, g, alpha, 1e150)
+    assert alignment_predicates(f, f, 0.0, 1e155) == (True, True)
+    zero = ModuleVector(shape, [[0.0, 0.0]])
+    assert alignment_predicates(zero, g, 1.0, 1e155) == alignment_predicates(zero, g, 1.0, 1e150)
+    # sqrt(1 + eta^2) is eta itself there: the lower bound is rho / eta, not 0.
+    dec = ShiftDecomposition.from_parts(identity_operator(ModuleShape(1, 2)), 0.0)
+    assert frame_lower_bound(dec, 1e155).value == 1e-155

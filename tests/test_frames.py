@@ -376,3 +376,13 @@ def test_frame_from_operator_recovers_target(rng):
     target = random_psd(rng, 6) + 0.1 * np.eye(6)
     system = frame_from_operator(target, shape)
     np.testing.assert_allclose(frame_operator(system).mat, target, atol=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_dual_past_double_range_names_smallest_eigenvalue():
+    # S = 1e-310 is subnormal, so S^-1 overflows.
+    system = FrameSystem(np.array([[1e-155 + 0j]]), shape=ModuleShape(1, 1))
+    with pytest.raises(OverflowError) as raised:
+        dual_frame(system)
+    assert str(raised.value) == ("the dual frame is past the double range: the smallest "
+                                 "eigenvalue of the frame operator is 1.000e-310")

@@ -391,3 +391,64 @@ def test_partition_validation():
         Partition(())
     with pytest.raises(ValueError):
         Partition((0, 1))
+
+
+# -------------------------------------------------- past the double range
+
+def first_overflowing(families):
+    """The lexicographically first partition whose weaving_operator overflows, or None."""
+    for assignment in itertools.product(range(1, len(families) + 1), repeat=len(families[0])):
+        try:
+            weaving_operator(families, Partition(assignment))
+        except OverflowError:
+            return assignment
+    return None
+
+
+def overflowing_families(seed):
+    """Two or three scaled-basis families, each a finite frame, with some partition past range.
+
+    A weight 1e154 contributes 1e308, so a direction overflows exactly when a
+    partition takes two of them there, and no sum is near the edge.
+    """
+    rng = np.random.default_rng(seed)
+    m, count = (2, 6) if seed % 2 else (3, 4)
+    d, n = [(1, 1), (1, 2), (2, 1), (2, 2)][seed % 4]
+    shape = ModuleShape(d, n)
+    while True:
+        try:
+            families = [_basis_frame(shape, rng.integers(0, n, count),
+                                     rng.choice([0.5, 1.0, 1e154], count)) for _ in range(m)]
+        except OverflowError:  # one family alone is past the double range
+            continue
+        expected = first_overflowing(families)
+        if expected is not None:
+            return families, expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(8))
+def test_universal_bounds_names_first_overflowing_partition(seed):
+    families, expected = overflowing_families(seed)
+    m, count, dim = len(families), len(families[0]), families[0].shape.dim
+    message = f"the weaving operator of partition {list(expected)} overflows a double"
+    leaf = 16 * dim * dim if dim > 1 else 16 * count
+    saved = weaving.LEAF_BLOCK_BYTES
+    try:
+        for budget in [1] + [leaf * m**depth for depth in range(count + 1)]:
+            weaving.LEAF_BLOCK_BYTES = budget
+            with pytest.raises(OverflowError) as raised:
+                universal_bounds(families)
+            assert str(raised.value) == message, budget
+    finally:
+        weaving.LEAF_BLOCK_BYTES = saved
+
+
+@pytest.mark.filterwarnings("error")
+def test_weaving_operator_past_double_range():
+    shape = ModuleShape(1, 1)
+    a = FrameSystem(np.array([[1.2e154 + 0j], [1e-300]]), shape=shape)
+    b = FrameSystem(np.array([[1e-300 + 0j], [1.2e154]]), shape=shape)
+    assert np.isfinite(weaving_operator([a, b], Partition((1, 1))).mat).all()
+    with pytest.raises(OverflowError):
+        weaving_operator([a, b], Partition((1, 2)))
