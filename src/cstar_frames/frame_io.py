@@ -8,6 +8,9 @@ indent=2) plus a newline, produced without the standard library's
 pure-Python encoder: the numbers of "vectors" are laid out in one
 template per vector (see dumps_payload), and on load checked one list
 level at a time, then converted in one pass (see _decode_synthesis).
+Files are written as a stream of that text, a slice of vectors at a
+time, with LF line ends on every platform; every check runs before the
+file is opened, so a refused save leaves an existing file as it was.
 
 Layout::
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -314,27 +318,69 @@ def _number_template(shape: tuple[int, ...], level: int) -> str:
     return _json_list([_number_template(shape[1:], level + 1)] * shape[0], level)
 
 
+# About this many characters of "vectors" text go into one piece of a stream.
+_SLICE_CHARS = 1 << 16
+
+
+def _vectors_per_slice(template: str, numbers: int) -> int:
+    """Vectors per piece: each 2-character %r of the template becomes a repr of at most 24."""
+    return max(1, _SLICE_CHARS // (len(template) + 22 * numbers))
+
+
+def _layout(payload: dict) -> Iterator[str]:
+    """The canonical text of `payload` as an iterator of pieces, every check done first.
+
+    The pieces are the text before "vectors", the "vectors" list a slice of
+    vectors at a time (each one str.join over one template per vector), and
+    the text after it.  A refused payload raises here, before any piece exists.
+    """
+    if "vectors" not in payload:
+        return iter((json.dumps(payload, sort_keys=True, indent=2) + "\n",))
+    values = np.asarray(payload["vectors"], dtype=float)
+    if values.ndim == 0 or values.size == 0:
+        raise ValueError("vectors: expected a nonempty list with no empty list inside")
+    if not np.isfinite(values).all():
+        raise ValueError("vectors: every number must be finite")
+    # Top-level keys sit at a two-space indent, and JSON strings hold no raw
+    # newline, so the first match is the "vectors" key itself.
+    head, _, tail = json.dumps({**payload, "vectors": None}, sort_keys=True,
+                               indent=2).partition('\n  "vectors": null')
+    template = _number_template(values.shape[1:], 2)
+    rows = values.reshape(len(values), -1)
+    return _vector_pieces(head, template, rows, tail)
+
+
+def _vector_pieces(head: str, template: str, rows: np.ndarray, tail: str) -> Iterator[str]:
+    # The "vectors" list as _json_list(..., 1) lays it out, one slice at a time.
+    separator = ",\n    "
+    step = _vectors_per_slice(template, rows.shape[1])
+    yield head + '\n  "vectors": [\n    '
+    for start in range(0, len(rows), step):
+        if start:
+            yield separator
+        yield separator.join([template % tuple(row) for row in rows[start:start + step].tolist()])
+    yield "\n  ]" + tail + "\n"
+
+
 def dumps_payload(payload: dict) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing newline.
 
     The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``.  With
     ``indent`` the standard library runs its pure-Python encoder, so the
-    numbers of "vectors" (a list or an array of finite doubles) are laid out
-    here instead: one template per vector, filled with ``'%r' % float``, which
-    is ``float.__repr__``, the function both standard encoders call.
+    numbers of "vectors" (a nonempty list or array of finite doubles) are laid
+    out here instead: one template per vector, filled with ``'%r' % float``,
+    which is ``float.__repr__``, the function both standard encoders call.
+    This is the join of the pieces that save_frame and save_partition stream
+    to disk a slice of vectors at a time, so a file holds the same bytes.
     """
-    if "vectors" not in payload:
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    values = np.asarray(payload["vectors"], dtype=float)
-    if not np.isfinite(values).all():
-        raise ValueError("vectors: every number must be finite")
-    template = _number_template(values.shape[1:], 2)
-    rows = values.reshape(len(values), -1).tolist()
-    vectors = _json_list([template % tuple(row) for row in rows], 1)
-    # Top-level keys sit at a two-space indent, and JSON strings hold no raw
-    # newline, so the first match is the "vectors" key itself.
-    text = json.dumps({**payload, "vectors": None}, sort_keys=True, indent=2)
-    return text.replace('\n  "vectors": null', '\n  "vectors": ' + vectors, 1) + "\n"
+    return "".join(_layout(payload))
+
+
+def _save_payload(path, payload: dict) -> None:
+    """Stream the canonical text of `payload` to `path`; a refused payload leaves it untouched."""
+    pieces = _layout(payload)  # raises on a refused payload before the file is truncated
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(pieces)
 
 
 def save_frame(
@@ -343,7 +389,7 @@ def save_frame(
     certificate: CompactTightCert | None = None,
     scenario: dict | None = None,
 ) -> None:
-    Path(path).write_text(dumps_payload(_payload(system, certificate, scenario)))
+    _save_payload(path, _payload(system, certificate, scenario))
 
 
 def _read_json(path: Path):
@@ -400,7 +446,7 @@ def partition_to_payload(partition: Partition, families: int,
 
 def save_partition(path, partition: Partition, families: int,
                    sigma: list[int] | None = None) -> None:
-    Path(path).write_text(dumps_payload(partition_to_payload(partition, families, sigma)))
+    _save_payload(path, partition_to_payload(partition, families, sigma))
 
 
 def _decode_partition(payload) -> tuple[Partition, int]:

@@ -398,6 +398,19 @@ def test_unwritable_out_exit_4(capsys, tmp_path):
         assert "missing-dir" in err
 
 
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_out_that_fills_mid_write_exit_4(tmp_path):
+    """A write that fails part way through a stream exits 4 with the OS error alone."""
+    path = write_onb(tmp_path / "onb.json")
+    src = Path(cstar_frames.__file__).parent.parent
+    for argv in (["construct", "repetition", "--n", "64", "--repeat", "5:1001", "--out", "/dev/full"],
+                 ["dual", str(path), "--out", "/dev/full"]):
+        done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 4, argv
+        assert done.stderr == "error: [Errno 28] No space left on device\n", argv
+
 @pytest.mark.parametrize("command,flags", [
     ("analyze", ["--xi", "nan"]),
     ("analyze", ["--xi", "inf"]),

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -644,6 +645,92 @@ def test_dumps_payload_rejects_non_finite_vectors():
     with pytest.raises(ValueError, match="finite"):
         dumps_payload(payload)
 
+
+
+def test_dumps_payload_rejects_empty_vectors():
+    with pytest.raises(ValueError, match="^vectors: expected a nonempty list"):
+        dumps_payload({"schema": "cstar-frames/1", "vectors": []})
+
+
+# save_frame and save_partition stream the text of dumps_payload to disk a
+# slice of vectors at a time.  The file is canonical as bytes: "\n" line ends
+# whatever the platform's, which reading back as text would hide.
+
+def _canonical_bytes(payload) -> bytes:
+    return _canonical(payload).encode()
+
+
+@pytest.mark.parametrize("certificate", [None, "profile", "repetition"])
+@pytest.mark.parametrize("scenario", [None, _SCENARIO])
+def test_save_frame_writes_canonical_bytes(rng, tmp_path, certificate, scenario):
+    system = random_system(rng, ModuleShape(2, 3), 7)
+    cert = _certificate(certificate, system.shape)
+    path = tmp_path / "frame.json"
+    save_frame(path, system, cert, scenario)
+    assert path.read_bytes() == _canonical_bytes(frame_to_payload(system, cert, scenario))
+
+
+@pytest.mark.parametrize("sigma", [None, [1, 3]])
+def test_save_partition_writes_canonical_bytes(tmp_path, sigma):
+    path = tmp_path / "partition.json"
+    save_partition(path, Partition((1, 2, 2, 1)), families=2, sigma=sigma)
+    expected = {"schema": "cstar-frames-partition/1", "families": 2, "assignment": [1, 2, 2, 1]}
+    if sigma is not None:
+        expected["sigma"] = sigma
+    assert path.read_bytes() == _canonical_bytes(expected)
+
+
+def _slice_sizes(shape):
+    """Vector counts around the slice boundaries of this shape: 1, per - 1, per, per + 1, 2 per + 1."""
+    template = frame_io._number_template((shape.n, shape.d, shape.d, 2), 2)
+    per = frame_io._vectors_per_slice(template, 2 * shape.n * shape.d * shape.d)
+    return per, sorted({1, max(1, per - 1), per, per + 1, 2 * per + 1})
+
+
+# d = n = 1 packs the most vectors into a slice; (4, 64) gives one vector per slice.
+@pytest.mark.parametrize("d,n", [(1, 1), (2, 3), (1, 64), (4, 64)])
+def test_save_frame_bytes_across_slice_boundaries(rng, tmp_path, d, n):
+    shape = ModuleShape(d, n)
+    per, sizes = _slice_sizes(shape)
+    path = tmp_path / "frame.json"
+    for count in sizes:
+        rows = (count * d, shape.dim)
+        system = FrameSystem(rng.standard_normal(rows) + 1j * rng.standard_normal(rows), shape=shape)
+        payload = frame_to_payload(system)
+        save_frame(path, system)
+        assert path.read_bytes() == _canonical_bytes(payload), count
+        assert len(list(frame_io._layout(payload))) == 2 * math.ceil(count / per) + 1, count
+
+
+def test_save_frame_memory_stays_below_half_the_file(tmp_path):
+    system, cert = repetition_frame(ModuleShape(1, 64), {5: 1001})
+    path = tmp_path / "repetition.json"
+    tracemalloc.start()
+    try:
+        save_frame(path, system, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 6_000_000
+    assert peak < size / 2, (peak, size)
+
+
+def test_refused_save_leaves_the_file_unchanged(tmp_path):
+    system = FrameSystem(standard_basis(ModuleShape(1, 2)))
+    path = tmp_path / "frame.json"
+    save_frame(path, system)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_frame(path, system, None, {"size": {2}})
+    payload = frame_to_payload(system)
+    payload["vectors"][1][0][0][0][1] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        frame_io._save_payload(path, payload)
+    payload["vectors"] = []
+    with pytest.raises(ValueError, match="^vectors"):
+        frame_io._save_payload(path, payload)
+    assert path.read_bytes() == before
 
 def _construct_and_dual(tmp_path):
     """Every file the CLI writes: each construct kind, and duals with and without a certificate."""
