@@ -336,7 +336,14 @@ def _layout(payload: dict) -> Iterator[str]:
     """
     if "vectors" not in payload:
         return iter((json.dumps(payload, sort_keys=True, indent=2) + "\n",))
-    values = np.asarray(payload["vectors"], dtype=float)
+    try:
+        values = np.asarray(payload["vectors"])
+    except ValueError:  # numpy's message for a ragged list names no field
+        raise ValueError("vectors: expected nested lists of one shape, every list at a "
+                         "depth of one length") from None
+    if values.dtype.kind not in "biuf":
+        raise ValueError("vectors: every entry must be a real number in the double range")
+    values = values.astype(float, copy=False)
     if values.ndim == 0 or values.size == 0:
         raise ValueError("vectors: expected a nonempty list with no empty list inside")
     if not np.isfinite(values).all():

@@ -652,6 +652,34 @@ def test_dumps_payload_rejects_empty_vectors():
         dumps_payload({"schema": "cstar-frames/1", "vectors": []})
 
 
+# Ragged one and two levels down, a string (numeric or not) and a complex entry.
+_MALFORMED_VECTORS = [
+    pytest.param([[1.0], [2.0, 3.0]], "^vectors: expected nested lists of one shape",
+                 id="ragged-depth-1"),
+    pytest.param([[[1.0], [2.0]], [[1.0], [2.0, 3.0]]], "^vectors: expected nested lists of one shape",
+                 id="ragged-depth-2"),
+    pytest.param([[1.0, "a"]], "^vectors: every entry must be a real number", id="string"),
+    pytest.param([[1.0, "1.5"]], "^vectors: every entry must be a real number", id="numeric-string"),
+    pytest.param([[1.0, 1j]], "^vectors: every entry must be a real number", id="complex"),
+]
+
+
+@pytest.mark.parametrize("vectors,message", _MALFORMED_VECTORS)
+def test_dumps_payload_names_vectors_for_malformed_lists(vectors, message):
+    with pytest.raises(ValueError, match=message):
+        dumps_payload({"schema": "cstar-frames/1", "vectors": vectors})
+
+
+@pytest.mark.parametrize("vectors,message", _MALFORMED_VECTORS)
+def test_malformed_vectors_leave_the_file_unchanged(tmp_path, vectors, message):
+    path = tmp_path / "frame.json"
+    save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=message):
+        frame_io._save_payload(path, {"schema": "cstar-frames/1", "vectors": vectors})
+    assert path.read_bytes() == before
+
+
 # save_frame and save_partition stream the text of dumps_payload to disk a
 # slice of vectors at a time.  The file is canonical as bytes: "\n" line ends
 # whatever the platform's, which reading back as text would hide.

@@ -1,5 +1,6 @@
 """Kernel tests, checked against closed-form and factorization-free oracles."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from cstar_frames.errors import (
     NotSquareError,
     SingularMatrixError,
 )
+from cstar_frames.frames import FrameSystem
 from cstar_frames.linalg import (
     DEFAULT_TOL,
     _hermitian_part,
@@ -28,6 +30,7 @@ from cstar_frames.linalg import (
     require_square,
     sigma_min,
 )
+from cstar_frames.module_space import ModuleShape
 
 from conftest import random_complex, random_hermitian, random_psd
 
@@ -278,6 +281,10 @@ def _with(entry, value):
     return mat
 
 
+def _scaled_identity(size, scale):
+    return float.fromhex(scale) * np.eye(size)
+
+
 @pytest.mark.parametrize("matrix", [
     pytest.param(1e200 * np.array([[2.0, 1j], [-1j, 3.0]]), id="huge"),
     pytest.param(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]), id="huge-skew"),
@@ -297,6 +304,14 @@ def _with(entry, value):
     pytest.param(np.zeros((0, 3)), id="empty"),
     pytest.param(np.zeros((0, 0)), id="empty-square"),
     pytest.param(5.0, id="scalar"),
+    # ||M||_F^2 one double below, at and one double above the ends of the
+    # inlined range (2^-898, 2^902); the ends themselves take relative_drift.
+    pytest.param(_scaled_identity(3, "0x1.279a74590331cp-450"), id="norm-below-2^-898"),
+    pytest.param(_scaled_identity(4, "0x1p-450"), id="norm-at-2^-898"),
+    pytest.param(_scaled_identity(3, "0x1.279a74590331dp-450"), id="norm-above-2^-898"),
+    pytest.param(_scaled_identity(3, "0x1.279a74590331cp+450"), id="norm-below-2^902"),
+    pytest.param(_scaled_identity(4, "0x1p+450"), id="norm-at-2^902"),
+    pytest.param(_scaled_identity(3, "0x1.279a74590331dp+450"), id="norm-above-2^902"),
 ])
 def test_hermitian_part_edge_cases_match_the_checks(matrix):
     # No NaN or inf reaches arithmetic (inf * (0.5 + 0j) would warn) before it is refused.
@@ -326,6 +341,47 @@ def test_hermitian_part_decides_the_threshold_as_the_checks(exponent):
     assert outcome(checked_fold, above)[0] is NotHermitianError
     assert outcome(_hermitian_part, below) == outcome(checked_fold, below)
     assert outcome(_hermitian_part, above) == outcome(checked_fold, above)
+
+
+def _frame_operator_matrix():
+    rng = np.random.default_rng(11)
+    system = FrameSystem(random_complex(rng, 12, 6), shape=ModuleShape(2, 3))
+    return system.frame_op.mat
+
+
+def _view_into_a_block():
+    rng = np.random.default_rng(12)
+    block = np.stack([random_hermitian(rng, 5) for _ in range(3)])
+    block.setflags(write=False)
+    return block[1]
+
+
+def _real_array():
+    mat = random_hermitian(np.random.default_rng(13), 4).real.copy()
+    mat.setflags(write=False)
+    return mat
+
+
+def _nested_list():
+    return random_hermitian(np.random.default_rng(14), 3).tolist()
+
+
+@pytest.mark.parametrize("make", [_frame_operator_matrix, _view_into_a_block, _real_array,
+                                  _nested_list])
+def test_hermitian_eigen_never_writes_into_its_argument(make):
+    # Each array argument is read-only (the frame operator's by FrameSystem,
+    # the others by setflags), so a write raises; the list is compared whole.
+    argument = make()
+    before = copy.deepcopy(argument)
+    result = hermitian_eigen(argument)
+    fresh = hermitian_eigen(np.array(argument, dtype=complex))
+    if isinstance(argument, list):
+        assert argument == before
+    else:
+        assert not argument.flags.writeable
+        assert argument.tobytes() == before.tobytes()
+    for got, want in zip(result, fresh):
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------- psd_check
