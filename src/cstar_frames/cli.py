@@ -19,11 +19,14 @@ byte-identical JSON; a deviation slack or lowAlternate past the double
 range reads null.  The CSTAR_FRAMES_THREADS environment variable
 (a positive integer, default 1) is validated and echoed as "workers" in
 the weave report; enumeration runs on the calling thread whatever its value.
+In-process callers may call main(argv) repeatedly: the argument parser is
+built on the first call and kept for the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -444,6 +447,7 @@ def cmd_dual(args) -> dict:
 
 
 def build_parser() -> _Parser:
+    """A new parser for the command line; main parses with one kept per process."""
     parser = _Parser(prog="cstar-frames", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     # Options shared by subcommands: --format on all, --tol also on the analyses.
@@ -519,6 +523,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    # Parsing leaves a parser unchanged, so one serves every call of main;
+    # building it costs more than a small command.  It holds the cmd_*
+    # handlers bound when it was built, and they look up the helpers they
+    # call (load_frame, universal_bounds, ...) when they run.
+    return build_parser()
+
+
 def _render_text(report: dict, indent: int = 0) -> list[str]:
     lines = []
     pad = "  " * indent
@@ -534,9 +547,12 @@ def _render_text(report: dict, indent: int = 0) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; may be called repeatedly in one process.
+
+    The parser is built on the first call and kept for the process.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         report = args.handler(args)
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

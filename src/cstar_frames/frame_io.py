@@ -336,13 +336,19 @@ def _layout(payload: dict) -> Iterator[str]:
     """
     if "vectors" not in payload:
         return iter((json.dumps(payload, sort_keys=True, indent=2) + "\n",))
+    raw = payload["vectors"]
     try:
-        values = np.asarray(payload["vectors"])
+        values = np.asarray(raw)
     except ValueError:  # numpy's message for a ragged list names no field
         raise ValueError("vectors: expected nested lists of one shape, every list at a "
                          "depth of one length") from None
     if values.dtype.kind not in "biuf":
         raise ValueError("vectors: every entry must be a real number in the double range")
+    # json.dumps writes an int or a bool as itself, not as its double.  A float
+    # array holds neither; a list that numpy cast to floats may hold both.
+    if values.dtype.kind != "f" or (not isinstance(raw, np.ndarray) and not all(
+            isinstance(entry, float) for entry in np.asarray(raw, dtype=object).flat)):
+        raise ValueError("vectors: every entry must be a double, not an integer or a boolean")
     values = values.astype(float, copy=False)
     if values.ndim == 0 or values.size == 0:
         raise ValueError("vectors: expected a nonempty list with no empty list inside")
@@ -374,8 +380,9 @@ def dumps_payload(payload: dict) -> str:
 
     The text is ``json.dumps(payload, sort_keys=True, indent=2) + "\n"``.  With
     ``indent`` the standard library runs its pure-Python encoder, so the
-    numbers of "vectors" (a nonempty list or array of finite doubles) are laid
-    out here instead: one template per vector, filled with ``'%r' % float``,
+    numbers of "vectors" (a nonempty list or array of finite doubles; integers
+    and booleans, which json.dumps writes as such, are refused) are laid out
+    here instead: one template per vector, filled with ``'%r' % float``,
     which is ``float.__repr__``, the function both standard encoders call.
     This is the join of the pieces that save_frame and save_partition stream
     to disk a slice of vectors at a time, so a file holds the same bytes.

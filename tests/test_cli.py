@@ -14,6 +14,7 @@ import pytest
 import cstar_frames
 from cstar_frames import cli
 from cstar_frames.cli import EXIT_CODES, main
+from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
 from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
@@ -790,3 +791,65 @@ def test_weave_text_report_lists_worst_partition(capsys, tmp_path):
     code, stdout, _ = run(capsys, "weave", str(a), str(b))
     assert code == 0
     assert "worstPartition: [1, 1, 1]" in stdout.splitlines()
+
+
+# ------------------------------------------------------ one parser per process
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """(parser, namespace) of each command line that main parses."""
+    calls = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        namespace = parse_args(self, *args, **kwargs)
+        calls.append((self, namespace))
+        return namespace
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    return calls
+
+
+def test_main_calls_share_one_parser(capsys, tmp_path, parsed):
+    path = write_onb(tmp_path / "onb.json")
+    run_json(capsys, "analyze", str(path))
+    run_json(capsys, "weave", str(path), str(path))
+    assert len(parsed) == 2
+    assert parsed[0][0] is parsed[1][0]
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_shared_parser_keeps_nothing_between_calls(capsys, tmp_path, parsed):
+    path = write_onb(tmp_path / "onb.json")
+    argv = ("analyze", str(path), "--xi", "1", "--eta", "0.5", "--alpha", "1")
+    cli._shared_parser.cache_clear()
+    first = run_json(capsys, *argv)
+    assert run(capsys, "analyze", str(path), "--tol", "-1")[0] == 4
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", "--help"])
+    assert exit_info.value.code == 0
+    capsys.readouterr()
+    again = run_json(capsys, *argv)
+    first.pop("timing")
+    again.pop("timing")
+    assert again == first
+    run_json(capsys, "weave", str(path), str(path))
+    assert vars(parsed[-2][1])["xi"] == 1.0
+    assert "xi" not in vars(parsed[-1][1])
+    assert len({id(parser) for parser, _ in parsed}) == 1
+
+
+def test_main_honours_load_frame_patched_after_first_call(capsys, tmp_path, monkeypatch):
+    path = write_onb(tmp_path / "onb.json")
+    run_json(capsys, "analyze", str(path))
+
+    def refuse(path):
+        raise FrameFileError(f"{path}: refused")
+
+    monkeypatch.setattr(cli, "load_frame", refuse)
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err == f"error: {path}: refused\n"

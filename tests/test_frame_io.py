@@ -652,7 +652,9 @@ def test_dumps_payload_rejects_empty_vectors():
         dumps_payload({"schema": "cstar-frames/1", "vectors": []})
 
 
-# Ragged one and two levels down, a string (numeric or not) and a complex entry.
+# Ragged one and two levels down, a string (numeric or not), a complex entry,
+# and integers or booleans, which json.dumps would write as such, in a list
+# (alone or cast to floats beside a double) or as an array.
 _MALFORMED_VECTORS = [
     pytest.param([[1.0], [2.0, 3.0]], "^vectors: expected nested lists of one shape",
                  id="ragged-depth-1"),
@@ -661,6 +663,12 @@ _MALFORMED_VECTORS = [
     pytest.param([[1.0, "a"]], "^vectors: every entry must be a real number", id="string"),
     pytest.param([[1.0, "1.5"]], "^vectors: every entry must be a real number", id="numeric-string"),
     pytest.param([[1.0, 1j]], "^vectors: every entry must be a real number", id="complex"),
+    pytest.param([[True, 1.0]], "^vectors: every entry must be a double", id="bool-beside-double"),
+    pytest.param([[1, 1.0]], "^vectors: every entry must be a double", id="int-beside-double"),
+    pytest.param([[1, 2]], "^vectors: every entry must be a double", id="ints"),
+    pytest.param(np.array([[True, False]]), "^vectors: every entry must be a double",
+                 id="bool-array"),
+    pytest.param(np.array([[1, 2]]), "^vectors: every entry must be a double", id="int-array"),
 ]
 
 
