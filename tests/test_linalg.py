@@ -343,6 +343,59 @@ def test_hermitian_part_decides_the_threshold_as_the_checks(exponent):
     assert outcome(_hermitian_part, above) == outcome(checked_fold, above)
 
 
+@settings(deadline=None)
+@given(st.integers(1, 8),
+       st.one_of(st.integers(-460, -440), st.integers(-30, 30), st.integers(440, 460)),
+       st.integers(0, 2**32 - 1))
+def test_hermitian_part_keeps_exactly_hermitian_input_as_the_checks_fold_it(size, exponent, seed):
+    # A + A* is Hermitian bit for bit, and 2^exponent takes ||M||_F^2 past both
+    # ends of the inlined range (2^-898, 2^902), where the halved path takes over.
+    rng = np.random.default_rng(seed)
+    raw = random_complex(rng, size, size)
+    mat = math.ldexp(1.0, exponent) * (raw + raw.conj().T)
+    assert outcome(_hermitian_part, mat) == outcome(checked_fold, mat)
+    if 2.0**-898 < np.vdot(mat, mat).real < 2.0**902:
+        assert _hermitian_part(mat, "where") is mat
+
+
+def test_eigensolvers_leave_an_exactly_hermitian_argument_alone():
+    # _hermitian_part hands such a matrix back as it is, so a kernel that wrote
+    # into its work array would write into the caller's.
+    raw = random_complex(np.random.default_rng(15), 5, 5)
+    mat = raw + raw.conj().T
+    before = mat.copy()
+    assert mat.flags.writeable
+    for kernel in KERNELS:
+        kernel(mat)
+        assert mat.tobytes() == before.tobytes(), kernel.__name__
+    mat.setflags(write=False)
+    for got, want in zip(hermitian_eigen(mat), hermitian_eigen(before)):
+        assert got.tobytes() == want.tobytes()
+
+
+def _odd_subnormal_entry():
+    mat = random_hermitian(np.random.default_rng(16), 4)
+    mat[0, 1] = mat[1, 0] = 3 * 5e-324  # M/2 rounds it to 2 * 5e-324
+    return mat
+
+
+def _underflowing_skew():
+    mat = random_hermitian(np.random.default_rng(17), 4)
+    mat[0, 1], mat[1, 0] = 2.0**-600, 0.0  # the skew's square is below 5e-324
+    return mat
+
+
+@pytest.mark.parametrize("make", [_odd_subnormal_entry, _underflowing_skew])
+def test_unfolded_edge_cases_keep_the_eigenvalues_of_the_fold(make):
+    # ||M - M*||_F^2 is 0, so M goes to LAPACK unchanged, though folding it
+    # would move an entry (by less than 2^-537); the spectrum does not move.
+    mat = make()
+    assert _hermitian_part(mat, "where") is mat
+    assert outcome(checked_fold, mat) != outcome(_hermitian_part, mat)
+    folded = np.linalg.eigh(checked_fold(mat, "where")).eigenvalues
+    assert hermitian_eigen(mat).eigenvalues.tobytes() == folded.tobytes()
+
+
 def _frame_operator_matrix():
     rng = np.random.default_rng(11)
     system = FrameSystem(random_complex(rng, 12, 6), shape=ModuleShape(2, 3))
