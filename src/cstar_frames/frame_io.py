@@ -6,11 +6,21 @@ bit-exactly, so parse(serialize(F)) reproduces F to the bit.  Written
 files are the canonical text json.dumps(payload, sort_keys=True,
 indent=2) plus a newline, produced without the standard library's
 pure-Python encoder: the numbers of "vectors" are laid out in one
-template per vector (see dumps_payload), and on load checked one list
-level at a time, then converted in one pass (see _decode_synthesis).
-Files are written as a stream of that text, a slice of vectors at a
-time, with LF line ends on every platform; every check runs before the
-file is opened, so a refused save leaves an existing file as it was.
+template per vector (see dumps_payload).  Files are written as a stream
+of that text, a slice of vectors at a time, with LF line ends on every
+platform; every check runs before the file is opened, so a refused save
+leaves an existing file as it was.
+
+A file is loaded in one of two ways, to the same frame.  When its bytes
+are ASCII with no backslash and its only "vectors" member is its last
+member, as in every file the package writes, "vectors" is read from its
+text (see _text_payload): the rest of the document is decoded with
+"vectors" cut out, the brackets and commas of "vectors" are checked
+against the nesting (N, n, d, d, 2) implies, and its numbers are decoded
+by one flat json.loads, with no nested list built.  Any other file, and
+any file that fails one of these checks, is read again and decoded whole,
+and its "vectors" list checked one level at a time (see
+_decode_synthesis), which names the position of a fault.
 
 Layout::
 
@@ -51,6 +61,8 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
+import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -115,25 +127,31 @@ def _entry_where(flat: int, shape: tuple[int, ...]) -> str:
     return f"{where} ({('re', 'im')[index[4]]})" if len(index) == 5 else where
 
 
-def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
-    """The synthesis matrix of a "vectors" list, checked one level at a time.
+def _decode_synthesis(raw: list | np.ndarray, shape: ModuleShape) -> np.ndarray:
+    """The synthesis matrix of "vectors", nested lists checked one level at a time.
 
     At each of the four list levels, the first item that is not a list of the
     expected length is named by its position; then the first non-finite number.
+    An (N, n, d, d, 2) float array, as _text_payload reads, has its levels already.
     """
     expected = (len(raw), shape.n, shape.d, shape.d, 2)
-    what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
-            "an [re, im] pair")
-    items = raw
-    for k in range(1, 5):
-        if set(map(type, items)) != {list} or set(map(len, items)) != {expected[k]}:
-            flat = next(i for i, item in enumerate(items)
-                        if not (isinstance(item, list) and len(item) == expected[k]))
-            raise FrameFileError(f"{_entry_where(flat, expected[:k])}: expected {what[k]}")
-        items = list(chain.from_iterable(items))
-    # Files the package writes hold floats only; _as_double marks any fault NaN or inf.
-    numbers = items if set(map(type, items)) == {float} else map(_as_double, items)
-    values = np.fromiter(numbers, float, len(items))
+    if isinstance(raw, np.ndarray):
+        _require(raw.dtype == float and raw.shape == expected,
+                 f"vectors: expected an array of doubles of shape {expected}")
+        items = values = raw.reshape(-1)
+    else:
+        what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
+                "an [re, im] pair")
+        items = raw
+        for k in range(1, 5):
+            if set(map(type, items)) != {list} or set(map(len, items)) != {expected[k]}:
+                flat = next(i for i, item in enumerate(items)
+                            if not (isinstance(item, list) and len(item) == expected[k]))
+                raise FrameFileError(f"{_entry_where(flat, expected[:k])}: expected {what[k]}")
+            items = list(chain.from_iterable(items))
+        # Files the package writes hold floats only; _as_double marks any fault NaN or inf.
+        numbers = items if set(map(type, items)) == {float} else map(_as_double, items)
+        values = np.fromiter(numbers, float, len(items))
     finite = np.isfinite(values)
     if not finite.all():
         flat = int(np.argmin(finite))
@@ -212,8 +230,8 @@ def frame_to_payload(
     return payload
 
 
-def payload_to_frame(payload) -> LoadedFrame:
-    """Parse and validate a frame payload (see the module docstring)."""
+def _decode_shape(payload) -> ModuleShape:
+    """The module shape of a frame payload, its schema checked first."""
     _require(isinstance(payload, dict), "top level: expected an object")
     _require(payload.get("schema") == FRAME_SCHEMA,
              f"unsupported schema {payload.get('schema')!r}; expected {FRAME_SCHEMA!r}")
@@ -223,14 +241,21 @@ def payload_to_frame(payload) -> LoadedFrame:
              and algebra["d"] >= 1, "algebra.d must be an integer >= 1")
     _require(isinstance(module, dict) and _is_int(module.get("n"))
              and module["n"] >= 1, "module.n must be an integer >= 1")
-    d = algebra["d"]
-    n = module["n"]
-    shape = ModuleShape(d=d, n=n)
+    return ModuleShape(d=algebra["d"], n=module["n"])
 
+
+def payload_to_frame(payload) -> LoadedFrame:
+    """Parse and validate a frame payload (see the module docstring).
+
+    "vectors" is the nested lists of a file, or the (N, n, d, d, 2) float
+    array they stand for.
+    """
+    shape = _decode_shape(payload)
     raw_vectors = payload.get("vectors")
-    _require(isinstance(raw_vectors, list) and len(raw_vectors) >= 1,
-             "vectors: expected a nonempty list")
-    refusal = _oversized(len(raw_vectors), d, n)
+    _require((isinstance(raw_vectors, list)
+              or isinstance(raw_vectors, np.ndarray) and raw_vectors.ndim == 5)
+             and len(raw_vectors) >= 1, "vectors: expected a nonempty list")
+    refusal = _oversized(len(raw_vectors), shape.d, shape.n)
     _require(refusal is None, f"vectors: {refusal}")
     synthesis = _decode_synthesis(raw_vectors, shape)
     try:
@@ -416,8 +441,85 @@ def _read_json(path: Path):
         raise FrameFileError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # the only other: an integer past int's digit limit
+        raise FrameFileError(f"invalid JSON: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from exc
     except RecursionError as exc:
         raise FrameFileError("invalid JSON: nested too deeply to decode") from exc
+
+
+# The bytes of JSON whitespace and of JSON numbers; what is left of "vectors"
+# without them is its skeleton of brackets and commas.
+_WHITESPACE = b" \t\n\r"
+_NOT_SKELETON = _WHITESPACE + b"0123456789+-.eE"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+_VECTORS_VALUE = re.compile(rb'"vectors"[ \t\n\r]*:[ \t\n\r]*\[')
+
+
+def _int_as_double(text: str) -> float:
+    return _as_double(int(text))
+
+
+def _skeleton(shape: tuple[int, ...]) -> bytes:
+    """The brackets and commas of a nested list of this shape."""
+    if not shape:
+        return b""
+    return b"[" + b",".join([_skeleton(shape[1:])] * shape[0]) + b"]"
+
+
+def _text_payload(data: bytes) -> dict | None:
+    """The payload of a frame file with "vectors" read from its text, or None.
+
+    Only for ASCII bytes with no backslash whose one "vectors" member is the
+    last: the rest of the document, "vectors" cut out for a null, must decode
+    to the shape of a frame; the brackets and commas of "vectors" must be the
+    skeleton of N vectors of that shape, N within the size limit; and the
+    numbers, brackets turned into spaces so that no two can run together, must
+    decode as one flat JSON list of finite numbers.  Anything else, a fault
+    included, returns None before a nested list exists, and the caller decodes
+    the file whole.  The numbers come back as the (N, n, d, d, 2) array of
+    their doubles, which payload_to_frame takes for the nested lists.
+    """
+    if not data.isascii() or b"\\" in data:
+        return None
+    key = data.find(b'"vectors"')
+    value = _VECTORS_VALUE.match(data, key) if key >= 0 else None
+    end = data.rfind(b"]")
+    # The tail holds no other member, and the head no other "vectors": a
+    # quote inside "vectors" would fail the skeleton.
+    if value is None or data[end + 1:].strip(_WHITESPACE) != b"}":
+        return None
+    start = value.end() - 1
+    try:
+        # Decoded as ASCII text: json.loads would take bytes with NULs for UTF-16.
+        payload = json.loads((data[:start] + b"null" + data[end + 1:]).decode("ascii"))
+        shape = _decode_shape(payload)
+    except (ValueError, RecursionError, FrameFileError):
+        return None
+    # Not a top-level key; or one vector past the size limit, whose skeleton
+    # is not to be built.
+    if "vectors" not in payload or _oversized(1, shape.d, shape.n):
+        return None
+    vector = _skeleton((shape.n, shape.d, shape.d, 2))
+    skeleton = data.translate(None, _NOT_SKELETON)
+    lead = len(data[:start].translate(None, _NOT_SKELETON))
+    # N vectors are "[" + N vector skeletons joined by "," + "]", and the tail is "}".
+    count, rest = divmod(len(skeleton) - lead - 2, len(vector) + 1)
+    if (rest or _oversized(count, shape.d, shape.n)
+            or skeleton[lead:-1] != b"[" + b",".join([vector] * count) + b"]"):
+        return None
+    # One expression, so that at most three copies of the file's size are alive at once.
+    text = "[" + str(memoryview(data.translate(_BRACKETS_TO_SPACES))[start + 1:end], "ascii") + "]"
+    try:
+        # Every number a float, an integer as _as_double has it: no per-item type check.
+        numbers = json.loads(text, parse_int=_int_as_double)
+    except ValueError:  # not one number between each two commas, or a too long integer
+        return None
+    values = np.fromiter(numbers, float, len(numbers))
+    if not np.isfinite(values).all():
+        return None
+    payload["vectors"] = values.reshape(count, shape.n, shape.d, shape.d, 2)
+    return payload
 
 
 @contextmanager
@@ -425,8 +527,8 @@ def _loading(path: Path):
     """Name `path` in every FrameFileError, with the cyclic collector paused.
 
     Decoded JSON holds no cycles, but its many lists set off collections that
-    free nothing.  The collector resumes only if it ran on entry; each loader
-    decodes and checks in one expression, so the tree is freed before it does.
+    free nothing.  The collector resumes only if it ran on entry; the loaders
+    drop every decoded tree before it does.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -440,10 +542,19 @@ def _loading(path: Path):
 
 
 def load_frame(path) -> LoadedFrame:
-    """Read and validate a frame file; parse errors carry line and column."""
+    """Read and validate a frame file; parse errors carry line and column.
+
+    "vectors" is read from the file's text when _text_payload can; otherwise,
+    and for every fault, the file is read again and decoded whole, and its
+    "vectors" checked level by level.
+    """
     path = Path(path)
     with _loading(path):
-        return payload_to_frame(_read_json(path))
+        try:
+            payload = _text_payload(path.read_bytes())
+        except OSError:
+            payload = None  # _read_json raises it again, with its message
+        return payload_to_frame(payload if payload is not None else _read_json(path))
 
 
 def partition_to_payload(partition: Partition, families: int,

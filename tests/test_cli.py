@@ -482,6 +482,21 @@ def test_analyze_huge_entry_exit_0(capsys, tmp_path):
     assert dec["allPartsHold"] is True
 
 
+# json.loads refuses an integer past int's digit limit with a plain ValueError.
+@pytest.mark.parametrize("where", ["vectors", "algebra.d"])
+def test_analyze_long_integer_exit_2(capsys, tmp_path, where):
+    long_integer = "1" * 5000
+    vectors = long_integer if where == "vectors" else "1.0"
+    d = long_integer if where == "algebra.d" else "1"
+    path = tmp_path / "long.json"
+    path.write_text('{"algebra": {"d": %s}, "module": {"n": 1}, "schema": "cstar-frames/1", '
+                    '"vectors": [[[[[%s, 0.0]]]]]}' % (d, vectors))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}: invalid JSON: an integer has more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
+
+
 def test_deviation_witness_with_cancellation_exit_0(capsys, tmp_path):
     # At eta = 1e5 the witness c^2 T T* - (alpha - T)(alpha - T)* cancels to
     # far below its terms, whose rounding is not symmetric at dim 6.

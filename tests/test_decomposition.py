@@ -424,11 +424,9 @@ def _near_threshold_frame_against_itself():
     return base, base, 0.0, 0.0
 
 
-# sigma_min(T) is read off eigh(T* T), which squares S = X* X once more: at
-# lambda_min / lambda_max of 1e-8 and below the estimate L can exceed the optimal
-# lower bound itself (1.28e-8 against 1.00e-8 for the explicit example, mu = 0).
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="frame_lower_bound overestimates L near the frame threshold")
+# The explicit example sits at lambda_min / lambda_max = 5e-9: read off eigh(T* T),
+# which squares S = X* X once more, sigma_min(T) would put the estimate L above
+# the optimal lower bound itself (1.28e-8 against 1.00e-8, mu = 0).
 @settings(deadline=None, max_examples=300)
 @given(perturbed_frames())
 @example(_near_threshold_frame_against_itself())

@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,6 +23,7 @@ from cstar_frames.cli import main
 from cstar_frames.constructors import ScalarProfile, profile_frame, repetition_frame
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import (
+    FRAME_SCHEMA,
     dumps_payload,
     frame_to_payload,
     load_frame,
@@ -924,3 +926,264 @@ def test_size_limit_admits_the_largest_benchmark_frame(tmp_path):
     path = tmp_path / "tall.json"
     save_frame(path, FrameSystem(np.ones((1064, 64)), shape=ModuleShape(1, 64)))
     assert load_frame(path).system.synthesis.shape == (1064, 64)
+
+
+# A JSON integer longer than int's digit limit: json.loads raises a plain
+# ValueError for it, wherever it sits.
+
+_LONG_INTEGER = "1" * 5000
+
+
+def _long_integer_message(path):
+    return f"{path}: invalid JSON: an integer has more than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("field", ["vectors", "algebra.d"])
+def test_long_integer_in_frame_file_rejected(tmp_path, field):
+    payload = _vectors_payload()
+    payload["vectors"][1][0][0][0][0] = 0.125
+    old = "0.125" if field == "vectors" else '"d": 2'
+    new = _LONG_INTEGER if field == "vectors" else f'"d": {_LONG_INTEGER}'
+    path = tmp_path / "long.json"
+    path.write_text(dumps_payload(payload).replace(old, new, 1))
+    with pytest.raises(FrameFileError) as info:
+        load_frame(path)
+    assert str(info.value) == _long_integer_message(path)
+
+
+def test_long_integer_in_partition_file_rejected(tmp_path):
+    path = tmp_path / "part.json"
+    save_partition(path, Partition((1, 2)), 2)
+    path.write_text(path.read_text().replace('"families": 2', f'"families": {_LONG_INTEGER}'))
+    with pytest.raises(FrameFileError) as info:
+        load_partition(path)
+    assert str(info.value) == _long_integer_message(path)
+
+
+# load_frame reads "vectors" from the text of a file when it can, and decodes
+# any other file whole, as the reference below does.  Both must give the same
+# frame, bit for bit, or the same message.
+
+def _walk(path):
+    """load_frame with the whole file decoded and its "vectors" checked level by level."""
+    with frame_io._loading(path):
+        return payload_to_frame(frame_io._read_json(path))
+
+
+def _outcome(load, path):
+    try:
+        loaded = load(path)
+    except FrameFileError as exc:
+        return str(exc)
+    certificate = loaded.certificate
+    return (loaded.system.shape, loaded.system.synthesis.view(np.uint64).tobytes(),
+            None if certificate is None else (certificate.xi, certificate.alphas.tobytes()),
+            loaded.scenario)
+
+
+def _takes_text_path(path) -> bool:
+    return frame_io._text_payload(path.read_bytes()) is not None
+
+
+# Up to 1e150, so that X* X stays finite, with the edges drawn often; one entry
+# of +-1e308, whose X* X overflows, goes into a quarter of the frames.
+_file_numbers = st.one_of(
+    st.floats(min_value=-1e150, max_value=1e150),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1e-308, -1e-308]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@st.composite
+def frame_texts(draw):
+    """A frame file's text: d 1-3, n 1-4, N 1-6, finite doubles and JSON integers."""
+    d, n, count = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    size = count * n * d * d * 2
+    numbers = draw(st.lists(_file_numbers, min_size=size, max_size=size))
+    if draw(st.integers(0, 3)) == 0:
+        numbers[draw(st.integers(0, size - 1))] = draw(st.sampled_from([1e308, -1e308]))
+    numbers = iter(numbers)
+    vectors = [[[[[next(numbers), next(numbers)] for _ in range(d)] for _ in range(d)]
+                 for _ in range(n)] for _ in range(count)]
+    payload = {"schema": FRAME_SCHEMA, "algebra": {"d": d}, "module": {"n": n},
+               "vectors": vectors}
+    indent = draw(st.sampled_from([2, None]))
+    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(frame_texts())
+def test_text_path_gives_the_frame_of_the_decoded_payload(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        path.write_text(text)
+        assert _takes_text_path(path)
+        try:
+            expected = payload_to_frame(json.loads(text)).system.synthesis
+        except FrameFileError as exc:  # X* X past the double range
+            with pytest.raises(FrameFileError) as info:
+                load_frame(path)
+            assert str(info.value) == f"{path}: {exc}"
+            return
+        actual = load_frame(path).system.synthesis
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+def _written_frame_payload():
+    system, cert = profile_frame(ScalarProfile("gaussian", xi=1.0, c=1.0), ModuleShape(2, 3))
+    return frame_to_payload(system, cert, _SCENARIO)
+
+
+def _vectors_first(payload):
+    return json.dumps({"vectors": payload["vectors"], **payload}, indent=2)
+
+
+def _nested_vectors(payload):
+    return _canonical({**payload, "scenario": {**payload["scenario"],
+                                               "vectors": payload["vectors"]}})
+
+
+def _duplicate_vectors(payload):
+    return _canonical(payload).replace("{\n", '{\n  "vectors": [],\n', 1)
+
+
+def _negative_zero_integers(payload):
+    # Every 0.0 on a line of its own, certificate alphas included, as the integer -0.
+    return re.sub(r"(?m)^( +)0\.0(,?)$", r"\1-0\2", _canonical(payload))
+
+
+# Each non-canonical copy of a written frame, and whether load_frame reads its
+# "vectors" from the text.
+_COPIES = {
+    "canonical": (_canonical, True),
+    "minified": (lambda p: json.dumps(p, sort_keys=True, separators=(",", ":")), True),
+    "crlf": (lambda p: _canonical(p).replace("\n", "\r\n"), True),
+    "negative-zero-integers": (_negative_zero_integers, True),
+    "vectors-first": (_vectors_first, False),
+    "escaped-key": (lambda p: _canonical(p).replace('"vectors"', '"vect\\u006frs"'), False),
+    "nested-vectors": (_nested_vectors, False),
+    "duplicate-vectors": (_duplicate_vectors, False),
+    "trailing-text": (lambda p: _canonical(p) + "x", False),
+    "bom": (lambda p: "\ufeff" + _canonical(p), False),
+}
+
+
+@pytest.mark.parametrize("copy_kind", list(_COPIES))
+def test_non_canonical_copies_load_as_the_walk_does(tmp_path, copy_kind):
+    render, text_path = _COPIES[copy_kind]
+    path = tmp_path / "frame.json"
+    path.write_bytes(render(_written_frame_payload()).encode())
+    assert _takes_text_path(path) is text_path
+    expected = _outcome(_walk, path)
+    assert _outcome(load_frame, path) == expected
+    if copy_kind in ("trailing-text", "bom"):
+        assert isinstance(expected, str) and "invalid JSON" in expected
+    else:
+        assert expected == _outcome(load_frame, _canonical_copy(tmp_path))
+
+
+def _canonical_copy(tmp_path):
+    path = tmp_path / "canonical.json"
+    path.write_text(_canonical(_written_frame_payload()))
+    return path
+
+
+def test_package_written_files_take_the_text_path(tmp_path, capsys, monkeypatch):
+    files = [path for path in _construct_and_dual(tmp_path) if "partition" not in path.name]
+    capsys.readouterr()
+    # As the benchmark writes its inputs: json.dumps with indent=2, no certificate.
+    rng = np.random.default_rng(3)
+    plain = frame_to_payload(random_system(rng, ModuleShape(2, 4), 6))
+    bench = tmp_path / "bench.json"
+    bench.write_text(_canonical(plain))
+    files.append(bench)
+
+    big = tmp_path / "repetition.json"
+    save_frame(big, *repetition_frame(ModuleShape(1, 64), {5: 1001}))
+    files.append(big)
+
+    def refuse(path):
+        raise AssertionError(f"{path.name} decoded whole")
+
+    monkeypatch.setattr(frame_io, "_read_json", refuse)
+    for path in files:
+        assert _takes_text_path(path), path.name
+        load_frame(path)
+    assert len(files) == 11
+
+
+# Faulty copies of a minified frame file: each must take the walk and get its
+# message.  The first keeps the count of brackets and commas but not their
+# order; the rest keep both.  Read with whitespace or brackets deleted, the
+# next three would pass as another number.
+
+def _swap(old, new):
+    return lambda text: text.replace(old, new, 1)
+
+
+_FAULTY_COPIES = {
+    "bracket-moved": lambda text: text.replace("],[", ",[", 1).replace("]]", "]]]", 1),
+    "space-inside-a-number": _swap("0.125", "0.1 25"),
+    "number-before-a-bracket": _swap('"vectors":[[', '"vectors":[5['),
+    "number-after-a-bracket": _swap("],", "]5,"),
+    "empty-entry": _swap("0.125", ""),
+    "plus-sign": _swap("0.125", "+0.125"),
+    "hexadecimal": _swap("0.125", "0x1"),
+    "past-the-double-range": _swap("0.125", "1E999"),
+    "nan": _swap("0.125", "NaN"),
+    "infinity": _swap("0.125", "-Infinity"),
+    "boolean": _swap("0.125", "true"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTY_COPIES))
+def test_faulty_copies_get_the_walks_message(tmp_path, fault):
+    payload = _vectors_payload()
+    payload["vectors"][1][0][0][0][0] = 0.125
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    path = tmp_path / "frame.json"
+    path.write_text(_FAULTY_COPIES[fault](text))
+    assert not _takes_text_path(path)
+    expected = _outcome(_walk, path)
+    assert isinstance(expected, str)
+    assert _outcome(load_frame, path) == expected
+
+
+# payload_to_frame takes "vectors" as the float array _text_payload reads too.
+
+def test_payload_vectors_as_an_array():
+    payload = _vectors_payload()
+    array = np.array(payload["vectors"])
+    expected = payload_to_frame(payload).system.synthesis
+    assert payload_to_frame({**payload, "vectors": array}).system.synthesis.tobytes() == \
+        expected.tobytes()
+    for wrong in (array[:, :1], array.astype(int)):
+        with pytest.raises(FrameFileError, match=r"^vectors: expected an array of doubles "
+                                                 r"of shape \(3, 2, 2, 2, 2\)$"):
+            payload_to_frame({**payload, "vectors": wrong})
+    with pytest.raises(FrameFileError, match="^vectors: expected a nonempty list$"):
+        payload_to_frame({**payload, "vectors": array[0]})
+    array[1, 0, 1, 0, 1] = math.inf
+    with pytest.raises(FrameFileError, match=r"^vector 2, block 1, row 2, column 1 \(im\): "
+                                             r"number must be finite$"):
+        payload_to_frame({**payload, "vectors": array})
+
+
+def test_oversized_frame_file_refused_without_building_its_skeleton(tmp_path):
+    # One vector of n = 10^6 would have a skeleton of 8 MB, and its X* X 10^12 entries.
+    n = 10**6
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"algebra": {"d": 1}, "module": {"n": n},
+                                "schema": "cstar-frames/1", "vectors": [[[[[1.0, 0.0]]]]]}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameFileError) as info:
+            load_frame(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == (f"{path}: vectors: a frame of 1 vectors with n = {n}, d = 1 "
+                               f"has {n * n} entries, above the limit {MAX_FRAME_ENTRIES}")
+    assert peak < 1_000_000, peak
