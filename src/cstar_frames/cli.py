@@ -433,9 +433,12 @@ def cmd_dual(args) -> dict:
     bounds = optimal_bounds(system, args.tol)
     dual = dual_frame(system, args.tol)
     # A certificate that barely clears the file tolerance can still be
-    # numerically singular; in that case the dual is written without one.
+    # numerically singular, or its dual miss the computed dual by more than
+    # the loader takes; in either case the dual is written without one.
     cert = loaded.certificate
     dual_cert = cert.dual(args.tol) if cert is not None else None
+    if dual_cert is not None and dual_cert.drift(dual) > DEFAULT_TOL:
+        dual_cert = None
     save_frame(args.out, dual, dual_cert)
     dual_bounds = optimal_bounds(dual, args.tol)
     return {

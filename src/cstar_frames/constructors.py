@@ -193,6 +193,10 @@ class CompactTightCert:
         """The certified frame operator K + xi * I."""
         return eigenprofile_operator(self.alphas + self.xi, self.shape).mat
 
+    def drift(self, system: FrameSystem) -> float:
+        """How far K + xi * I misses the frame operator S of `system`, relative to S."""
+        return relative_drift(frame_operator(system).mat, self.operator_matrix())
+
     def dual(self, tol: float = DEFAULT_TOL) -> CompactTightCert | None:
         """Certificate of S^-1 = T + xi^-1 I, in the scalar form of dual_decomposition.
 
@@ -240,7 +244,7 @@ def profile_frame(
     cert = CompactTightCert(shape, profile.xi, profile=profile,
                             permutation=tuple(range(1, count + 1)))
     if count == shape.n:
-        drift = relative_drift(cert.operator_matrix(), frame_operator(system).mat)
+        drift = cert.drift(system)
         if drift > ROUNDING_RTOL:
             raise AssertionError(f"constructed frame operator misses its certificate by "
                                  f"{drift:.3e} (relative)")

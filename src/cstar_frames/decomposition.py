@@ -34,6 +34,7 @@ from .frames import FrameSystem, frame_operator, optimal_bounds
 from .linalg import (
     DEFAULT_TOL,
     ROUNDING_RTOL,
+    _fold,
     _scaled_down,
     frobenius,
     hermitian_eigen,
@@ -80,18 +81,10 @@ class ShiftDecomposition:
         return cls(xi=float(xi), remainder=remainder, source=source)
 
 
-def _folded(mat: np.ndarray) -> np.ndarray:
-    """(M + M*)/2, halved first so that the sum cannot overflow.
-
-    T is folded before its eigensolves: the rounding asymmetry it inherits
-    from S may dwarf it."""
-    half = mat / 2.0
-    return half + half.conj().T
-
-
 def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, float]:
     """Whether lambda_min(T) >= -tol * max(||T||, |xi|) (S's and xi's size), and lambda_min(T)."""
-    spectrum = hermitian_eigen(_folded(dec.remainder.mat)).eigenvalues
+    # T is folded: the rounding asymmetry it inherits from S may dwarf it.
+    spectrum = hermitian_eigen(_fold(dec.remainder.mat)).eigenvalues
     smallest, largest = float(spectrum[0]), float(spectrum[-1])
     return smallest >= -tol * max(-smallest, largest, abs(dec.xi)), smallest
 
@@ -225,7 +218,7 @@ def deviation_certificate(
     witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
     # The two products round asymmetrically and can cancel to far below
     # their own size, past the Hermitian check of hermitian_eigen; fold first.
-    least = float(hermitian_eigen((witness + witness.conj().T) / 2.0).eigenvalues[0])
+    least = float(hermitian_eigen(_fold(witness)).eigenvalues[0])
     size = max(frobenius(mat), abs(level)) ** 2  # alpha I - M may cancel: not its size
     return DeviationCertificate(
         alpha=float(alpha),
@@ -340,7 +333,7 @@ def frame_lower_bound(
         raise ValueError("eta must be nonnegative")
     # _remainder_positive below solves the same fold; one shared spectrum would
     # change the eigensolve counts that the benchmark pins per command.
-    sharpest = float(np.abs(hermitian_eigen(_folded(dec.remainder.mat)).eigenvalues).min())
+    sharpest = float(np.abs(hermitian_eigen(_fold(dec.remainder.mat)).eigenvalues).min())
     if rho is None:
         rho = sharpest
     elif rho < 0:

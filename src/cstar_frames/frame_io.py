@@ -48,7 +48,7 @@ no closed-form profile (repetition frames, canonical duals); it may be
 left out when a profile is given, and is then derived from the profile
 (see CompactTightCert).  A present certificate is validated against the
 vectors on load: the frame operator must match alphas + xi * I within
-DEFAULT_TOL relative to its Frobenius norm.
+DEFAULT_TOL relative to its Frobenius norm (CompactTightCert.drift).
 
 Partition files are a small companion format::
 
@@ -65,7 +65,7 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -73,8 +73,8 @@ import numpy as np
 
 from .constructors import CompactTightCert, ScalarProfile
 from .errors import FrameFileError
-from .frames import FrameSystem, _oversized, frame_operator
-from .linalg import DEFAULT_TOL, relative_drift
+from .frames import FrameSystem, _oversized
+from .linalg import DEFAULT_TOL
 from .module_space import ModuleShape
 from .weaving import Partition
 
@@ -180,12 +180,7 @@ def _decode_profile(payload, where: str) -> ScalarProfile:
 
 
 def _encode_profile(profile: ScalarProfile) -> dict:
-    out = {"kind": profile.kind, "xi": profile.xi, "c": profile.c}
-    if profile.r is not None:
-        out["r"] = profile.r
-    if profile.p is not None:
-        out["p"] = profile.p
-    return out
+    return {name: value for name, value in asdict(profile).items() if value is not None}
 
 
 def _payload(
@@ -288,22 +283,16 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
              f"{where}.permutation: expected a list of integers")
     shape = system.shape
     alphas = raw.get("alphas")
-    if alphas is None:
-        _require(profile is not None,
-                 f"{where}: needs 'alphas' when no profile is given")
-        for direction in permutation:
-            _require(1 <= direction <= shape.n,
-                     f"{where}.permutation: direction {direction} outside 1..{shape.n}")
-    else:
+    if alphas is not None:
         _require(isinstance(alphas, list) and len(alphas) == shape.n,
                  f"{where}.alphas: expected {shape.n} numbers")
         alphas = [_as_finite_float(a, f"{where}.alphas[{i}]")
                   for i, a in enumerate(alphas)]
-    try:
+    try:  # CompactTightCert refuses a missing alphas and a permutation outside 1..n
         cert = CompactTightCert(shape, xi, alphas, profile, tuple(permutation))
     except ValueError as exc:
         raise FrameFileError(f"{where}: {exc}") from exc
-    drift = relative_drift(frame_operator(system).mat, cert.operator_matrix())
+    drift = cert.drift(system)
     if drift > DEFAULT_TOL:
         raise FrameFileError(f"{where}: does not validate against the vectors; relative "
                              f"frame operator drift {drift:.3e} exceeds {DEFAULT_TOL:.0e}")
@@ -460,13 +449,6 @@ def _int_as_double(text: str) -> float:
     return _as_double(int(text))
 
 
-def _skeleton(shape: tuple[int, ...]) -> bytes:
-    """The brackets and commas of a nested list of this shape."""
-    if not shape:
-        return b""
-    return b"[" + b",".join([_skeleton(shape[1:])] * shape[0]) + b"]"
-
-
 def _text_payload(data: bytes) -> dict | None:
     """The payload of a frame file with "vectors" read from its text, or None.
 
@@ -500,7 +482,8 @@ def _text_payload(data: bytes) -> dict | None:
     # is not to be built.
     if "vectors" not in payload or _oversized(1, shape.d, shape.n):
         return None
-    vector = _skeleton((shape.n, shape.d, shape.d, 2))
+    template = _number_template((shape.n, shape.d, shape.d, 2), 0)  # the writer's, for one vector
+    vector = template.encode().translate(None, b"%r" + _WHITESPACE)  # its brackets and commas
     skeleton = data.translate(None, _NOT_SKELETON)
     lead = len(data[:start].translate(None, _NOT_SKELETON))
     # N vectors are "[" + N vector skeletons joined by "," + "]", and the tail is "}".

@@ -9,12 +9,12 @@ checked against in the tests (Jacobi is the more accurate of the two on
 graded matrices; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
 
 Near-Hermitian input is folded to its Hermitian part ``(M + M*)/2``
-before either kernel runs (halved first, ``M/2 + M*/2``, where
-``||M||_F^2`` is near either end of the double range, so that the sum
-cannot overflow); input that is Hermitian bit for bit goes to the kernel
-as it is.  Asymmetry beyond ``DEFAULT_TOL`` (relative Frobenius) is an
-error rather than something to fix silently, so that assembly bugs
-surface where they happen.
+before either kernel runs; input that is Hermitian bit for bit goes to the
+kernel as it is.  Asymmetry beyond ``DEFAULT_TOL`` (relative Frobenius) is
+an error rather than something to fix silently, so that assembly bugs
+surface where they happen.  Every fold in the package but the hot path of
+that check is :func:`_fold`, which halves first, ``M/2 + (M/2)*``, so that
+the sum cannot overflow.
 
 The package's whole tolerance policy is the two constants below, each
 times the size of what a decision was computed from, never an absolute
@@ -95,6 +95,12 @@ def relative_drift(reference, other, *operands) -> float:
     return math.sqrt(drift / size)
 
 
+def _fold(mat) -> np.ndarray:
+    """The Hermitian part (M + M*)/2, taken as M/2 + (M/2)* so that the sum cannot overflow."""
+    half = mat * 0.5
+    return half + half.conj().T
+
+
 def require_square(mat: np.ndarray, where: str) -> None:
     if mat.shape[0] != mat.shape[1]:
         raise NotSquareError(
@@ -162,8 +168,8 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
 
     A returned M differs from the fold only where the fold would move an entry
     by less than 2^-537: a zero's sign, an odd subnormal entry, or a skew whose
-    square underflows.  Outside the range the halves M/2 and M*/2 are folded
-    (6 operations too) and relative_drift rescales.  On a weave whose 16388
+    square underflows.  Outside the range the defect is relative_drift(M, M*),
+    which rescales, and the fold is _fold.  On a weave whose 16388
     eigensolves of 7 x 7 operators are all Hermitian bit for bit, the shortcut
     takes 14-15% off the cycle.
     """
@@ -181,11 +187,8 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
         folded = mat + adjoint  # every |entry| < 2^451, so the sum cannot overflow
         folded *= 0.5
         return folded
-    half = mat * 0.5  # exact for normal numbers, and M + M* may overflow
-    adjoint = half.conj().T
-    _require_defect_within_tol(relative_drift(half, adjoint), where)
-    half += adjoint
-    return half
+    _require_defect_within_tol(relative_drift(mat, mat.conj().T), where)
+    return _fold(mat)  # M + M* may overflow here
 
 
 def _require_defect_within_tol(defect: float, where: str) -> None:
@@ -242,8 +245,7 @@ def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
     require_square(mat, "psd_check")
     if tol < 0:
         raise ValueError("psd_check: tolerance must be nonnegative")
-    mat *= 0.5
-    low, high = hermitian_eigen(mat + mat.conj().T).eigenvalues[[0, -1]]
+    low, high = hermitian_eigen(_fold(mat)).eigenvalues[[0, -1]]
     return bool(low >= -tol * max(-low, high))
 
 
@@ -292,8 +294,7 @@ def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
         inv = (vecs / result.eigenvalues) @ vecs.conj().T
     if not np.isfinite(inv).all():
         raise OverflowError(f"hermitian_inverse: 1 / {smallest:.3e} overflows a double")
-    inv *= 0.5
-    return inv + inv.conj().T
+    return _fold(inv)
 
 
 def psd_sqrt(matrix) -> np.ndarray:
@@ -309,5 +310,4 @@ def psd_sqrt(matrix) -> np.ndarray:
                           f"-{DEFAULT_TOL:.0e} times the largest |eigenvalue|")
     clipped = np.clip(result.eigenvalues, 0.0, None)
     vecs = result.eigenvectors
-    root = (vecs * np.sqrt(clipped)) @ vecs.conj().T
-    return (root + root.conj().T) / 2.0
+    return _fold((vecs * np.sqrt(clipped)) @ vecs.conj().T)

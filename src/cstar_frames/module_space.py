@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import (DEFAULT_TOL, as_matrix, hermitian_eigen, operator_norm, psd_check,
+from .linalg import (DEFAULT_TOL, _fold, as_matrix, hermitian_eigen, operator_norm, psd_check,
                      relative_drift)
 
 #: Seed used by sampling probes when the caller does not supply one.
@@ -208,7 +208,6 @@ def cauchy_schwarz_probe(
         gap = inner_product(tx, tx) - bound * inner_product(x, x)
         # gap cancels to far below the size of its terms, and their rounding
         # is asymmetric; fold it before hermitian_eigen checks symmetry.
-        gap *= 0.5
-        top = float(hermitian_eigen(gap + gap.conj().T).eigenvalues[-1])
+        top = float(hermitian_eigen(_fold(gap)).eigenvalues[-1])
         worst = max(worst, top)
     return worst

@@ -14,9 +14,10 @@ import pytest
 import cstar_frames
 from cstar_frames import cli
 from cstar_frames.cli import EXIT_CODES, main
+from cstar_frames.constructors import CompactTightCert
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
-from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem
+from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem, frame_from_operator
 from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
 
 
@@ -323,6 +324,23 @@ def test_dual_reciprocal_bounds(capsys, tmp_path):
     assert loaded.certificate.xi == pytest.approx(1.0)
 
 
+def test_dual_drops_a_certificate_its_loader_would_refuse(capsys, tmp_path):
+    # S = diag(100, 1, 1, 1) + E, E = 5e-10 ||S||_F at (2, 3) and (3, 2): the
+    # certificate diag(100, 1, 1, 1) misses S by 7.1e-10 and loads, but its dual
+    # misses S^-1 by 4.1e-8, past the loader's DEFAULT_TOL = 1e-9.
+    shape = ModuleShape(1, 4)
+    operator = np.diag([100.0, 1.0, 1.0, 1.0])
+    operator[1, 2] = operator[2, 1] = 5e-10 * np.linalg.norm(operator)
+    source, out = tmp_path / "frame.json", tmp_path / "dual.json"
+    save_frame(source, frame_from_operator(operator, shape),
+               CompactTightCert(shape, 1.0, [99.0, 0.0, 0.0, 0.0]))
+    assert load_frame(source).certificate is not None
+    report = run_json(capsys, "dual", str(source), "--out", str(out))
+    assert report["certificateEmbedded"] is False
+    assert "certificate" not in json.loads(out.read_text())
+    run_json(capsys, "analyze", str(out))
+
+
 def test_dual_not_a_frame_exit_6(capsys, tmp_path):
     shape = ModuleShape(1, 2)
     save_frame(tmp_path / "thin.json",
@@ -330,6 +348,20 @@ def test_dual_not_a_frame_exit_6(capsys, tmp_path):
     code, _, err = run(capsys, "dual", str(tmp_path / "thin.json"),
                        "--out", str(tmp_path / "never.json"))
     assert code == 6
+
+
+def test_profile_certificate_permutation_outside_the_module_exit_2(capsys, tmp_path):
+    # With no alphas the permutation places the profile; CompactTightCert names its range.
+    path = tmp_path / "t4.json"
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", str(path))
+    payload = json.loads(path.read_text())
+    del payload["certificate"]["alphas"]
+    payload["certificate"]["permutation"] = [1, 2, 3, 5]
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert err == f"error: {path}: certificate: permutation entries must lie in 1..4\n"
 
 
 # ------------------------------------------------------------------- general

@@ -26,13 +26,15 @@ from cstar_frames.frames import (
     optimal_bounds,
     perturbation_distance,
 )
-from cstar_frames.linalg import DEFAULT_TOL, hermitian_eigen, psd_check
+from cstar_frames.linalg import DEFAULT_TOL, ROUNDING_RTOL, hermitian_eigen, psd_check, relative_drift
 from cstar_frames.constructors import ScalarProfile, eigenprofile_operator, profile_frame
 from cstar_frames.module_space import (
     ModuleOperator,
     ModuleShape,
     ModuleVector,
+    apply_operator,
     identity_operator,
+    module_norm,
     standard_basis,
 )
 
@@ -55,6 +57,25 @@ def unitary_conjugate(rng, eigenvalues):
     raw = random_complex(rng, n, n)
     q, _ = np.linalg.qr(raw)
     return (q * np.array(eigenvalues)) @ q.conj().T
+
+
+@st.composite
+def scaled_frames(draw, smallest=(1.0, 1e-1, 1e-2, 1e-4)):
+    """A frame X = 2^k U diag(s) V* in A^n, |k| <= 200, U and V random with orthonormal columns.
+
+    s_1 is one of `smallest` and the other singular values lie in [1, 2], so
+    lambda_min / lambda_max of S = X* X is at least about 2.5e-9.
+    """
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    count = n + draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = count * d, n * d
+    left, _ = np.linalg.qr(random_complex(rng, rows, cols))
+    right, _ = np.linalg.qr(random_complex(rng, cols, cols))
+    singular = rng.uniform(1.0, 2.0, cols)
+    singular[0] = draw(st.sampled_from(smallest))
+    scale = math.ldexp(1.0, draw(st.integers(-200, 200)))
+    return FrameSystem(scale * (left * singular) @ right.conj().T, shape=ModuleShape(d, n))
 
 
 # ------------------------------------------------------------ shift_decompose
@@ -167,6 +188,37 @@ def test_shift_below_lower_bound_stays_psd(rng):
         assert psd_check(dec.remainder.mat, 1e-9)
 
 
+@settings(deadline=None, max_examples=200)
+@given(scaled_frames(), st.one_of(st.floats(-1.0, 2.0), st.sampled_from((0.0, 1.0))))
+def test_diagnostics_implications_hold_on_every_frame(system, shift):
+    # xi = shift * A, A the optimal lower bound: shift 1 is the boundary of part 3.
+    lower = optimal_bounds(system).lower
+    xi = shift * lower
+    diag = decomposition_diagnostics(system, xi)
+    assert diag.all_hold
+    # The hypotheses and conclusions again, on numpy's spectra of S and T = S - xi*I.
+    spectrum = np.linalg.eigvalsh(system.frame_op.mat)
+    remainder = np.linalg.eigvalsh(system.frame_op.mat - xi * np.eye(system.shape.dim))
+    allowance = DEFAULT_TOL * max(spectrum[-1], abs(xi))
+    # 1. T positive and xi > 0: a frame with bounds xi <= A and B <= ||T|| + |xi|.
+    part = diag.frame_from_positivity
+    if xi > 0 and remainder[0] > allowance:
+        assert part.applicable
+    if part.applicable:
+        assert xi > 0 and remainder[0] >= -allowance
+        assert spectrum[0] >= xi - allowance
+        assert spectrum[-1] <= np.abs(remainder).max() + abs(xi) + allowance
+    # 2. T is self-adjoint and bounded, always.
+    part = diag.self_adjointness
+    assert part.applicable and part.holds and part.slack <= ROUNDING_RTOL
+    # 3. xi <= A: T is positive.
+    part = diag.positivity_from_lower_bound
+    assert part.applicable == (xi <= lower)
+    if part.applicable:
+        assert remainder[0] >= -allowance
+        assert part.slack >= -allowance
+
+
 # ---------------------------------------------------------- deviation witness
 
 def test_deviation_identity_zero_eta():
@@ -217,6 +269,54 @@ def test_deviation_unitary_invariant(rng):
         mat = unitary_conjugate(rng, values)
         cert = deviation_certificate(ModuleOperator(ModuleShape(1, 4), mat), alpha, eta)
         assert cert.holds
+
+
+@settings(deadline=None, max_examples=200)
+@given(scaled_frames(), st.floats(-1.0, 1.0), st.sampled_from((0.0, 0.5, 1.0, 3.0, 1e2, 1e4)),
+       st.one_of(st.floats(-0.5, 1.5), st.sampled_from((0.0, 1.0))), st.integers(0, 2**32 - 1))
+def test_deviation_certificate_decides_the_inequality_for_every_f(system, shift, eta, place,
+                                                                   seed):
+    # T = S - xi*I of a random frame, xi below the optimal lower bound, so T > 0.  The
+    # inequality holds on T's eigenvectors for alpha in [t_max (1 - c), t_min (1 + c)]
+    # (empty when t_max / t_min is large); alpha is at `place` across that window.
+    spectrum = np.linalg.eigvalsh(system.frame_op.mat)
+    xi = shift * spectrum[0]
+    T = shift_decompose(system, xi).remainder
+    csq = eta * eta / (1.0 + eta * eta)
+    c = math.sqrt(csq)
+    low, high = (spectrum[-1] - xi) * (1.0 - c), (spectrum[0] - xi) * (1.0 + c)
+    alpha = low + place * (high - low)
+    cert = deviation_certificate(T, alpha, eta)
+    size = max(np.linalg.norm(T.mat), abs(alpha)) ** 2
+
+    def excess(rep):
+        """||alpha f - T f||^2 - c^2 ||T f||^2 for the vector f with this representation."""
+        f = ModuleVector(T.shape, rep)
+        image = apply_operator(T, f)
+        return module_norm(alpha * f - image) ** 2 - csq * module_norm(image) ** 2
+
+    # The witness again, and the single-row vectors of its eigenvectors x: row 1 of rep(f)
+    # is x*, so the excess of f is -x* W x.
+    shifted = alpha * np.eye(T.shape.dim) - T.mat
+    witness = csq * (T.mat @ T.mat.conj().T) - shifted @ shifted.conj().T
+    _, vectors = np.linalg.eigh((witness + witness.conj().T) / 2.0)
+    single_rows = []
+    for vector in vectors.T:
+        rep = np.zeros((T.shape.d, T.shape.dim), dtype=complex)
+        rep[0] = vector.conj()
+        single_rows.append(rep)
+    if cert.holds:
+        # Sufficiency: X W X* >= lambda_min(W) X X*, so no f with ||f|| = 1 exceeds
+        # -lambda_min(W) <= DEFAULT_TOL * size, beyond rounding.
+        rng = np.random.default_rng(seed)
+        reps = [random_complex(rng, T.shape.d, T.shape.dim) for _ in range(4)]
+        for rep in single_rows + [rep / np.linalg.norm(rep, 2) for rep in reps]:
+            assert excess(rep) <= 2.0 * DEFAULT_TOL * size
+    else:
+        # Necessity, made constructive: the slack is below -DEFAULT_TOL * size, a
+        # million times rounding, and the lowest eigenvector's vector exceeds by it.
+        assert cert.slack < -DEFAULT_TOL * size
+        assert excess(single_rows[0]) >= -0.5 * cert.slack
 
 
 # ------------------------------------------------------- alignment predicates
@@ -497,6 +597,21 @@ def test_dual_decomposition_rejects_inconsistent_parts():
     source = identity_operator(shape, 1.0)
     with pytest.raises(InconsistentDecompositionError):
         dual_decomposition(1.0, compact, source)
+
+
+@settings(deadline=None, max_examples=200)
+@given(scaled_frames(smallest=(1.0, 1e-1)), st.floats(0.01, 2.0), st.booleans())
+def test_dual_decomposition_inverts_every_frame_operator(system, shift, negative):
+    # lambda_max / lambda_min of S is at most 400 here: the inverse's own rounding,
+    # about eps times that ratio, stays below ROUNDING_RTOL.
+    xi = (-shift if negative else shift) * optimal_bounds(system).lower
+    dec = shift_decompose(system, xi)
+    out = dual_decomposition(xi, dec.remainder, dec.source)
+    source = dec.source.mat
+    identity = np.eye(system.shape.dim)
+    # (T + xi^-1 I) S = T S + S / xi, judged at the size of the two terms that cancel to I.
+    product = (out.mat + identity / xi) @ source
+    assert relative_drift(identity, product, out.mat @ source, source / xi) <= ROUNDING_RTOL
 
 
 def test_drift_checks_hold_past_overflow():
