@@ -8,19 +8,20 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
        drift when it is read back)
     3  dimension mismatch between operands
     4  invalid flags, out-of-range values, an --out that cannot be written
-       (the message is the OS error), a frame too large to build, or a dual
-       or weaving operator past the double range
+       (the message is the OS error), a frame too large to build, or an
+       S - xi*I, a dual or a weaving operator past the double range
     5  partition enumeration cap exceeded
     6  input is not a frame
 
 Reports are printed as plain text or canonical JSON (sorted keys,
 two-space indent); apart from the "timing" field, identical inputs give
-byte-identical JSON; a deviation slack or lowAlternate past the double
-range reads null.  The CSTAR_FRAMES_THREADS environment variable
-(a positive integer, default 1) is validated and echoed as "workers" in
-the weave report; enumeration runs on the calling thread whatever its value.
-In-process callers may call main(argv) repeatedly: the argument parser is
-built on the first call and kept for the process.
+byte-identical JSON; a number past the double range reads null (None in
+text), so no report holds Infinity or NaN.  The CSTAR_FRAMES_THREADS
+environment variable (a positive integer, default 1) is validated and
+echoed as "workers" in the weave report; enumeration runs on the calling
+thread whatever its value.  In-process callers may call main(argv)
+repeatedly: the argument parser is built on the first call and kept for
+the process.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class UsageError(Exception):
 
 #: Exit code of each error that is reported without a traceback; no command
 #: handler catches an error to translate it.  OSError is an --out that cannot
-#: be written (reading a file reports FrameFileError), and OverflowError a dual
-#: or weaving operator past the double range.
+#: be written (reading a file reports FrameFileError), and OverflowError an
+#: S - xi*I, a dual or a weaving operator past the double range.
 EXIT_CODES = {FrameFileError: 2, ShapeMismatchError: 3, LengthMismatchError: 3,
               UsageError: 4, OSError: 4, OverflowError: 4,
               TooManyPartitionsError: 5, NotAFrameError: 6}
@@ -217,7 +218,7 @@ def cmd_analyze(args) -> dict:
                     "alpha": dev.alpha,
                     "eta": dev.eta,
                     "holds": dev.holds,
-                    "slack": dev.slack if math.isfinite(dev.slack) else None,
+                    "slack": dev.slack,
                 }
         report["decomposition"] = decomposition
     report["timing"] = {"seconds": time.perf_counter() - started}
@@ -352,12 +353,8 @@ def cmd_perturb(args) -> dict:
         low, high = predicted
         allowance = DEFAULT_TOL * high
         holds = (low - allowance <= actual.lower) and (actual.upper <= high + allowance)
-        try:
-            # Value of the flattened display form (L - mu)^2, reported alongside.
-            alternate = (est.value - mu) ** 2
-        except OverflowError:  # past the double range
-            alternate = None
-        report["predicted"] = {"low": low, "high": high, "lowAlternate": alternate}
+        gap = est.value - mu  # the flattened display form (L - mu)^2, reported alongside
+        report["predicted"] = {"low": low, "high": high, "lowAlternate": gap * gap}
         report["sandwich"] = {"applicable": True, "holds": holds}
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
@@ -535,6 +532,15 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+def _past_range_as_null(value):
+    """The report with every float past the double range (inf or NaN) as None."""
+    if isinstance(value, dict):
+        return {key: _past_range_as_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_past_range_as_null(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _render_text(report: dict, indent: int = 0) -> list[str]:
     lines = []
     pad = "  " * indent
@@ -556,7 +562,7 @@ def main(argv=None) -> int:
     """
     try:
         args = _shared_parser().parse_args(argv)
-        report = args.handler(args)
+        report = _past_range_as_null(args.handler(args))
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))

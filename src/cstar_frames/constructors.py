@@ -176,6 +176,10 @@ class CompactTightCert:
         alphas = derived if self.alphas is None else np.array(self.alphas, dtype=float)
         if alphas.shape != (n,) or not np.isfinite(alphas).all():
             raise ValueError(f"alphas must be {n} finite numbers")
+        with np.errstate(over="ignore"):  # checked just below
+            spectrum = alphas + self.xi
+        if not np.isfinite(spectrum).all():
+            raise ValueError(f"alphas + xi is past the double range at xi = {self.xi!r}")
         if self.profile is not None:
             drift = relative_drift(derived, alphas, self.xi)  # xi: l_k - xi may cancel
             if drift > DEFAULT_TOL:

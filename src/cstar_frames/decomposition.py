@@ -15,7 +15,8 @@ c = eta/sqrt(1+eta^2) and M = mat(T), it holds exactly when
 
 Necessity comes from vectors whose representation has a single nonzero
 row; sufficiency from the congruence X W X* of the PSD witness W.  No
-sampling over f is involved.
+sampling over f is involved.  T is self-adjoint, so W = c^2 M^2 - (alpha I - M)^2:
+the inequality is |alpha - t| <= c|t| for each eigenvalue t of T.
 
 From the split one also gets explicit frame-bound formulas: an upper
 bound ||T|| + |xi|, a lower bound sigma_min(T)/sqrt(1+eta^2) - |xi|, and
@@ -35,6 +36,7 @@ from .linalg import (
     DEFAULT_TOL,
     ROUNDING_RTOL,
     _fold,
+    _require_defect_within_tol,
     _scaled_down,
     frobenius,
     hermitian_eigen,
@@ -81,20 +83,26 @@ class ShiftDecomposition:
         return cls(xi=float(xi), remainder=remainder, source=source)
 
 
+def _spectrum(mat) -> np.ndarray:
+    """T's ascending eigenvalues, folded first: T's asymmetry from rounding S may dwarf T."""
+    return hermitian_eigen(_fold(mat)).eigenvalues
+
+
 def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, float]:
     """Whether lambda_min(T) >= -tol * max(||T||, |xi|) (S's and xi's size), and lambda_min(T)."""
-    # T is folded: the rounding asymmetry it inherits from S may dwarf it.
-    spectrum = hermitian_eigen(_fold(dec.remainder.mat)).eigenvalues
-    smallest, largest = float(spectrum[0]), float(spectrum[-1])
+    smallest, largest = _spectrum(dec.remainder.mat)[[0, -1]].tolist()
     return smallest >= -tol * max(-smallest, largest, abs(dec.xi)), smallest
 
 
 def shift_decompose(system: FrameSystem, xi: float) -> ShiftDecomposition:
     """Split the frame operator of `system` as (S - xi*I) + xi*I."""
     source = frame_operator(system)
-    dim = source.shape.dim
-    remainder = ModuleOperator(source.shape, source.mat - xi * np.eye(dim))
-    return ShiftDecomposition(xi=float(xi), remainder=remainder, source=source)
+    with np.errstate(over="ignore"):  # checked just below
+        mat = source.mat - xi * np.eye(source.shape.dim)
+    if not np.isfinite(mat).all():
+        raise OverflowError(f"S - xi*I is past the double range at xi = {xi!r}")
+    return ShiftDecomposition(xi=float(xi), remainder=ModuleOperator(source.shape, mat),
+                              source=source)
 
 
 @dataclass(frozen=True)
@@ -156,10 +164,9 @@ def decomposition_diagnostics(
 
     tmat = dec.remainder.mat
     defect = relative_drift(tmat, tmat.conj().T, dec.source.mat)
-    norm_t = operator_norm(tmat)
     part2 = PartCheck(
         applicable=True,
-        holds=(defect <= ROUNDING_RTOL) and math.isfinite(norm_t),
+        holds=(defect <= ROUNDING_RTOL) and math.isfinite(np.abs(_spectrum(tmat)).max()),
         slack=defect,
     )
 
@@ -180,8 +187,8 @@ def decomposition_diagnostics(
 class DeviationCertificate:
     """Outcome of the all-f relative deviation test at fixed (alpha, eta).
 
-    `slack` is the smallest eigenvalue of the PSD witness
-    c^2 M M* - (alpha I - M)(alpha I - M)*; the inequality holds iff the
+    `slack` is the smallest eigenvalue of the PSD witness c^2 M^2 - (alpha I - M)^2,
+    the least c^2 t^2 - (alpha - t)^2 over T's eigenvalues t; the inequality holds iff the
     slack is at least -DEFAULT_TOL * max(||M||_F, |alpha|)^2 (-inf: past the double range).
     """
 
@@ -206,20 +213,20 @@ def _eta_stretch(eta: float) -> float:
 def deviation_certificate(
     T: ModuleOperator, alpha: float, eta: float
 ) -> DeviationCertificate:
-    """Decide ||alpha f - T f|| <= eta/sqrt(1+eta^2) * ||T f|| for all f."""
+    """Decide ||alpha f - T f|| <= c ||T f|| for all f, c = eta/sqrt(1+eta^2): |alpha - t| <= c|t|
+    at each eigenvalue t of T.  NotHermitianError if T is not self-adjoint within DEFAULT_TOL
+    at the verdict's size max(||T||_F, |alpha|)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    # The witness squares M: take it on M/s and alpha/s, s a power of two, and
+    # The witness squares T: take it on T/s and alpha/s, s a power of two, and
     # scale its smallest eigenvalue back by s^2 (exact, unless that overflows).
     mat, scale = _scaled_down(T.mat, abs(alpha))
     level = alpha / scale
-    csq = _eta_fraction(eta)
-    shifted = level * np.eye(T.shape.dim) - mat
-    witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
-    # The two products round asymmetrically and can cancel to far below
-    # their own size, past the Hermitian check of hermitian_eigen; fold first.
-    least = float(hermitian_eigen(_fold(witness)).eigenvalues[0])
-    size = max(frobenius(mat), abs(level)) ** 2  # alpha I - M may cancel: not its size
+    _require_defect_within_tol(relative_drift(mat, mat.conj().T, level), "deviation_certificate")
+    t = _spectrum(mat)
+    reach, miss = math.sqrt(_eta_fraction(eta)) * np.abs(t), np.abs(level - t)
+    least = float(((reach - miss) * (reach + miss)).min())  # factored: no squares cancel
+    size = max(frobenius(mat), abs(level)) ** 2  # alpha - t may cancel: not its size
     return DeviationCertificate(
         alpha=float(alpha),
         eta=float(eta),
@@ -301,7 +308,7 @@ def alignment_agreement_probe(
 
 def bessel_bound(dec: ShiftDecomposition) -> float:
     """Upper frame bound ||T|| + |xi| implied by the decomposition."""
-    return operator_norm(dec.remainder.mat) + abs(dec.xi)
+    return float(np.abs(_spectrum(dec.remainder.mat)).max()) + abs(dec.xi)
 
 
 @dataclass(frozen=True)
@@ -331,9 +338,8 @@ def frame_lower_bound(
     """
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    # _remainder_positive below solves the same fold; one shared spectrum would
-    # change the eigensolve counts that the benchmark pins per command.
-    sharpest = float(np.abs(hermitian_eigen(_fold(dec.remainder.mat)).eigenvalues).min())
+    # _remainder_positive solves T again: the benchmark pins the eigensolves per command.
+    sharpest = float(np.abs(_spectrum(dec.remainder.mat)).min())
     if rho is None:
         rho = sharpest
     elif rho < 0:
@@ -385,11 +391,7 @@ def dual_decomposition(
     if xi == 0:
         raise ValueError("xi must be nonzero")
     require_same_shape(compact, source)
-    dim = source.shape.dim
-    drift = relative_drift(source.mat, compact.mat + xi * np.eye(dim), xi)
-    if drift > ROUNDING_RTOL:
-        raise InconsistentDecompositionError(f"source does not equal compact + xi*I; "
-                                             f"relative drift {drift:.3e}")
+    ShiftDecomposition(xi, compact, source)  # raises unless source = compact + xi*I
     inverse = hermitian_inverse(source.mat, tol)
     mat = -(1.0 / xi) * (compact.mat @ inverse)
     return ModuleOperator(source.shape, mat)

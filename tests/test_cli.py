@@ -186,6 +186,14 @@ def test_construct_t49_bad_profile_spec_message(capsys, tmp_path, spec, message)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_construct_t4_count_zero_exit_4(capsys, tmp_path):
+    code, stdout, err = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1",
+                            "--c", "1", "--n", "4", "--count", "0",
+                            "--out", str(tmp_path / "t4.json"))
+    assert (code, stdout, err) == (4, "", "error: count must be >= 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- perturb
 
 def test_perturb_equal_files(capsys, tmp_path):
@@ -780,6 +788,76 @@ def test_analyze_eta_past_double_range(capsys, tmp_path):
         assert decomposition["lowerBound"].pop("eta") == decomposition["deviation"].pop("eta")
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+def _strict_json(text):
+    """A report parsed as JSON proper: Infinity, -Infinity and NaN are refused."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,xi", [("analyze", "1e308"), ("perturb", "-1e308")])
+def test_bessel_bound_past_double_range_reads_null(capsys, tmp_path, command, xi):
+    # S - xi*I is finite, but ||S - xi*I|| + |xi| is about 2e308.
+    path = str(tmp_path / "t4.json")
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", path)
+    files = [path] if command == "analyze" else [path, path]
+    code, stdout, err = run(capsys, command, *files, f"--xi={xi}", "--format", "json")
+    assert (code, err) == (0, "")
+    report = _strict_json(stdout)
+    assert report.get("decomposition", report)["besselBound"] is None
+    code, stdout, err = run(capsys, command, *files, f"--xi={xi}")
+    assert (code, err) == (0, "")
+    assert re.search(r"^ *besselBound: None$", stdout, re.MULTILINE)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "perturb"])
+def test_shift_past_double_range_exit_4(capsys, tmp_path, command):
+    # S = 1e308, so S - xi*I = 2e308 at xi = -1e308.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                "module": {"n": 1}, "vectors": [[[[[1e154, 0.0]]]]]}))
+    files = [str(path)] * (1 if command == "analyze" else 2)
+    code, stdout, err = run(capsys, command, *files, "--xi=-1e308")
+    assert code == 4 and stdout == ""
+    assert err == "error: S - xi*I is past the double range at xi = -1e+308\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_past_double_range_exit_2(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "algebra": {"d": 1},
+        "certificate": {"alphas": [1e308], "permutation": [], "profile": None, "xi": 1e308},
+        "module": {"n": 1}, "schema": "cstar-frames/1", "vectors": [[[[[1.0, 0.0]]]]]}))
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert code == 2 and stdout == ""
+    assert err == (f"error: {path}: certificate: alphas + xi is past the double range "
+                   f"at xi = 1e+308\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_reports_past_double_range_are_strict_json(capsys, tmp_path):
+    # Every report field that leaves the double range reads null, none Infinity or NaN.
+    path = str(tmp_path / "t4.json")
+    run_json(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1",
+             "--n", "4", "--out", path)
+    for argv in (["analyze", path, "--xi", "1e160", "--eta", "0.5", "--alpha", "1"],
+                 ["analyze", path, "--xi", "1e308", "--eta", "1e300", "--alpha", "1e308"],
+                 ["perturb", path, path, "--xi=-1e308", "--eta", "1e300"]):
+        code, stdout, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+        _strict_json(stdout)
+
+
+def test_past_range_as_null_walks_the_whole_report():
+    report = {"a": math.inf, "b": [1.0, -math.inf, {"c": math.nan}], "d": True, "e": "x", "f": 2}
+    assert cli._past_range_as_null(report) == {"a": None, "b": [1.0, None, {"c": None}],
+                                               "d": True, "e": "x", "f": 2}
 
 
 # ------------------------------------------------- flag errors by message

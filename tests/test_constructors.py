@@ -1,6 +1,7 @@
 """Profile frames, eigenvalue-profile operators, repetitions, uniqueness."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ def test_profile_validation():
         ScalarProfile("gaussian", xi=1.0, c=1.0, p=2.0)
     with pytest.raises(ValueError):
         ScalarProfile("gaussian", xi=1.0, c=1.0).eval(0)
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: ScalarProfile("gaussian", xi=math.inf, c=1.0), "profile limit xi must be finite"),
+    (lambda: ScalarProfile("gaussian", xi=math.nan, c=1.0), "profile limit xi must be finite"),
+    (lambda: ScalarProfile("power", xi=1.0, c=1.0, p=2.0, r=0.5),
+     "ratio r only applies to geometric profiles, not 'power'"),
+    (lambda: ScalarProfile("gaussian", xi=1.0, c=1.0).prefix_min(0), "count must be >= 1"),
+    (lambda: profile_frame(ScalarProfile("gaussian", xi=1.0, c=1.0), ModuleShape(1, 3), count=0),
+     "count must be >= 1"),
+])
+def test_profile_refusals_name_their_cause(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 # ------------------------------------------------------------- profile frame
@@ -312,6 +327,44 @@ def test_uniqueness_requires_same_operator():
     )
     with pytest.raises(NotSameOperatorError):
         representation_unique(cert, other)
+
+
+def test_uniqueness_distinct_shifts_of_one_operator():
+    # diag(2, 1) as (1, 0) + 1 and as (1.5, 0.5) + 0.5: both parts are eventually
+    # zero, so the two representations differ by the constant 0.5 * I.
+    shape = ModuleShape(1, 2)
+    verdict = representation_unique(CompactTightCert(shape, 1.0, [1.0, 0.0]),
+                                    CompactTightCert(shape, 0.5, [1.5, 0.5]))
+    assert not verdict.equal
+    assert verdict.reason.startswith("shifts 1 and 0.5 differ")
+
+
+def test_uniqueness_compact_parts_differ_below_the_operator_tolerance():
+    # At xi = 1e6 the two operators agree within DEFAULT_TOL of their size,
+    # but the compact parts themselves differ by 1e-4 of theirs.
+    shape = ModuleShape(1, 2)
+    verdict = representation_unique(CompactTightCert(shape, 1e6, [1.0, 0.0]),
+                                    CompactTightCert(shape, 1e6, [1.0, 1e-4]))
+    assert not verdict.equal
+    assert verdict.reason == "equal shifts but compact parts differ by 1.000e-04 (relative)"
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(alphas=[0.0, 0.0, 0.0], permutation=(1, 1)), "permutation entries must be distinct"),
+    (dict(), "needs 'alphas' when no profile is given"),
+    (dict(alphas=[0.0, 0.0]), "alphas must be 3 finite numbers"),
+    (dict(alphas=[0.0, 0.0, math.nan]), "alphas must be 3 finite numbers"),
+])
+def test_certificate_refusals_name_their_cause(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CompactTightCert(ModuleShape(2, 3), 1.0, **kwargs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_past_double_range_refused():
+    # alphas and xi are finite; the frame operator alphas + xi they certify is not.
+    with pytest.raises(ValueError, match=r"^alphas \+ xi is past the double range at xi = 1e\+308$"):
+        CompactTightCert(ModuleShape(1, 2), 1e308, [1e308, 0.0])
 
 
 def test_certificate_rejects_profile_mismatch():

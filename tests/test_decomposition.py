@@ -19,7 +19,11 @@ from cstar_frames.decomposition import (
     perturbed_frame_bounds,
     shift_decompose,
 )
-from cstar_frames.errors import InconsistentDecompositionError, SingularMatrixError
+from cstar_frames.errors import (
+    InconsistentDecompositionError,
+    NotHermitianError,
+    SingularMatrixError,
+)
 from cstar_frames.frames import (
     FrameSystem,
     frame_from_operator,
@@ -648,3 +652,66 @@ def test_eta_past_double_range_takes_the_limit():
     # sqrt(1 + eta^2) is eta itself there: the lower bound is rho / eta, not 0.
     dec = ShiftDecomposition.from_parts(identity_operator(ModuleShape(1, 2)), 0.0)
     assert frame_lower_bound(dec, 1e155).value == 1e-155
+
+
+# ------------------------------------------------- refusals and T's one route
+
+def _onb_decomposition():
+    return ShiftDecomposition.from_parts(identity_operator(ModuleShape(1, 2)), 0.0)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: frame_lower_bound(_onb_decomposition(), -0.5), "eta must be nonnegative"),
+    (lambda: frame_lower_bound(_onb_decomposition(), 0.5, rho=-1.0), "rho must be nonnegative"),
+    (lambda: alignment_predicates(ModuleVector(ModuleShape(1, 2), [[1.0, 0.0]]),
+                                  ModuleVector(ModuleShape(1, 2), [[0.0, 1.0]]), 1.0, -0.5),
+     "eta must be nonnegative"),
+    (lambda: alignment_agreement_probe(ModuleShape(1, 2), [1.0], [0.5], sample_count=0),
+     "sample_count must be >= 1"),
+])
+def test_decomposition_refusals_name_their_cause(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_deviation_certificate_refuses_a_non_self_adjoint_operator():
+    # The eigenvalue form of the witness holds for self-adjoint T only.
+    crooked = ModuleOperator(ModuleShape(1, 2), [[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(NotHermitianError, match="^deviation_certificate: relative symmetry"):
+        deviation_certificate(crooked, 1.0, 0.5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 4), st.floats(-3.0, 3.0), st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+       st.integers(0, 2**32 - 1))
+def test_deviation_slack_is_the_witness_products_least_eigenvalue(dim, alpha, eta, seed):
+    # c^2 M M* - (alpha I - M)(alpha I - M)* formed as products, for a self-adjoint M.
+    rng = np.random.default_rng(seed)
+    mat = unitary_conjugate(rng, rng.uniform(-2.0, 2.0, size=dim))
+    mat = (mat + mat.conj().T) / 2
+    csq = eta * eta / (1.0 + eta * eta)
+    shifted = alpha * np.eye(dim) - mat
+    witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
+    expected = np.linalg.eigvalsh((witness + witness.conj().T) / 2)[0]
+    cert = deviation_certificate(ModuleOperator(ModuleShape(1, dim), mat), alpha, eta)
+    assert abs(cert.slack - expected) <= 1e-12 * max(np.linalg.norm(mat), abs(alpha), 1.0) ** 2
+
+
+def test_dual_decomposition_refuses_through_shift_decomposition():
+    shape = ModuleShape(1, 2)
+    with pytest.raises(InconsistentDecompositionError,
+                       match=r"^remainder \+ xi\*I misses the source operator by"):
+        dual_decomposition(1.0, diag_operator(1.0, 1.0), identity_operator(shape, 1.0))
+    crooked = ModuleOperator(shape, [[0.0, 1.0], [0.0, 0.0]])
+    source = ModuleOperator(shape, crooked.mat + np.eye(2))
+    with pytest.raises(InconsistentDecompositionError, match="^remainder must be self-adjoint"):
+        dual_decomposition(1.0, crooked, source)
+
+
+@pytest.mark.filterwarnings("error")
+def test_shift_past_double_range_overflows():
+    # S = 1e308, so S - xi*I is 2e308 at xi = -1e308 and finite at xi = 1e308.
+    system = FrameSystem(np.array([[1e154 + 0j]]), shape=ModuleShape(1, 1))
+    with pytest.raises(OverflowError, match=r"^S - xi\*I is past the double range at xi = -1e\+308$"):
+        shift_decompose(system, -1e308)
+    assert np.isfinite(shift_decompose(system, 1e308).remainder.mat).all()

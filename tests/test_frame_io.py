@@ -541,6 +541,16 @@ def test_large_integer_certificate_xi_rejected():
         payload_to_frame(payload)
 
 
+def test_certificate_past_double_range_rejected():
+    # Each number is finite; the certified frame operator alphas + xi is not.
+    payload = {"algebra": {"d": 1},
+               "certificate": {"alphas": [1e308], "permutation": [], "profile": None, "xi": 1e308},
+               "module": {"n": 1}, "schema": "cstar-frames/1", "vectors": [[[[[1.0, 0.0]]]]]}
+    with pytest.raises(FrameFileError, match=r"^certificate: alphas \+ xi is past the double "
+                                               r"range at xi = 1e\+308$"):
+        payload_to_frame(payload)
+
+
 def test_negative_zero_round_trips(tmp_path):
     shape = ModuleShape(1, 2)
     system = FrameSystem(np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]]), shape=shape)

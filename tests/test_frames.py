@@ -134,6 +134,19 @@ def test_array_constructor_rejects_bad_matrix(matrix, error):
         FrameSystem(matrix, shape=ModuleShape(2, 2))
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda system: synthesis(system, [np.eye(3)] * 3),
+     "coefficients must be 2x2 algebra elements, got (3, 3)"),
+    (lambda system: frame_from_operator(np.eye(3), system.shape),
+     "operator matrix must be 4x4 for shape ModuleShape(d=2, n=2), got (3, 3)"),
+])
+def test_wrong_shapes_refused(rng, call, message):
+    system = random_system(rng, ModuleShape(2, 2), 3)
+    with pytest.raises(ShapeMismatchError) as info:
+        call(system)
+    assert str(info.value) == message
+
+
 # ------------------------------------------------------ analysis / synthesis
 
 def test_analysis_of_basis_returns_blocks(rng):

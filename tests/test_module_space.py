@@ -273,3 +273,31 @@ def test_probe_reproducible():
     shape = ModuleShape(2, 2)
     T = ModuleOperator(shape, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert cauchy_schwarz_probe(T, 10) == cauchy_schwarz_probe(T, 10)
+
+
+# ---------------------------------------------------------- shape refusals
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: ModuleShape(0, 2), ValueError, "algebra dimension d must be an integer >= 1, got 0"),
+    (lambda: ModuleShape(1.0, 2), ValueError,
+     "algebra dimension d must be an integer >= 1, got 1.0"),
+    (lambda: ModuleShape(2, 0), ValueError, "module rank n must be an integer >= 1, got 0"),
+    (lambda: ModuleVector(ModuleShape(2, 2), np.zeros((1, 4))), ShapeMismatchError,
+     "vector representation must be 2x4 for shape ModuleShape(d=2, n=2), got 1x4"),
+    (lambda: ModuleOperator(ModuleShape(1, 2), np.eye(3)), ShapeMismatchError,
+     "operator matrix must be 2x2 for shape ModuleShape(d=1, n=2), got 3x3"),
+    (lambda: left_mul(np.eye(3), zero_vector(ModuleShape(2, 2))), ShapeMismatchError,
+     "algebra element must be 2x2, got (3, 3)"),
+    (lambda: zero_vector(ModuleShape(2, 2)).block(3), IndexError, "block index 3 outside 1..2"),
+    (lambda: zero_vector(ModuleShape(2, 2)).block(0), IndexError, "block index 0 outside 1..2"),
+])
+def test_wrong_shapes_refused(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert str(info.value) == message
+
+
+def test_negation_flips_every_entry():
+    f = ModuleVector(ModuleShape(2, 2), np.arange(8.0).reshape(2, 4) + 1j)
+    np.testing.assert_array_equal((-f).rep, -f.rep)
+    assert (-f).shape == f.shape

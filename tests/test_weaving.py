@@ -77,6 +77,11 @@ def test_weaving_rejects_out_of_range_family():
         weaving_operator([F, F], Partition((1, 3)))
 
 
+def test_universal_bounds_need_a_family():
+    with pytest.raises(ValueError, match="^at least one family is required$"):
+        universal_bounds([])
+
+
 # ----------------------------------------------------------- universal bounds
 
 def test_universal_bounds_identical_onbs():
