@@ -172,6 +172,10 @@ def _part_dict(part) -> dict:
 
 def cmd_analyze(args) -> dict:
     started = time.perf_counter()
+    if args.eta is not None and args.xi is None:
+        raise UsageError("--eta needs --xi")
+    if args.alpha is not None and args.eta is None:
+        raise UsageError("--alpha needs --eta")
     loaded = load_frame(args.file)
     system = loaded.system
     bounds = optimal_bounds(system, args.tol)

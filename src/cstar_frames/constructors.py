@@ -170,7 +170,10 @@ class CompactTightCert:
         object.__setattr__(self, "permutation", perm)
         if self.profile is not None:
             derived = np.zeros(n)
-            derived[np.array(perm, dtype=int) - 1] = self.profile.values(len(perm)) - self.xi
+            with np.errstate(over="ignore"):  # checked just below
+                derived[np.array(perm, dtype=int) - 1] = self.profile.values(len(perm)) - self.xi
+            if not np.isfinite(derived).all():
+                raise ValueError(f"l_k - xi is past the double range at xi = {self.xi!r}")
         elif self.alphas is None:
             raise ValueError("needs 'alphas' when no profile is given")
         alphas = derived if self.alphas is None else np.array(self.alphas, dtype=float)

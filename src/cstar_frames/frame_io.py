@@ -20,7 +20,8 @@ against the nesting (N, n, d, d, 2) implies, and its numbers are decoded
 by one flat json.loads, with no nested list built.  Any other file, and
 any file that fails one of these checks, is read again and decoded whole,
 and its "vectors" list checked one level at a time (see
-_decode_synthesis), which names the position of a fault.
+_decode_synthesis), which names the position of a fault.  Both ways end
+in one builder, _frame, given the shape and the synthesis matrix.
 
 Layout::
 
@@ -127,38 +128,37 @@ def _entry_where(flat: int, shape: tuple[int, ...]) -> str:
     return f"{where} ({('re', 'im')[index[4]]})" if len(index) == 5 else where
 
 
-def _decode_synthesis(raw: list | np.ndarray, shape: ModuleShape) -> np.ndarray:
+def _synthesis(values: np.ndarray, shape: ModuleShape) -> np.ndarray:
+    """The synthesis matrix of "vectors" from its doubles in file order, [re, im] pair by pair."""
+    # Viewing each [re, im] pair as one complex keeps every bit, the sign of zero too.
+    blocks = values.view(complex).reshape(-1, shape.n, shape.d, shape.d)
+    return blocks.transpose(0, 2, 1, 3).reshape(-1, shape.dim)
+
+
+def _decode_synthesis(raw: list, shape: ModuleShape) -> np.ndarray:
     """The synthesis matrix of "vectors", nested lists checked one level at a time.
 
     At each of the four list levels, the first item that is not a list of the
     expected length is named by its position; then the first non-finite number.
-    An (N, n, d, d, 2) float array, as _text_payload reads, has its levels already.
     """
     expected = (len(raw), shape.n, shape.d, shape.d, 2)
-    if isinstance(raw, np.ndarray):
-        _require(raw.dtype == float and raw.shape == expected,
-                 f"vectors: expected an array of doubles of shape {expected}")
-        items = values = raw.reshape(-1)
-    else:
-        what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
-                "an [re, im] pair")
-        items = raw
-        for k in range(1, 5):
-            if set(map(type, items)) != {list} or set(map(len, items)) != {expected[k]}:
-                flat = next(i for i, item in enumerate(items)
-                            if not (isinstance(item, list) and len(item) == expected[k]))
-                raise FrameFileError(f"{_entry_where(flat, expected[:k])}: expected {what[k]}")
-            items = list(chain.from_iterable(items))
-        # Files the package writes hold floats only; _as_double marks any fault NaN or inf.
-        numbers = items if set(map(type, items)) == {float} else map(_as_double, items)
-        values = np.fromiter(numbers, float, len(items))
+    what = (None, f"{shape.n} blocks", f"{shape.d} rows", f"{shape.d} entries",
+            "an [re, im] pair")
+    items = raw
+    for k in range(1, 5):
+        if set(map(type, items)) != {list} or set(map(len, items)) != {expected[k]}:
+            flat = next(i for i, item in enumerate(items)
+                        if not (isinstance(item, list) and len(item) == expected[k]))
+            raise FrameFileError(f"{_entry_where(flat, expected[:k])}: expected {what[k]}")
+        items = list(chain.from_iterable(items))
+    # Files the package writes hold floats only; _as_double marks any fault NaN or inf.
+    numbers = items if set(map(type, items)) == {float} else map(_as_double, items)
+    values = np.fromiter(numbers, float, len(items))
     finite = np.isfinite(values)
     if not finite.all():
         flat = int(np.argmin(finite))
         _as_finite_float(items[flat], _entry_where(flat, expected))
-    # Viewing each [re, im] pair as one complex keeps every bit, the sign of zero too.
-    blocks = values.view(complex).reshape(expected[:4])
-    return blocks.transpose(0, 2, 1, 3).reshape(-1, shape.dim)
+    return _synthesis(values, shape)
 
 
 def _decode_profile(payload, where: str) -> ScalarProfile:
@@ -240,33 +240,32 @@ def _decode_shape(payload) -> ModuleShape:
 
 
 def payload_to_frame(payload) -> LoadedFrame:
-    """Parse and validate a frame payload (see the module docstring).
+    """Parse and validate a frame payload: a frame file as json.loads decodes it.
 
-    "vectors" is the nested lists of a file, or the (N, n, d, d, 2) float
-    array they stand for.
+    Its "vectors" are nested lists (see the module docstring), checked level
+    by level and handed to _frame as a synthesis matrix.
     """
     shape = _decode_shape(payload)
     raw_vectors = payload.get("vectors")
-    _require((isinstance(raw_vectors, list)
-              or isinstance(raw_vectors, np.ndarray) and raw_vectors.ndim == 5)
-             and len(raw_vectors) >= 1, "vectors: expected a nonempty list")
+    _require(isinstance(raw_vectors, list) and len(raw_vectors) >= 1,
+             "vectors: expected a nonempty list")
     refusal = _oversized(len(raw_vectors), shape.d, shape.n)
     _require(refusal is None, f"vectors: {refusal}")
-    synthesis = _decode_synthesis(raw_vectors, shape)
+    return _frame(payload, shape, _decode_synthesis(raw_vectors, shape))
+
+
+def _frame(payload: dict, shape: ModuleShape, synthesis: np.ndarray) -> LoadedFrame:
+    """The frame of a payload whose "vectors" decoded to `synthesis`; both decoders end here."""
     try:
         system = FrameSystem(synthesis, shape=shape)
     except OverflowError as exc:
         raise FrameFileError(f"vectors: {exc}") from exc
-
-    certificate = None
-    if payload.get("certificate") is not None:
-        certificate = _decode_certificate(payload["certificate"], system)
-
-    scenario = None
-    if payload.get("scenario") is not None:
-        scenario = _decode_scenario(payload["scenario"])
-
-    return LoadedFrame(system=system, certificate=certificate, scenario=scenario)
+    certificate, scenario = payload.get("certificate"), payload.get("scenario")
+    return LoadedFrame(
+        system=system,
+        certificate=None if certificate is None else _decode_certificate(certificate, system),
+        scenario=None if scenario is None else _decode_scenario(scenario),
+    )
 
 
 def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
@@ -449,8 +448,8 @@ def _int_as_double(text: str) -> float:
     return _as_double(int(text))
 
 
-def _text_payload(data: bytes) -> dict | None:
-    """The payload of a frame file with "vectors" read from its text, or None.
+def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
+    """A frame file with "vectors" read from its text: head, shape and synthesis, or None.
 
     Only for ASCII bytes with no backslash whose one "vectors" member is the
     last: the rest of the document, "vectors" cut out for a null, must decode
@@ -459,8 +458,8 @@ def _text_payload(data: bytes) -> dict | None:
     numbers, brackets turned into spaces so that no two can run together, must
     decode as one flat JSON list of finite numbers.  Anything else, a fault
     included, returns None before a nested list exists, and the caller decodes
-    the file whole.  The numbers come back as the (N, n, d, d, 2) array of
-    their doubles, which payload_to_frame takes for the nested lists.
+    the file whole.  The head is the rest of the document, its "vectors" null;
+    load_frame hands all three to _frame, where payload_to_frame ends too.
     """
     if not data.isascii() or b"\\" in data:
         return None
@@ -501,8 +500,7 @@ def _text_payload(data: bytes) -> dict | None:
     values = np.fromiter(numbers, float, len(numbers))
     if not np.isfinite(values).all():
         return None
-    payload["vectors"] = values.reshape(count, shape.n, shape.d, shape.d, 2)
-    return payload
+    return payload, shape, _synthesis(values, shape)
 
 
 @contextmanager
@@ -534,10 +532,10 @@ def load_frame(path) -> LoadedFrame:
     path = Path(path)
     with _loading(path):
         try:
-            payload = _text_payload(path.read_bytes())
+            decoded = _text_payload(path.read_bytes())
         except OSError:
-            payload = None  # _read_json raises it again, with its message
-        return payload_to_frame(payload if payload is not None else _read_json(path))
+            decoded = None  # _read_json raises it again, with its message
+        return _frame(*decoded) if decoded is not None else payload_to_frame(_read_json(path))
 
 
 def partition_to_payload(partition: Partition, families: int,

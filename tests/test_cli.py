@@ -394,6 +394,18 @@ def test_negative_eta_exit_4(capsys, tmp_path, command):
     assert "--eta" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--eta", "1"], "--eta needs --xi"),
+    (["--xi", "1", "--alpha", "1"], "--alpha needs --eta"),
+    (["--alpha", "1"], "--alpha needs --eta"),
+])
+def test_analyze_flag_without_its_prerequisite_exit_4(capsys, tmp_path, flags, message):
+    # Refused before the file is read: the file does not exist.
+    code, stdout, err = run(capsys, "analyze", str(tmp_path / "nope.json"), *flags)
+    assert code == 4 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "perturb", "weave", "dual"])
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "abc"])
 def test_bad_tol_exit_4(capsys, tmp_path, command, tol):
@@ -838,6 +850,21 @@ def test_certificate_past_double_range_exit_2(capsys, tmp_path):
     assert code == 2 and stdout == ""
     assert err == (f"error: {path}: certificate: alphas + xi is past the double range "
                    f"at xi = 1e+308\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_certificate_profile_values_past_double_range_exit_2(capsys, tmp_path):
+    # No alphas: they are derived as l_k - xi, about 1.7e308 + 1.7e308.
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({
+        "algebra": {"d": 1},
+        "certificate": {"permutation": [1], "xi": -1.7e308,
+                        "profile": {"c": 1e300, "kind": "gaussian", "xi": 1.7e308}},
+        "module": {"n": 1}, "schema": "cstar-frames/1", "vectors": [[[[[1.0, 0.0]]]]]}))
+    code, stdout, err = run(capsys, "analyze", str(path))
+    assert code == 2 and stdout == ""
+    assert err == (f"error: {path}: certificate: l_k - xi is past the double range "
+                   f"at xi = -1.7e+308\n")
 
 
 @pytest.mark.filterwarnings("error")

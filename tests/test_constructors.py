@@ -367,6 +367,14 @@ def test_certificate_past_double_range_refused():
         CompactTightCert(ModuleShape(1, 2), 1e308, [1e308, 0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_certificate_profile_values_past_double_range_refused():
+    # l_1 is about 1.7e308 and xi -1.7e308, so the derived alpha l_1 - xi is not finite.
+    profile = ScalarProfile("gaussian", xi=1.7e308, c=1e300)
+    with pytest.raises(ValueError, match=r"^l_k - xi is past the double range at xi = -1\.7e\+308$"):
+        CompactTightCert(ModuleShape(1, 1), -1.7e308, profile=profile, permutation=(1,))
+
+
 def test_certificate_rejects_profile_mismatch():
     profile = ScalarProfile("gaussian", xi=1.0, c=1.0)
     with pytest.raises(ValueError):

@@ -197,6 +197,18 @@ def test_eigen_lapack_failure_is_no_convergence(monkeypatch):
         hermitian_eigen(np.eye(2))
 
 
+def test_jacobi_skips_a_zero_pivot():
+    # Entry (1, 2) is exactly zero beside nonzero off-diagonal entries, and stays
+    # zero through the sweep, so its rotation meets a zero pivot.
+    mat = [[1.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]
+    jacobi, vecs = jacobi_eigen(mat)
+    lapack, _ = hermitian_eigen(mat)
+    assert np.max(np.abs(lapack - jacobi)) <= 1e-11 * np.linalg.norm(mat)
+    np.testing.assert_allclose(jacobi, [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)],
+                               atol=1e-12)
+    assert np.linalg.norm(np.array(mat) @ vecs - vecs * jacobi) <= 1e-10
+
+
 def test_eigen_zero_matrix():
     for kernel in KERNELS:
         w, v = kernel(np.zeros((4, 4)))
