@@ -13,10 +13,13 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
     5  partition enumeration cap exceeded
     6  input is not a frame
 
-Reports are printed as plain text or canonical JSON (sorted keys,
-two-space indent); apart from the "timing" field, identical inputs give
-byte-identical JSON; a number past the double range reads null (None in
-text), so no report holds Infinity or NaN.  The CSTAR_FRAMES_THREADS
+Reports are printed as plain text, one field per line in insertion order,
+or canonical JSON (sorted keys, two-space indent); apart from the "timing"
+field, identical inputs give byte-identical JSON.  A report holds the
+package's result types (BoundsReport, PartCheck, ...) as they are; each is
+printed as its JSON object (frame_io.json_object: field names in camelCase,
+None fields left out), and then a number past the double range reads null
+(None in text), so no report holds Infinity or NaN.  The CSTAR_FRAMES_THREADS
 environment variable (a positive integer, default 1) is validated and
 echoed as "workers" in the weave report; enumeration runs on the calling
 thread whatever its value.  In-process callers may call main(argv)
@@ -33,6 +36,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import is_dataclass
 
 from .constructors import ScalarProfile, profile_frame, repetition_frame
 from .decomposition import (
@@ -50,15 +54,10 @@ from .errors import (
     ShapeMismatchError,
     TooManyPartitionsError,
 )
-from .frame_io import (
-    _encode_profile,
-    load_frame,
-    save_frame,
-    save_partition,
-)
+from .frame_io import json_object, load_frame, save_frame, save_partition
 from .frames import _oversized, dual_frame, optimal_bounds, perturbation_distance
-from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
-from .module_space import ModuleShape
+from .linalg import DEFAULT_TOL, _fold, hermitian_eigen, relative_drift
+from .module_space import ModuleOperator, ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
     adversarial_scenario,
@@ -153,23 +152,6 @@ def _parse_profile_spec(spec: str, xi: float = 0.0) -> ScalarProfile:
     )
 
 
-def _bounds_dict(bounds) -> dict:
-    return {
-        "lower": bounds.lower,
-        "upper": bounds.upper,
-        "tight": bounds.tight,
-        "isFrame": bounds.is_frame,
-        "isBessel": bounds.is_bessel,
-    }
-
-
-def _part_dict(part) -> dict:
-    out = {"applicable": part.applicable, "holds": part.holds}
-    if part.slack is not None:
-        out["slack"] = part.slack
-    return out
-
-
 def cmd_analyze(args) -> dict:
     started = time.perf_counter()
     if args.eta is not None and args.xi is None:
@@ -178,12 +160,11 @@ def cmd_analyze(args) -> dict:
         raise UsageError("--alpha needs --eta")
     loaded = load_frame(args.file)
     system = loaded.system
-    bounds = optimal_bounds(system, args.tol)
     report = {
         "file": str(args.file),
-        "shape": {"d": system.shape.d, "n": system.shape.n},
+        "shape": system.shape,
         "vectors": len(system),
-        "bounds": _bounds_dict(bounds),
+        "bounds": optimal_bounds(system, args.tol),
     }
     if loaded.certificate is not None:
         cert = loaded.certificate
@@ -200,30 +181,20 @@ def cmd_analyze(args) -> dict:
             "xi": args.xi,
             "besselBound": bessel_bound(dec),
             "parts": {
-                "positiveShiftImpliesFrame": _part_dict(diag.frame_from_positivity),
-                "selfAdjoint": _part_dict(diag.self_adjointness),
-                "lowerBoundImpliesPositive": _part_dict(
-                    diag.positivity_from_lower_bound
-                ),
+                "positiveShiftImpliesFrame": diag.frame_from_positivity,
+                "selfAdjoint": diag.self_adjointness,
+                "lowerBoundImpliesPositive": diag.positivity_from_lower_bound,
             },
             "allPartsHold": diag.all_hold,
         }
         if args.eta is not None:
             est = frame_lower_bound(dec, args.eta)
-            decomposition["lowerBound"] = {
-                "eta": args.eta,
-                "value": est.value,
-                "rho": est.rho,
-                "formulaOnly": est.formula_only,
-            }
+            decomposition["lowerBound"] = {"eta": args.eta, **json_object(est)}
             if args.alpha is not None:
-                dev = deviation_certificate(dec.remainder, args.alpha, args.eta)
-                decomposition["deviation"] = {
-                    "alpha": dev.alpha,
-                    "eta": dev.eta,
-                    "holds": dev.holds,
-                    "slack": dev.slack,
-                }
+                # T = S - xi*I may be rounding noise of a non-Hermitian S, which
+                # ShiftDecomposition accepts at S's size: hand on its Hermitian part.
+                remainder = ModuleOperator(dec.remainder.shape, _fold(dec.remainder.mat))
+                decomposition["deviation"] = deviation_certificate(remainder, args.alpha, args.eta)
         report["decomposition"] = decomposition
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
@@ -261,7 +232,7 @@ def cmd_construct_t4(args) -> dict:
         "out": str(args.out),
         "kind": args.kind,
         "vectors": len(system),
-        "bounds": _bounds_dict(bounds),
+        "bounds": bounds,
         "certificateEmbedded": embedded is not None,
     }
 
@@ -299,7 +270,7 @@ def cmd_construct_repetition(args) -> dict:
         "out": str(args.out),
         "repeats": {str(k): v for k, v in sorted(table.items())},
         "vectors": len(system),
-        "bounds": _bounds_dict(bounds),
+        "bounds": bounds,
         "certificateEmbedded": True,
     }
 
@@ -315,8 +286,8 @@ def cmd_construct_t49(args) -> dict:
     meta = {
         "size": args.n,
         "sigma": list(scenario.sigma),
-        "profile_a": _encode_profile(profile_a),
-        "profile_b": _encode_profile(profile_b),
+        "profile_a": json_object(profile_a),
+        "profile_b": json_object(profile_b),
     }
     files, bounds = {}, {}
     for role, frame, cert in (("a", scenario.frame_a, scenario.cert_a),
@@ -328,8 +299,8 @@ def cmd_construct_t49(args) -> dict:
     return {
         "files": files,
         "size": args.n,
-        "boundsA": _bounds_dict(bounds["a"]),
-        "boundsB": _bounds_dict(bounds["b"]),
+        "boundsA": bounds["a"],
+        "boundsB": bounds["b"],
     }
 
 
@@ -346,9 +317,9 @@ def cmd_perturb(args) -> dict:
         "mu": mu,
         "xi": args.xi,
         "eta": args.eta,
-        "lowerBound": {"value": est.value, "rho": est.rho, "formulaOnly": est.formula_only},
+        "lowerBound": est,
         "besselBound": bessel_bound(dec),
-        "actual": _bounds_dict(actual),
+        "actual": actual,
     }
     if predicted is None:
         report["predicted"] = "NotApplicable"
@@ -403,14 +374,7 @@ def cmd_weave(args) -> dict:
     report_obj = universal_bounds(
         families, tol=args.tol, max_partitions=args.max_partitions, workers=workers
     )
-    report = {
-        "universalLower": report_obj.universal_lower,
-        "universalUpper": report_obj.universal_upper,
-        "isWoven": report_obj.is_woven,
-        "partitionsChecked": report_obj.partitions_checked,
-        "worstPartition": list(report_obj.worst_partition.assignment),
-        "workers": workers,
-    }
+    report = {**json_object(report_obj), "workers": workers}
     if args.sweep:
         sizes = _parse_sweep(args.sweep)
         report["sweep"] = _sweep_table(loaded_a, loaded_b, sizes)
@@ -441,11 +405,10 @@ def cmd_dual(args) -> dict:
     if dual_cert is not None and dual_cert.drift(dual) > DEFAULT_TOL:
         dual_cert = None
     save_frame(args.out, dual, dual_cert)
-    dual_bounds = optimal_bounds(dual, args.tol)
     return {
         "out": str(args.out),
-        "original": _bounds_dict(bounds),
-        "dual": _bounds_dict(dual_bounds),
+        "original": bounds,
+        "dual": optimal_bounds(dual, args.tol),
         "certificateEmbedded": dual_cert is not None,
     }
 
@@ -537,7 +500,10 @@ def _shared_parser() -> _Parser:
 
 
 def _past_range_as_null(value):
-    """The report with every float past the double range (inf or NaN) as None."""
+    """The report with every result as its JSON object (see frame_io.json_object), then
+    every float past the double range (inf or NaN) as None: a -inf slack reads null."""
+    if is_dataclass(value):
+        value = json_object(value)
     if isinstance(value, dict):
         return {key: _past_range_as_null(item) for key, item in value.items()}
     if isinstance(value, list):

@@ -66,7 +66,7 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -179,8 +179,14 @@ def _decode_profile(payload, where: str) -> ScalarProfile:
         raise FrameFileError(f"{where}: {exc}") from exc
 
 
-def _encode_profile(profile: ScalarProfile) -> dict:
-    return {name: value for name, value in asdict(profile).items() if value is not None}
+def json_object(result):
+    """A result dataclass as the object reports and files hold: field names in camelCase,
+    None fields left out, a Partition as its assignment list.  Nested results are kept."""
+    if isinstance(result, Partition):
+        return list(result.assignment)
+    values = {field.name: getattr(result, field.name) for field in fields(result)}
+    return {re.sub(r"_(.)", lambda m: m.group(1).upper(), name): value
+            for name, value in values.items() if value is not None}
 
 
 def _payload(
@@ -202,7 +208,7 @@ def _payload(
         payload["certificate"] = {
             "xi": certificate.xi,
             "profile": (
-                _encode_profile(certificate.profile)
+                json_object(certificate.profile)
                 if certificate.profile is not None
                 else None
             ),
@@ -313,8 +319,8 @@ def _decode_scenario(raw) -> dict:
         "size": raw["size"],
         "role": raw["role"],
         "sigma": list(sigma),
-        "profile_a": _encode_profile(profile_a),
-        "profile_b": _encode_profile(profile_b),
+        "profile_a": json_object(profile_a),
+        "profile_b": json_object(profile_b),
     }
 
 

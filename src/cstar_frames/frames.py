@@ -114,9 +114,9 @@ class BoundsReport:
 
     lower: float
     upper: float
+    tight: bool
     is_frame: bool
     is_bessel: bool
-    tight: bool
 
 
 def frame_operator(system: FrameSystem) -> ModuleOperator:
@@ -170,9 +170,9 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
     return BoundsReport(
         lower=lower,
         upper=upper,
+        tight=(upper - lower) <= tol * upper,
         is_frame=lower > tol * upper,
         is_bessel=True,
-        tight=(upper - lower) <= tol * upper,
     )
 
 

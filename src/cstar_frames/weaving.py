@@ -68,9 +68,9 @@ class WeavingReport:
 
     universal_lower: float
     universal_upper: float
-    worst_partition: Partition
     is_woven: bool
     partitions_checked: int
+    worst_partition: Partition
 
 
 def _check_families(families: Sequence[FrameSystem]) -> tuple[ModuleShape, int]:
@@ -235,9 +235,9 @@ def universal_bounds(
     return WeavingReport(
         universal_lower=low,
         universal_upper=high,
-        worst_partition=_partition_at(worst, m, count),
         is_woven=low > tol * high,
         partitions_checked=total,
+        worst_partition=_partition_at(worst, m, count),
     )
 
 

@@ -15,10 +15,12 @@ import cstar_frames
 from cstar_frames import cli
 from cstar_frames.cli import EXIT_CODES, main
 from cstar_frames.constructors import CompactTightCert
+from cstar_frames.decomposition import DeviationCertificate, ShiftDecomposition, shift_decompose
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
 from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem, frame_from_operator
-from cstar_frames.module_space import ModuleShape, ModuleVector, standard_basis
+from cstar_frames.module_space import ModuleOperator, ModuleShape, ModuleVector, standard_basis
+from cstar_frames.weaving import Partition, WeavingReport
 
 
 def run(capsys, *argv):
@@ -575,6 +577,25 @@ def test_deviation_at_xi_1e160_exit_0(capsys, tmp_path):
     assert deviation["slack"] is None
 
 
+def test_deviation_of_a_remainder_with_rounding_skew_exit_0(capsys, tmp_path, monkeypatch):
+    # A tight frame whose S = X*X is not Hermitian bit for bit: T = S - I is then
+    # rounding noise, skew at S's size, which ShiftDecomposition accepts but which
+    # is all of T.  The deviation verdict is taken on T's Hermitian part.
+    def skewed(system, xi):
+        dec = shift_decompose(system, xi)
+        dim = dec.source.shape.dim
+        skew = 1e-16 * (np.triu(np.ones((dim, dim)), 1) - np.tril(np.ones((dim, dim)), -1))
+        return ShiftDecomposition(xi=dec.xi, source=dec.source,
+                                  remainder=ModuleOperator(dec.source.shape,
+                                                           dec.remainder.mat + skew))
+
+    monkeypatch.setattr(cli, "shift_decompose", skewed)
+    path = write_onb(tmp_path / "onb.json", n=5, d=3)
+    report = run_json(capsys, "analyze", str(path), "--xi", "1", "--eta", "1", "--alpha", "0")
+    assert report["decomposition"]["deviation"] == {"alpha": 0.0, "eta": 1.0, "holds": True,
+                                                    "slack": 0.0}
+
+
 def test_perturb_huge_entry_exit_0(capsys, tmp_path):
     # L = 1e200, so the display form (L - mu)^2 = 1e400 is past the double range.
     path = tmp_path / "big.json"
@@ -887,6 +908,31 @@ def test_past_range_as_null_walks_the_whole_report():
                                                "d": True, "e": "x", "f": 2}
 
 
+def test_past_range_as_null_reads_results_as_json_objects():
+    # A result becomes its JSON object first, so a -inf slack stays as null
+    # rather than being left out like a None field; a Partition is a list.
+    deviation = DeviationCertificate(alpha=1.0, eta=0.5, holds=False, slack=-math.inf)
+    woven = WeavingReport(universal_lower=0.5, universal_upper=2.0, is_woven=True,
+                          partitions_checked=4, worst_partition=Partition((2, 1)))
+    assert cli._past_range_as_null({"deviation": deviation, "weave": woven}) == {
+        "deviation": {"alpha": 1.0, "eta": 0.5, "holds": False, "slack": None},
+        "weave": {"universalLower": 0.5, "universalUpper": 2.0, "isWoven": True,
+                  "partitionsChecked": 4, "worstPartition": [2, 1]},
+    }
+
+
+def test_inapplicable_parts_have_no_slack(capsys, tmp_path):
+    # xi = 2 is above the lower bound 1 and T = -I is not positive: parts 1 and
+    # 3 do not apply, and their slack, None, is left out.
+    path = write_onb(tmp_path / "onb.json")
+    parts = run_json(capsys, "analyze", str(path), "--xi", "2")["decomposition"]["parts"]
+    assert parts == {
+        "positiveShiftImpliesFrame": {"applicable": False, "holds": True},
+        "selfAdjoint": {"applicable": True, "holds": True, "slack": 0.0},
+        "lowerBoundImpliesPositive": {"applicable": False, "holds": True},
+    }
+
+
 # ------------------------------------------------- flag errors by message
 
 
@@ -943,6 +989,72 @@ def test_weave_text_report_lists_worst_partition(capsys, tmp_path):
     code, stdout, _ = run(capsys, "weave", str(a), str(b))
     assert code == 0
     assert "worstPartition: [1, 1, 1]" in stdout.splitlines()
+
+
+def test_weave_json_report_names_fields_in_camel_case(capsys, tmp_path):
+    a = write_onb(tmp_path / "a.json")
+    b = write_onb(tmp_path / "b.json", scale=math.sqrt(2.0))
+    report = run_json(capsys, "weave", str(a), str(b))
+    del report["timing"]
+    assert report == {"universalLower": pytest.approx(1.0), "universalUpper": pytest.approx(2.0),
+                      "isWoven": True, "partitionsChecked": 8, "worstPartition": [1, 1, 1],
+                      "workers": 1}
+
+
+def _text_keys(stdout):
+    """The key of each line of a text report, with its indent."""
+    return [line.split(":")[0] for line in stdout.splitlines()]
+
+
+_BOUNDS_KEYS = ["lower", "upper", "tight", "isFrame", "isBessel"]
+_PART_KEYS = ["applicable", "holds", "slack"]
+
+
+def _nested(keys, depth=1):
+    return ["  " * depth + key for key in keys]
+
+
+def test_text_reports_keep_their_line_order(capsys, tmp_path):
+    t4 = str(tmp_path / "t4.json")
+    code, stdout, _ = run(capsys, "construct", "t4", "--kind", "gaussian", "--xi", "1",
+                          "--c", "1", "--n", "4", "--out", t4)
+    assert code == 0
+    assert _text_keys(stdout) == ["out", "kind", "vectors", "bounds", *_nested(_BOUNDS_KEYS),
+                                  "certificateEmbedded"]
+
+    code, stdout, _ = run(capsys, "analyze", t4, "--xi", "1", "--eta", "0.5", "--alpha", "1")
+    assert code == 0
+    parts = []
+    for name in ("positiveShiftImpliesFrame", "selfAdjoint", "lowerBoundImpliesPositive"):
+        parts += ["    " + name, *_nested(_PART_KEYS, 3)]
+    assert _text_keys(stdout) == [
+        "file", "shape", "  d", "  n", "vectors", "bounds", *_nested(_BOUNDS_KEYS),
+        "certificate", *_nested(["valid", "xi", "kind", "declaredLimit"]),
+        "decomposition", "  xi", "  besselBound", "  parts", *parts, "  allPartsHold",
+        "  lowerBound", *_nested(["eta", "value", "rho", "formulaOnly"], 2),
+        "  deviation", *_nested(["alpha", "eta", "holds", "slack"], 2),
+        "timing", "  seconds",
+    ]
+
+    code, stdout, _ = run(capsys, "perturb", t4, t4, "--xi", "0")
+    assert code == 0
+    assert _text_keys(stdout) == [
+        "mu", "xi", "eta", "lowerBound", *_nested(["value", "rho", "formulaOnly"]),
+        "besselBound", "actual", *_nested(_BOUNDS_KEYS), "predicted",
+        *_nested(["low", "high", "lowAlternate"]), "sandwich", *_nested(["applicable", "holds"]),
+        "timing", "  seconds",
+    ]
+
+    code, stdout, _ = run(capsys, "dual", t4, "--out", str(tmp_path / "dual.json"))
+    assert code == 0
+    assert _text_keys(stdout) == ["out", "original", *_nested(_BOUNDS_KEYS),
+                                  "dual", *_nested(_BOUNDS_KEYS), "certificateEmbedded"]
+
+    code, stdout, _ = run(capsys, "weave", t4, t4)
+    assert code == 0
+    assert _text_keys(stdout) == ["universalLower", "universalUpper", "isWoven",
+                                  "partitionsChecked", "worstPartition", "workers",
+                                  "timing", "  seconds"]
 
 
 # ------------------------------------------------------ one parser per process

@@ -32,7 +32,8 @@ from cstar_frames.frame_io import (
     save_frame,
     save_partition,
 )
-from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem
+from cstar_frames.decomposition import PartCheck
+from cstar_frames.frames import MAX_FRAME_ENTRIES, BoundsReport, FrameSystem
 from cstar_frames.module_space import ModuleShape, ModuleVector, random_vector, standard_basis
 from cstar_frames.weaving import Partition
 
@@ -192,6 +193,17 @@ def test_scenario_block_round_trips(tmp_path):
     save_frame(path, system, None, scenario)
     loaded = load_frame(path)
     assert loaded.scenario == scenario
+
+
+def test_json_object_names_fields_in_camel_case_and_leaves_out_none():
+    bounds = BoundsReport(lower=1.0, upper=2.0, tight=False, is_frame=True, is_bessel=True)
+    assert list(frame_io.json_object(bounds).items()) == [
+        ("lower", 1.0), ("upper", 2.0), ("tight", False), ("isFrame", True), ("isBessel", True)]
+    assert frame_io.json_object(PartCheck(applicable=False, holds=True, slack=None)) == {
+        "applicable": False, "holds": True}
+    profile = ScalarProfile(kind="geometric", xi=0.5, c=2.0, r=0.25)
+    assert frame_io.json_object(profile) == {"kind": "geometric", "xi": 0.5, "c": 2.0, "r": 0.25}
+    assert frame_io.json_object(Partition((2, 1, 2))) == [2, 1, 2]
 
 
 def test_partition_round_trip(tmp_path):
