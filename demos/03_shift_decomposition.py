@@ -46,7 +46,7 @@ for xi in (0.5, 1.0, 1.5):
 print("\n== deviation certificate: is T inside a relative cone around alpha? ==")
 dec = shift_decompose(system, 0.0)
 for alpha, eta in ((1.5, 1.0), (1.5, 0.5), (2.0, 0.2)):
-    cert = deviation_certificate(dec.remainder, alpha, eta)
+    cert = deviation_certificate(dec, alpha, eta)
     print(f"alpha={alpha}, eta={eta}: holds={cert.holds} (witness floor {cert.slack:+.3f})")
 
 est = frame_lower_bound(dec, eta=1.0)

@@ -52,10 +52,8 @@ from .frame_io import (
     LoadedFrame,
     frame_to_payload,
     load_frame,
-    load_partition,
     payload_to_frame,
     save_frame,
-    save_partition,
 )
 from .frames import (
     BoundsReport,

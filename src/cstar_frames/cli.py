@@ -54,10 +54,10 @@ from .errors import (
     ShapeMismatchError,
     TooManyPartitionsError,
 )
-from .frame_io import json_object, load_frame, save_frame, save_partition
+from .frame_io import json_object, load_frame, save_frame
 from .frames import _oversized, dual_frame, optimal_bounds, perturbation_distance
-from .linalg import DEFAULT_TOL, _fold, hermitian_eigen, relative_drift
-from .module_space import ModuleOperator, ModuleShape
+from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
+from .module_space import ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
     adversarial_scenario,
@@ -191,10 +191,7 @@ def cmd_analyze(args) -> dict:
             est = frame_lower_bound(dec, args.eta)
             decomposition["lowerBound"] = {"eta": args.eta, **json_object(est)}
             if args.alpha is not None:
-                # T = S - xi*I may be rounding noise of a non-Hermitian S, which
-                # ShiftDecomposition accepts at S's size: hand on its Hermitian part.
-                remainder = ModuleOperator(dec.remainder.shape, _fold(dec.remainder.mat))
-                decomposition["deviation"] = deviation_certificate(remainder, args.alpha, args.eta)
+                decomposition["deviation"] = deviation_certificate(dec, args.alpha, args.eta)
         report["decomposition"] = decomposition
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
@@ -276,6 +273,8 @@ def cmd_construct_repetition(args) -> dict:
 
 
 def cmd_construct_t49(args) -> dict:
+    """Write the pair as PREFIX-a.json and PREFIX-b.json; each file's scenario block holds
+    sigma, where the adversarial partition takes family 2 (and family 1 elsewhere)."""
     profile_a = _parse_profile_spec(args.profile1)
     profile_b = _parse_profile_spec(args.profile2)
     _require_size(args.n, args.d, args.n // 2)
@@ -294,8 +293,6 @@ def cmd_construct_t49(args) -> dict:
                               ("b", scenario.frame_b, scenario.cert_b)):
         files[role] = f"{args.out}-{role}.json"
         bounds[role] = _save_checked(files[role], frame, cert, {**meta, "role": role})
-    files["partition"] = f"{args.out}-partition.json"
-    save_partition(files["partition"], scenario.adversarial, 2, list(scenario.sigma))
     return {
         "files": files,
         "size": args.n,

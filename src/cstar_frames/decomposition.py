@@ -36,7 +36,6 @@ from .linalg import (
     DEFAULT_TOL,
     ROUNDING_RTOL,
     _fold,
-    _require_defect_within_tol,
     _scaled_down,
     frobenius,
     hermitian_eigen,
@@ -189,7 +188,8 @@ class DeviationCertificate:
 
     `slack` is the smallest eigenvalue of the PSD witness c^2 M^2 - (alpha I - M)^2,
     the least c^2 t^2 - (alpha - t)^2 over T's eigenvalues t; the inequality holds iff the
-    slack is at least -DEFAULT_TOL * max(||M||_F, |alpha|)^2 (-inf: past the double range).
+    slack is at least -DEFAULT_TOL * max(||M||_F, |alpha|) * max(||M||_F, |alpha|, |xi|)
+    (-inf: past the double range).
     """
 
     alpha: float
@@ -211,22 +211,24 @@ def _eta_stretch(eta: float) -> float:
 
 
 def deviation_certificate(
-    T: ModuleOperator, alpha: float, eta: float
+    dec: ShiftDecomposition, alpha: float, eta: float
 ) -> DeviationCertificate:
     """Decide ||alpha f - T f|| <= c ||T f|| for all f, c = eta/sqrt(1+eta^2): |alpha - t| <= c|t|
-    at each eigenvalue t of T.  NotHermitianError if T is not self-adjoint within DEFAULT_TOL
-    at the verdict's size max(||T||_F, |alpha|)."""
+    at each eigenvalue t of T = S - xi*I.  T may be rounding noise of S, which ShiftDecomposition
+    accepts as self-adjoint at S's size: an error of DEFAULT_TOL * max(||T||_F, |xi|) in t moves
+    the slack by about that times max(|t|, |alpha|), so the verdict's size is
+    max(||T||_F, |alpha|) * max(||T||_F, |alpha|, |xi|)."""
     if eta < 0:
         raise ValueError("eta must be nonnegative")
-    # The witness squares T: take it on T/s and alpha/s, s a power of two, and
+    # The witness squares T: take it on T/s, alpha/s and xi/s, s a power of two, and
     # scale its smallest eigenvalue back by s^2 (exact, unless that overflows).
-    mat, scale = _scaled_down(T.mat, abs(alpha))
+    mat, scale = _scaled_down(dec.remainder.mat, max(abs(alpha), abs(dec.xi)))
     level = alpha / scale
-    _require_defect_within_tol(relative_drift(mat, mat.conj().T, level), "deviation_certificate")
     t = _spectrum(mat)
     reach, miss = math.sqrt(_eta_fraction(eta)) * np.abs(t), np.abs(level - t)
     least = float(((reach - miss) * (reach + miss)).min())  # factored: no squares cancel
-    size = max(frobenius(mat), abs(level)) ** 2  # alpha - t may cancel: not its size
+    reference = max(frobenius(mat), abs(level))  # alpha - t may cancel: not its size
+    size = reference * max(reference, abs(dec.xi) / scale)
     return DeviationCertificate(
         alpha=float(alpha),
         eta=float(eta),

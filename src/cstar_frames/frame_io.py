@@ -36,7 +36,7 @@ Layout::
         "permutation": [1, 2, ...],
         "alphas": [0.5, 0.1, ...]         # compact-part eigenvalue per direction
       },
-      "scenario": {                       # optional, written by the adversarial builder
+      "scenario": {                       # optional, written by construct t49
         "size": 8, "role": "a", "sigma": [1, 3, 5, 7],
         "profile_a": {...}, "profile_b": {...}
       }
@@ -50,11 +50,10 @@ left out when a profile is given, and is then derived from the profile
 (see CompactTightCert).  A present certificate is validated against the
 vectors on load: the frame operator must match alphas + xi * I within
 DEFAULT_TOL relative to its Frobenius norm (CompactTightCert.drift).
-
-Partition files are a small companion format::
-
-    {"schema": "cstar-frames-partition/1", "families": 2,
-     "assignment": [2, 1, ...], "sigma": [1, 3, ...]}
+The scenario block records the adversarial pair of its size: the index
+split "sigma" fixes the degenerate partition, which takes family 2 (file
+"b") at the 1-based positions in "sigma" and family 1 elsewhere
+(AdversarialScenario.adversarial).
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ from .module_space import ModuleShape
 from .weaving import Partition
 
 FRAME_SCHEMA = "cstar-frames/1"
-PARTITION_SCHEMA = "cstar-frames-partition/1"
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,8 +351,6 @@ def _layout(payload: dict) -> Iterator[str]:
     vectors at a time (each one str.join over one template per vector), and
     the text after it.  A refused payload raises here, before any piece exists.
     """
-    if "vectors" not in payload:
-        return iter((json.dumps(payload, sort_keys=True, indent=2) + "\n",))
     raw = payload["vectors"]
     try:
         values = np.asarray(raw)
@@ -403,17 +399,10 @@ def dumps_payload(payload: dict) -> str:
     and booleans, which json.dumps writes as such, are refused) are laid out
     here instead: one template per vector, filled with ``'%r' % float``,
     which is ``float.__repr__``, the function both standard encoders call.
-    This is the join of the pieces that save_frame and save_partition stream
-    to disk a slice of vectors at a time, so a file holds the same bytes.
+    This is the join of the pieces that save_frame streams to disk a slice of
+    vectors at a time, so a file holds the same bytes.
     """
     return "".join(_layout(payload))
-
-
-def _save_payload(path, payload: dict) -> None:
-    """Stream the canonical text of `payload` to `path`; a refused payload leaves it untouched."""
-    pieces = _layout(payload)  # raises on a refused payload before the file is truncated
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.writelines(pieces)
 
 
 def save_frame(
@@ -422,7 +411,10 @@ def save_frame(
     certificate: CompactTightCert | None = None,
     scenario: dict | None = None,
 ) -> None:
-    _save_payload(path, _payload(system, certificate, scenario))
+    """Stream the canonical text of the frame to `path`; a refused payload leaves it untouched."""
+    pieces = _layout(_payload(system, certificate, scenario))  # raises before the file is truncated
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.writelines(pieces)
 
 
 def _read_json(path: Path):
@@ -514,8 +506,8 @@ def _loading(path: Path):
     """Name `path` in every FrameFileError, with the cyclic collector paused.
 
     Decoded JSON holds no cycles, but its many lists set off collections that
-    free nothing.  The collector resumes only if it ran on entry; the loaders
-    drop every decoded tree before it does.
+    free nothing.  The collector resumes only if it ran on entry; load_frame
+    drops every decoded tree before it does.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -542,38 +534,3 @@ def load_frame(path) -> LoadedFrame:
         except OSError:
             decoded = None  # _read_json raises it again, with its message
         return _frame(*decoded) if decoded is not None else payload_to_frame(_read_json(path))
-
-
-def partition_to_payload(partition: Partition, families: int,
-                         sigma: list[int] | None = None) -> dict:
-    payload = {
-        "schema": PARTITION_SCHEMA,
-        "families": families,
-        "assignment": list(partition.assignment),
-    }
-    if sigma is not None:
-        payload["sigma"] = list(sigma)
-    return payload
-
-
-def save_partition(path, partition: Partition, families: int,
-                   sigma: list[int] | None = None) -> None:
-    _save_payload(path, partition_to_payload(partition, families, sigma))
-
-
-def _decode_partition(payload) -> tuple[Partition, int]:
-    _require(isinstance(payload, dict) and payload.get("schema") == PARTITION_SCHEMA,
-             "unsupported partition schema")
-    families = payload.get("families")
-    _require(_is_int(families) and families >= 1, "families must be an integer >= 1")
-    assignment = payload.get("assignment")
-    _require(isinstance(assignment, list) and len(assignment) >= 1
-             and all(_is_int(a) and 1 <= a <= families for a in assignment),
-             f"assignment must list family numbers in 1..{families}")
-    return Partition(tuple(assignment)), families
-
-
-def load_partition(path) -> tuple[Partition, int]:
-    path = Path(path)
-    with _loading(path):
-        return _decode_partition(_read_json(path))

@@ -108,7 +108,7 @@ def test_criterion_04_bound_ordering_at_zero_eta():
         xi = float(rng.uniform(-1.0, 1.0))
         shape = ModuleShape(1, dim)
         remainder = identity_operator(shape, alpha)
-        cert = deviation_certificate(remainder, alpha, 0.0)
+        cert = deviation_certificate(ShiftDecomposition.from_parts(remainder, 0.0), alpha, 0.0)
         assert cert.holds
         dec = ShiftDecomposition.from_parts(remainder, xi)
         lower_est = frame_lower_bound(dec, 0.0).value

@@ -17,7 +17,7 @@ from cstar_frames.cli import EXIT_CODES, main
 from cstar_frames.constructors import CompactTightCert
 from cstar_frames.decomposition import DeviationCertificate, ShiftDecomposition, shift_decompose
 from cstar_frames.errors import FrameFileError
-from cstar_frames.frame_io import LoadedFrame, load_frame, load_partition, save_frame
+from cstar_frames.frame_io import LoadedFrame, load_frame, save_frame
 from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem, frame_from_operator
 from cstar_frames.module_space import ModuleOperator, ModuleShape, ModuleVector, standard_basis
 from cstar_frames.weaving import Partition, WeavingReport
@@ -115,20 +115,21 @@ def test_construct_repetition_bounds(capsys, tmp_path):
     assert report["bounds"]["upper"] == pytest.approx(3.0, abs=1e-12)
 
 
-def test_construct_t49_writes_three_files(capsys, tmp_path):
+def test_construct_t49_writes_two_files(capsys, tmp_path):
     prefix = tmp_path / "sc"
     report = run_json(capsys, "construct", "t49", "--n", "8",
                       "--profile1", "gaussian:1", "--profile2", "gaussian:1",
                       "--out", str(prefix))
-    for key in ("a", "b", "partition"):
-        assert key in report["files"]
+    assert report["files"] == {"a": f"{prefix}-a.json", "b": f"{prefix}-b.json"}
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sc-a.json", "sc-b.json"]
     loaded_a = load_frame(report["files"]["a"])
     loaded_b = load_frame(report["files"]["b"])
     assert loaded_a.scenario["role"] == "a"
     assert loaded_b.scenario["role"] == "b"
-    partition, families = load_partition(report["files"]["partition"])
-    assert families == 2
-    assert partition.assignment == (2, 1, 2, 1, 2, 1, 2, 1)
+    # The adversarial partition takes family 2 on sigma and family 1 elsewhere.
+    for scenario in (loaded_a.scenario, loaded_b.scenario):
+        assignment = tuple(2 if k in scenario["sigma"] else 1 for k in range(1, 9))
+        assert assignment == (2, 1, 2, 1, 2, 1, 2, 1)
     assert report["boundsA"]["lower"] >= 1.0 - 1e-9
     assert report["boundsB"]["lower"] >= 1.0 - 1e-9
 
@@ -383,8 +384,10 @@ def test_unknown_flag_exit_4(capsys, tmp_path):
 
 
 def test_missing_file_exit_2(capsys, tmp_path):
-    code, _, _ = run(capsys, "analyze", str(tmp_path / "nope.json"))
+    path = tmp_path / "nope.json"
+    code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
+    assert err == f"error: {path}: [Errno 2] No such file or directory: '{path}'\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "perturb"])
@@ -594,6 +597,34 @@ def test_deviation_of_a_remainder_with_rounding_skew_exit_0(capsys, tmp_path, mo
     report = run_json(capsys, "analyze", str(path), "--xi", "1", "--eta", "1", "--alpha", "0")
     assert report["decomposition"]["deviation"] == {"alpha": 0.0, "eta": 1.0, "holds": True,
                                                     "slack": 0.0}
+
+
+def test_deviation_of_a_remainder_of_rounding_size_holds_exit_0(capsys, tmp_path, monkeypatch):
+    # A tight frame whose T = S - I is Hermitian rounding noise, eigenvalues +-1e-16:
+    # |0 - t| <= c|t| misses by 5e-33, which is nothing at the size of S and xi = 1.
+    def noisy(system, xi):
+        dec = shift_decompose(system, xi)
+        noise = 1e-16 * np.diag((-1.0) ** np.arange(dec.source.shape.dim))
+        return ShiftDecomposition(xi=dec.xi, source=dec.source,
+                                  remainder=ModuleOperator(dec.source.shape,
+                                                           dec.remainder.mat + noise))
+
+    monkeypatch.setattr(cli, "shift_decompose", noisy)
+    path = write_onb(tmp_path / "onb.json", n=5, d=3)
+    report = run_json(capsys, "analyze", str(path), "--xi", "1", "--eta", "1", "--alpha", "0")
+    deviation = report["decomposition"]["deviation"]
+    assert deviation["holds"] is True
+    assert deviation["slack"] == pytest.approx(-5e-33)
+
+
+@pytest.mark.parametrize("xi,t", [("1", 1e-5), ("100", 1e-3)])
+def test_deviation_of_a_resolved_remainder_small_next_to_xi_fails_exit_0(capsys, tmp_path, xi, t):
+    # S = (xi + t) I: ||0 f - T f|| <= 0 fails by t^2, which rounding at S's size cannot reach.
+    path = write_onb(tmp_path / "onb.json", scale=math.sqrt(float(xi) + t))
+    report = run_json(capsys, "analyze", str(path), "--xi", xi, "--eta", "0", "--alpha", "0")
+    deviation = report["decomposition"]["deviation"]
+    assert deviation["holds"] is False
+    assert deviation["slack"] == pytest.approx(-t * t, rel=1e-6)
 
 
 def test_perturb_huge_entry_exit_0(capsys, tmp_path):

@@ -21,7 +21,6 @@ from cstar_frames.decomposition import (
 )
 from cstar_frames.errors import (
     InconsistentDecompositionError,
-    NotHermitianError,
     SingularMatrixError,
 )
 from cstar_frames.frames import (
@@ -53,6 +52,11 @@ def scalar_system(*rows):
 def diag_operator(*values):
     shape = ModuleShape(1, len(values))
     return ModuleOperator(shape, np.diag([complex(v) for v in values]))
+
+
+def zero_shift(remainder):
+    """S = T + 0*I, the decomposition of T itself: its deviation verdict is sized by T and alpha."""
+    return ShiftDecomposition.from_parts(remainder, 0.0)
 
 
 def unitary_conjugate(rng, eigenvalues):
@@ -226,27 +230,27 @@ def test_diagnostics_implications_hold_on_every_frame(system, shift):
 # ---------------------------------------------------------- deviation witness
 
 def test_deviation_identity_zero_eta():
-    cert = deviation_certificate(identity_operator(ModuleShape(1, 2)), 1.0, 0.0)
+    cert = deviation_certificate(zero_shift(identity_operator(ModuleShape(1, 2))), 1.0, 0.0)
     assert cert.holds
     assert abs(cert.slack) <= 1e-12
 
 
 def test_deviation_scalar_failure():
     # |2 - 1| <= sqrt(1/2) * |1| is false, and the witness sees it.
-    cert = deviation_certificate(identity_operator(ModuleShape(1, 2)), 2.0, 1.0)
+    cert = deviation_certificate(zero_shift(identity_operator(ModuleShape(1, 2))), 2.0, 1.0)
     assert not cert.holds
     assert cert.slack == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_deviation_diagonal_holds():
-    cert = deviation_certificate(diag_operator(1.0, 2.0), 1.5, 1.0)
+    cert = deviation_certificate(zero_shift(diag_operator(1.0, 2.0)), 1.5, 1.0)
     assert cert.holds
     assert cert.slack == pytest.approx(0.25, abs=1e-12)
 
 
 def test_deviation_rejects_negative_eta():
     with pytest.raises(ValueError):
-        deviation_certificate(identity_operator(ModuleShape(1, 2)), 1.0, -0.1)
+        deviation_certificate(zero_shift(identity_operator(ModuleShape(1, 2))), 1.0, -0.1)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
@@ -257,7 +261,7 @@ def test_deviation_matches_scalar_inequality(alpha, eta):
     c = eta / math.sqrt(1.0 + eta * eta)
     for t1 in (-1.0, 0.3, 1.0, 1.9):
         for t2 in (0.5, 1.2, 3.0):
-            cert = deviation_certificate(diag_operator(t1, t2), alpha, eta)
+            cert = deviation_certificate(zero_shift(diag_operator(t1, t2)), alpha, eta)
             scalar = all(abs(alpha - t) <= c * abs(t) + 1e-12 for t in (t1, t2))
             assert cert.holds == scalar
 
@@ -271,7 +275,7 @@ def test_deviation_unitary_invariant(rng):
     for _ in range(10):
         values = rng.uniform(lo + 1e-6, hi - 1e-6, size=4)
         mat = unitary_conjugate(rng, values)
-        cert = deviation_certificate(ModuleOperator(ModuleShape(1, 4), mat), alpha, eta)
+        cert = deviation_certificate(zero_shift(ModuleOperator(ModuleShape(1, 4), mat)), alpha, eta)
         assert cert.holds
 
 
@@ -290,7 +294,7 @@ def test_deviation_certificate_decides_the_inequality_for_every_f(system, shift,
     c = math.sqrt(csq)
     low, high = (spectrum[-1] - xi) * (1.0 - c), (spectrum[0] - xi) * (1.0 + c)
     alpha = low + place * (high - low)
-    cert = deviation_certificate(T, alpha, eta)
+    cert = deviation_certificate(zero_shift(T), alpha, eta)
     size = max(np.linalg.norm(T.mat), abs(alpha)) ** 2
 
     def excess(rep):
@@ -428,7 +432,7 @@ def test_ordering_when_certificate_holds(rng):
         shape = ModuleShape(1, n)
         system = frame_from_operator(t_mat + xi * np.eye(n), shape)
         dec = shift_decompose(system, xi)
-        cert = deviation_certificate(dec.remainder, alpha, eta)
+        cert = deviation_certificate(dec, alpha, eta)
         assert cert.holds
         est = frame_lower_bound(dec, eta)
         if est.value <= 0:
@@ -637,8 +641,8 @@ def test_drift_checks_hold_past_overflow():
 def test_eta_past_double_range_takes_the_limit():
     # eta^2 overflows at 1e155, where eta^2 / (1 + eta^2) has long been 1.0.
     for alpha in (0.5, 1.0, 2.0):
-        huge = deviation_certificate(diag_operator(1.0, 2.0), alpha, 1e155)
-        limit = deviation_certificate(diag_operator(1.0, 2.0), alpha, 1e150)
+        huge = deviation_certificate(zero_shift(diag_operator(1.0, 2.0)), alpha, 1e155)
+        limit = deviation_certificate(zero_shift(diag_operator(1.0, 2.0)), alpha, 1e150)
         assert (huge.holds, huge.slack) == (limit.holds, limit.slack)
         assert math.isfinite(huge.slack)
     shape = ModuleShape(1, 2)
@@ -677,8 +681,26 @@ def test_decomposition_refusals_name_their_cause(call, message):
 def test_deviation_certificate_refuses_a_non_self_adjoint_operator():
     # The eigenvalue form of the witness holds for self-adjoint T only.
     crooked = ModuleOperator(ModuleShape(1, 2), [[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(NotHermitianError, match="^deviation_certificate: relative symmetry"):
-        deviation_certificate(crooked, 1.0, 0.5)
+    with pytest.raises(InconsistentDecompositionError, match="^remainder must be self-adjoint"):
+        deviation_certificate(zero_shift(crooked), 1.0, 0.5)
+
+
+def test_deviation_of_a_remainder_of_rounding_size_is_judged_at_xi():
+    # T = S - I of a tight frame may be Hermitian rounding noise: |0 - t| <= c|t| then
+    # misses by 5e-33, at T's own size all of T, but nothing at the size of S and xi.
+    cert = deviation_certificate(ShiftDecomposition.from_parts(diag_operator(1e-16, -1e-16), 1.0),
+                                 0.0, 1.0)
+    assert cert.holds
+    assert cert.slack == pytest.approx(-5e-33)
+
+
+@pytest.mark.parametrize("xi,t", [(1.0, 1e-5), (100.0, 1e-3)])
+def test_deviation_of_a_resolved_remainder_small_next_to_xi_fails(xi, t):
+    # ||0 f - T f|| <= 0 fails by t^2, far above what rounding at the size of S and xi
+    # moves it (about DEFAULT_TOL * xi * t), though far below DEFAULT_TOL * xi^2.
+    cert = deviation_certificate(ShiftDecomposition.from_parts(diag_operator(t, t), xi), 0.0, 0.0)
+    assert not cert.holds
+    assert cert.slack == pytest.approx(-t * t)
 
 
 @settings(deadline=None, max_examples=200)
@@ -693,7 +715,7 @@ def test_deviation_slack_is_the_witness_products_least_eigenvalue(dim, alpha, et
     shifted = alpha * np.eye(dim) - mat
     witness = csq * (mat @ mat.conj().T) - shifted @ shifted.conj().T
     expected = np.linalg.eigvalsh((witness + witness.conj().T) / 2)[0]
-    cert = deviation_certificate(ModuleOperator(ModuleShape(1, dim), mat), alpha, eta)
+    cert = deviation_certificate(zero_shift(ModuleOperator(ModuleShape(1, dim), mat)), alpha, eta)
     assert abs(cert.slack - expected) <= 1e-12 * max(np.linalg.norm(mat), abs(alpha), 1.0) ** 2
 
 

@@ -27,10 +27,8 @@ from cstar_frames.frame_io import (
     dumps_payload,
     frame_to_payload,
     load_frame,
-    load_partition,
     payload_to_frame,
     save_frame,
-    save_partition,
 )
 from cstar_frames.decomposition import PartCheck
 from cstar_frames.frames import MAX_FRAME_ENTRIES, BoundsReport, FrameSystem
@@ -121,8 +119,9 @@ def test_certificate_vector_mismatch_rejected(tmp_path):
 def test_malformed_json_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": "cstar-frames/1",\n  "algebra": oops}')
-    with pytest.raises(FrameFileError, match=r"line 2, column"):
+    with pytest.raises(FrameFileError) as info:
         load_frame(path)
+    assert str(info.value) == f"{path}: invalid JSON at line 2, column 14: Expecting value"
 
 
 def test_wrong_block_shape_reports_location():
@@ -206,34 +205,6 @@ def test_json_object_names_fields_in_camel_case_and_leaves_out_none():
     assert frame_io.json_object(Partition((2, 1, 2))) == [2, 1, 2]
 
 
-def test_partition_round_trip(tmp_path):
-    part = Partition((2, 1, 2, 1))
-    path = tmp_path / "part.json"
-    save_partition(path, part, families=2, sigma=[1, 3])
-    back, families = load_partition(path)
-    assert families == 2
-    assert back.assignment == part.assignment
-
-
-def test_partition_missing_file_rejected(tmp_path):
-    path = tmp_path / "nope.json"
-    with pytest.raises(FrameFileError) as frame_info:
-        load_frame(path)
-    with pytest.raises(FrameFileError, match="No such file") as info:
-        load_partition(path)
-    assert str(info.value) == str(frame_info.value)
-    assert str(info.value).startswith(f"{path}: ")
-
-
-def test_partition_invalid_json_rejected(tmp_path):
-    path = tmp_path / "part.json"
-    path.write_text('{"schema": "cstar-frames-partition/1",\n  "families": oops}')
-    with pytest.raises(FrameFileError) as info:
-        load_partition(path)
-    assert str(info.value) == (
-        f"{path}: invalid JSON at line 2, column 15: Expecting value")
-
-
 _NOT_UTF8 = b'\xff\xfe{"schema": "cstar-frames/1"}'
 
 
@@ -241,27 +212,8 @@ def test_non_utf8_file_exits_2(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(_NOT_UTF8)
     assert main(["analyze", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
-
-
-def test_partition_non_utf8_rejected(tmp_path):
-    path = tmp_path / "part.json"
-    path.write_bytes(_NOT_UTF8)
-    with pytest.raises(FrameFileError) as info:
-        load_partition(path)
-    assert str(info.value) == (
-        f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte")
-
-
-def test_partition_rejects_out_of_range(tmp_path):
-    path = tmp_path / "part.json"
-    path.write_text(json.dumps({
-        "schema": "cstar-frames-partition/1",
-        "families": 2,
-        "assignment": [1, 3],
-    }))
-    with pytest.raises(FrameFileError):
-        load_partition(path)
+    assert capsys.readouterr().err == (f"error: {path}: 'utf-8' codec can't decode byte 0xff "
+                                       f"in position 0: invalid start byte\n")
 
 
 def test_serialized_floats_shortest_repr(tmp_path):
@@ -324,18 +276,6 @@ def test_boolean_permutation_entry_rejected():
     payload["certificate"]["permutation"][0] = True
     with pytest.raises(FrameFileError, match="certificate.permutation"):
         payload_to_frame(payload)
-
-
-@pytest.mark.parametrize("families,assignment", [(True, [1, 1]), (2, [True, 2])])
-def test_partition_boolean_integers_rejected(tmp_path, families, assignment):
-    path = tmp_path / "part.json"
-    path.write_text(json.dumps({
-        "schema": "cstar-frames-partition/1",
-        "families": families,
-        "assignment": assignment,
-    }))
-    with pytest.raises(FrameFileError):
-        load_partition(path)
 
 
 def test_boolean_dimension_file_exits_2(tmp_path, capsys):
@@ -670,7 +610,6 @@ def test_dumps_payload_rejects_non_finite_vectors():
         dumps_payload(payload)
 
 
-
 def test_dumps_payload_rejects_empty_vectors():
     with pytest.raises(ValueError, match="^vectors: expected a nonempty list"):
         dumps_payload({"schema": "cstar-frames/1", "vectors": []})
@@ -703,17 +642,20 @@ def test_dumps_payload_names_vectors_for_malformed_lists(vectors, message):
 
 
 @pytest.mark.parametrize("vectors,message", _MALFORMED_VECTORS)
-def test_malformed_vectors_leave_the_file_unchanged(tmp_path, vectors, message):
+def test_malformed_vectors_leave_the_file_unchanged(tmp_path, monkeypatch, vectors, message):
     path = tmp_path / "frame.json"
-    save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
+    system = FrameSystem(standard_basis(ModuleShape(1, 2)))
+    save_frame(path, system)
     before = path.read_bytes()
+    monkeypatch.setattr(frame_io, "_payload",
+                        lambda *frame: {"schema": "cstar-frames/1", "vectors": vectors})
     with pytest.raises(ValueError, match=message):
-        frame_io._save_payload(path, {"schema": "cstar-frames/1", "vectors": vectors})
+        save_frame(path, system)
     assert path.read_bytes() == before
 
 
-# save_frame and save_partition stream the text of dumps_payload to disk a
-# slice of vectors at a time.  The file is canonical as bytes: "\n" line ends
+# save_frame streams the text of dumps_payload to disk a slice of vectors at
+# a time.  The file is canonical as bytes: "\n" line ends
 # whatever the platform's, which reading back as text would hide.
 
 def _canonical_bytes(payload) -> bytes:
@@ -728,16 +670,6 @@ def test_save_frame_writes_canonical_bytes(rng, tmp_path, certificate, scenario)
     path = tmp_path / "frame.json"
     save_frame(path, system, cert, scenario)
     assert path.read_bytes() == _canonical_bytes(frame_to_payload(system, cert, scenario))
-
-
-@pytest.mark.parametrize("sigma", [None, [1, 3]])
-def test_save_partition_writes_canonical_bytes(tmp_path, sigma):
-    path = tmp_path / "partition.json"
-    save_partition(path, Partition((1, 2, 2, 1)), families=2, sigma=sigma)
-    expected = {"schema": "cstar-frames-partition/1", "families": 2, "assignment": [1, 2, 2, 1]}
-    if sigma is not None:
-        expected["sigma"] = sigma
-    assert path.read_bytes() == _canonical_bytes(expected)
 
 
 def _slice_sizes(shape):
@@ -776,7 +708,7 @@ def test_save_frame_memory_stays_below_half_the_file(tmp_path):
     assert peak < size / 2, (peak, size)
 
 
-def test_refused_save_leaves_the_file_unchanged(tmp_path):
+def test_refused_save_leaves_the_file_unchanged(tmp_path, monkeypatch):
     system = FrameSystem(standard_basis(ModuleShape(1, 2)))
     path = tmp_path / "frame.json"
     save_frame(path, system)
@@ -785,11 +717,12 @@ def test_refused_save_leaves_the_file_unchanged(tmp_path):
         save_frame(path, system, None, {"size": {2}})
     payload = frame_to_payload(system)
     payload["vectors"][1][0][0][0][1] = math.inf
+    monkeypatch.setattr(frame_io, "_payload", lambda *frame: payload)
     with pytest.raises(ValueError, match="finite"):
-        frame_io._save_payload(path, payload)
+        save_frame(path, system)
     payload["vectors"] = []
     with pytest.raises(ValueError, match="^vectors"):
-        frame_io._save_payload(path, payload)
+        save_frame(path, system)
     assert path.read_bytes() == before
 
 def _construct_and_dual(tmp_path):
@@ -807,7 +740,7 @@ def _construct_and_dual(tmp_path):
     yield out
     assert main(["construct", "t49", "--n", "6", "--profile1", "geometric:1.3:0.7",
                  "--profile2", "gaussian:1", "--out", str(tmp_path / "sc")]) == 0
-    yield from (tmp_path / f"sc-{key}.json" for key in ("a", "b", "partition"))
+    yield from (tmp_path / f"sc-{key}.json" for key in ("a", "b"))
     rng = np.random.default_rng(11)
     plain = tmp_path / "plain.json"
     save_frame(plain, random_system(rng, ModuleShape(2, 2), 5))
@@ -820,7 +753,7 @@ def _construct_and_dual(tmp_path):
 def test_cli_writes_canonical_json(tmp_path, capsys):
     files = list(_construct_and_dual(tmp_path))
     capsys.readouterr()
-    assert len(files) == 10
+    assert len(files) == 9
     for path in files:
         text = path.read_text()
         assert text == _canonical(json.loads(text)), path.name
@@ -858,14 +791,6 @@ def test_deeply_nested_json_exits_2(tmp_path):
     assert done.stderr == f"error: {path}: invalid JSON: nested too deeply to decode\n"
 
 
-def test_partition_deeply_nested_json_rejected(tmp_path):
-    path = tmp_path / "part.json"
-    path.write_text(_DEEP)
-    with pytest.raises(FrameFileError) as info:
-        load_partition(path)
-    assert str(info.value) == f"{path}: invalid JSON: nested too deeply to decode"
-
-
 @pytest.fixture
 def collector():
     """Restores the collector's state after a test that changes it."""
@@ -885,15 +810,12 @@ _GC_CASES = {
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("case", list(_GC_CASES))
-@pytest.mark.parametrize("load", [load_frame, load_partition])
+@pytest.mark.parametrize("load", [load_frame])
 def test_load_leaves_the_collector_as_found(tmp_path, collector, load, case, enabled):
     path = tmp_path / "file.json"
     content = _GC_CASES[case]
     if content is None:
-        if load is load_frame:
-            save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
-        else:
-            save_partition(path, Partition((1, 2)), 2)
+        save_frame(path, FrameSystem(standard_basis(ModuleShape(1, 2))))
     elif isinstance(content, bytes):
         path.write_bytes(content)
     else:
@@ -908,13 +830,22 @@ def test_load_leaves_the_collector_as_found(tmp_path, collector, load, case, ena
 
 
 def test_collector_paused_while_decoding(tmp_path, monkeypatch, collector):
-    path = tmp_path / "part.json"
-    save_partition(path, Partition((1, 2)), 2)
+    # A written file is decoded in two json.loads calls, its head and the numbers of
+    # "vectors"; a minified copy with "vectors" first is decoded whole, in one.
+    system = FrameSystem(standard_basis(ModuleShape(1, 2)))
+    written, whole = tmp_path / "frame.json", tmp_path / "whole.json"
+    save_frame(written, system)
+    payload = frame_to_payload(system)
+    whole.write_text(json.dumps({"vectors": payload.pop("vectors"), **payload}))
     seen = []
     decode = json.loads
-    monkeypatch.setattr(json, "loads", lambda text: seen.append(gc.isenabled()) or decode(text))
+    monkeypatch.setattr(json, "loads",
+                        lambda *args, **kwargs: seen.append(gc.isenabled()) or decode(*args, **kwargs))
     gc.enable()
-    load_partition(path)
+    load_frame(written)
+    assert seen == [False, False] and gc.isenabled()
+    seen.clear()
+    load_frame(whole)
     assert seen == [False] and gc.isenabled()
 
 
@@ -970,15 +901,6 @@ def test_long_integer_in_frame_file_rejected(tmp_path, field):
     path.write_text(dumps_payload(payload).replace(old, new, 1))
     with pytest.raises(FrameFileError) as info:
         load_frame(path)
-    assert str(info.value) == _long_integer_message(path)
-
-
-def test_long_integer_in_partition_file_rejected(tmp_path):
-    path = tmp_path / "part.json"
-    save_partition(path, Partition((1, 2)), 2)
-    path.write_text(path.read_text().replace('"families": 2', f'"families": {_LONG_INTEGER}'))
-    with pytest.raises(FrameFileError) as info:
-        load_partition(path)
     assert str(info.value) == _long_integer_message(path)
 
 

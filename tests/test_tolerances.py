@@ -69,8 +69,8 @@ def test_verdicts_do_not_depend_on_scale(case):
     assert psd_check(scaled_dec.remainder.mat) == psd_check(dec.remainder.mat)
     assert (frame_lower_bound(scaled_dec, eta).formula_only
             == frame_lower_bound(dec, eta).formula_only)
-    deviation = deviation_certificate(dec.remainder, alpha, eta)
-    scaled_deviation = deviation_certificate(scaled_dec.remainder, q * alpha, eta)
+    deviation = deviation_certificate(dec, alpha, eta)
+    scaled_deviation = deviation_certificate(scaled_dec, q * alpha, eta)
     assert scaled_deviation.holds == deviation.holds
     assert scaled_deviation.slack == q * q * deviation.slack
 
