@@ -4,12 +4,14 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
 
     0  success
     2  file parse or validation error (JSON nested too deeply or not UTF-8, too,
-       a frame file above MAX_FRAME_ENTRIES, and a written frame whose bounds
-       drift when it is read back)
+       a frame file above MAX_FRAME_ENTRIES, vectors whose X* X overflows or
+       underflows to a zero diagonal entry on a nonzero column, and a written
+       frame whose bounds drift when it is read back)
     3  dimension mismatch between operands
     4  invalid flags, out-of-range values, an --out that cannot be written
-       (the message is the OS error), a frame too large to build, or an
-       S - xi*I, a dual or a weaving operator past the double range
+       or a closed standard output (the message is the OS error), a frame too
+       large to build, or an S - xi*I, a dual or a weaving operator past the
+       double range
     5  partition enumeration cap exceeded
     6  input is not a frame
 
@@ -74,8 +76,9 @@ class UsageError(Exception):
 
 #: Exit code of each error that is reported without a traceback; no command
 #: handler catches an error to translate it.  OSError is an --out that cannot
-#: be written (reading a file reports FrameFileError), and OverflowError an
-#: S - xi*I, a dual or a weaving operator past the double range.
+#: be written or a closed standard output (reading a file reports
+#: FrameFileError), and OverflowError an S - xi*I, a dual or a weaving
+#: operator past the double range.
 EXIT_CODES = {FrameFileError: 2, ShapeMismatchError: 3, LengthMismatchError: 3,
               UsageError: 4, OSError: 4, OverflowError: 4,
               TooManyPartitionsError: 5, NotAFrameError: 6}
@@ -522,6 +525,21 @@ def _render_text(report: dict, indent: int = 0) -> list[str]:
     return lines
 
 
+def _print_report(text: str) -> None:
+    """Print the report; a closed standard output raises BrokenPipeError (an OSError).
+
+    Standard output is then pointed at os.devnull, as the SIGPIPE note in the
+    Python docs shows, so that the interpreter's flush at exit prints nothing.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code; may be called repeatedly in one process.
 
@@ -530,13 +548,11 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         report = _past_range_as_null(args.handler(args))
+        _print_report(json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
+                      else "\n".join(_render_text(report)))
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    if args.format == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_render_text(report)))
     return 0
 
 

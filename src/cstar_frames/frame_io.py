@@ -6,10 +6,11 @@ bit-exactly, so parse(serialize(F)) reproduces F to the bit.  Written
 files are the canonical text json.dumps(payload, sort_keys=True,
 indent=2) plus a newline, produced without the standard library's
 pure-Python encoder: the numbers of "vectors" are laid out in one
-template per vector (see dumps_payload).  Files are written as a stream
-of that text, a slice of vectors at a time, with LF line ends on every
-platform; every check runs before the file is opened, so a refused save
-leaves an existing file as it was.
+template per vector, and a run of vectors equal to the bit is formatted
+once (see dumps_payload).  Files are written as a stream of that text, a
+slice of vectors at a time, so a save holds about one slice of it, with LF
+line ends on every platform; every check runs before the file is opened,
+so a refused save leaves an existing file as it was.
 
 A file is loaded in one of two ways, to the same frame.  When its bytes
 are ASCII with no backslash and its only "vectors" member is its last
@@ -379,14 +380,26 @@ def _layout(payload: dict) -> Iterator[str]:
 
 
 def _vector_pieces(head: str, template: str, rows: np.ndarray, tail: str) -> Iterator[str]:
-    # The "vectors" list as _json_list(..., 1) lays it out, one slice at a time.
+    """The "vectors" list as _json_list(..., 1) lays it out, one slice at a time.
+
+    A row whose bytes equal the previous row's (so a -0.0 is not a 0.0) reuses
+    its text: a run of equal vectors is formatted once, across slice boundaries
+    too, and with only that one row kept a save still holds about one slice.
+    """
     separator = ",\n    "
     step = _vectors_per_slice(template, rows.shape[1])
+    last_bits, last_text = None, ""
     yield head + '\n  "vectors": [\n    '
     for start in range(0, len(rows), step):
         if start:
             yield separator
-        yield separator.join([template % tuple(row) for row in rows[start:start + step].tolist()])
+        texts = []
+        for row in rows[start:start + step]:
+            bits = bytes(row)
+            if bits != last_bits:
+                last_bits, last_text = bits, template % tuple(row.tolist())
+            texts.append(last_text)
+        yield separator.join(texts)
     yield "\n  ]" + tail + "\n"
 
 
@@ -399,8 +412,10 @@ def dumps_payload(payload: dict) -> str:
     and booleans, which json.dumps writes as such, are refused) are laid out
     here instead: one template per vector, filled with ``'%r' % float``,
     which is ``float.__repr__``, the function both standard encoders call.
-    This is the join of the pieces that save_frame streams to disk a slice of
-    vectors at a time, so a file holds the same bytes.
+    A vector whose bits equal the one before it reuses that vector's text, so
+    a run of equal vectors is formatted once.  This is the join of the pieces
+    that save_frame streams to disk a slice of vectors at a time, holding
+    about one slice of text, so a file holds the same bytes.
     """
     return "".join(_layout(payload))
 

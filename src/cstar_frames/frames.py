@@ -51,7 +51,8 @@ class FrameSystem:
     `shape`, from the (N*d) x (n*d) synthesis matrix itself, whose row
     block k is rep(f_k).  The matrix is copied into the read-only
     :attr:`synthesis` and the frame operator X* X is built once; finite
-    entries whose X* X overflows raise OverflowError.
+    entries whose X* X overflows, or underflows to a zero diagonal entry on
+    a nonzero column, raise OverflowError.
     Duplicate and zero vectors are allowed; the empty family is not.
     Instances are immutable, so they can be shared freely across threads.
     """
@@ -81,6 +82,12 @@ class FrameSystem:
             frame_op = matrix.conj().T @ matrix
         if not np.isfinite(frame_op).all():
             raise OverflowError("the frame operator X* X overflows a double")
+        # Every |x|^2 of a nonzero column underflowed: S reads 0 in a direction X spans.
+        zero = frame_op.diagonal().real == 0
+        if zero.any() and matrix[:, zero].any():
+            column = int(np.flatnonzero(zero & matrix.any(axis=0))[0]) + 1
+            raise OverflowError(f"the frame operator X* X underflows a double: diagonal "
+                                f"entry {column} is 0 on a nonzero column of X")
         self._frame_op = ModuleOperator(shape, frame_op)
 
     @property

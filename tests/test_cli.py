@@ -469,6 +469,24 @@ def test_out_that_fills_mid_write_exit_4(tmp_path):
         assert done.returncode == 4, argv
         assert done.stderr == "error: [Errno 28] No space left on device\n", argv
 
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_standard_output_exit_4(tmp_path, fmt):
+    """A report printed to a pipe whose reader has gone exits 4 with one error line."""
+    path = write_onb(tmp_path / "onb.json")
+    src = Path(cstar_frames.__file__).parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", "analyze", str(path),
+                               "--format", fmt], stdout=write, stderr=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write)
+    assert done.returncode == 4
+    assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize("command,flags", [
     ("analyze", ["--xi", "nan"]),
     ("analyze", ["--xi", "inf"]),

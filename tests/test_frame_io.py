@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import cstar_frames
@@ -165,6 +165,23 @@ def test_overflowing_frame_operator_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(_overflowing_payload()))
     assert main(["analyze", str(path)]) == 2
     assert "vectors: the frame operator X* X overflows" in capsys.readouterr().err
+
+
+def test_underflowing_frame_operator_exits_2(tmp_path, capsys):
+    # X* X = 1e-400 underflows to 0 where X is nonzero; at 1e-150, S = 1e-300 is a tight frame.
+    payload = {"schema": "cstar-frames/1", "algebra": {"d": 1}, "module": {"n": 1},
+               "vectors": [[[[[1e-150, 0.0]]]]]}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounds"]["tight"] is True
+    payload["vectors"][0][0][0][0][0] = 1e-200
+    path.write_text(json.dumps(payload))
+    for argv in (["analyze", str(path)], ["weave", str(path), str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: vectors: the frame operator X* X "
+                                           f"underflows a double: diagonal entry 1 is 0 on a "
+                                           f"nonzero column of X\n")
 
 
 def test_wrong_schema_rejected():
@@ -514,7 +531,9 @@ def test_negative_zero_round_trips(tmp_path):
 
 
 # Any double, subnormals and -0.0 included, up to a size whose frame operator
-# X* X stays finite (FrameSystem rejects a non-finite operator).
+# X* X stays finite (FrameSystem rejects a non-finite operator).  FrameSystem
+# also rejects a nonzero column whose every |x|^2 underflows; such draws are
+# discarded.
 _doubles = st.floats(min_value=-1e150, max_value=1e150)
 
 
@@ -524,7 +543,10 @@ def frame_systems(draw):
     parts = draw(st.lists(_doubles, min_size=2 * count * d * n * d,
                           max_size=2 * count * d * n * d))
     synthesis = np.array(parts).view(complex).reshape(count * d, n * d)
-    return FrameSystem(synthesis, shape=ModuleShape(d, n))
+    try:
+        return FrameSystem(synthesis, shape=ModuleShape(d, n))
+    except OverflowError:
+        reject()
 
 
 @settings(deadline=None)
@@ -694,6 +716,39 @@ def test_save_frame_bytes_across_slice_boundaries(rng, tmp_path, d, n):
         assert len(list(frame_io._layout(payload))) == 2 * math.ceil(count / per) + 1, count
 
 
+def _assert_writes_canonical_text(path, system):
+    """dumps_payload gives the canonical text of the frame, and save_frame writes its bytes."""
+    payload = frame_to_payload(system)
+    text = dumps_payload(payload)
+    assert text == _canonical(payload)
+    save_frame(path, system)
+    assert path.read_bytes() == text.encode()
+    return text
+
+
+# A run of equal vectors is formatted once; each run here holds five vectors,
+# and "boundary" runs from two vectors before a slice boundary to three after.
+@pytest.mark.parametrize("d,n,where", [(2, 3, "first"), (2, 3, "last"),
+                                       (1, 64, "boundary"), (2, 16, "boundary")])
+def test_run_of_equal_vectors_writes_canonical_bytes(rng, tmp_path, d, n, where):
+    shape = ModuleShape(d, n)
+    per, _ = _slice_sizes(shape)
+    count = 2 * per + 1
+    first = {"first": 0, "last": count - 5, "boundary": per - 2}[where]
+    blocks = rng.standard_normal((count, d, shape.dim)) + 1j * rng.standard_normal((count, d, shape.dim))
+    blocks[first:first + 5] = blocks[first]
+    system = FrameSystem(blocks.reshape(-1, shape.dim), shape=shape)
+    _assert_writes_canonical_text(tmp_path / "frame.json", system)
+
+
+def test_negative_zero_breaks_a_run_of_equal_vectors(tmp_path):
+    # The third vector equals the others in value, not in bits: its -0.0 is kept.
+    e1, flipped = [1.0, 0.0], [1.0, complex(-0.0, 0.0)]
+    system = FrameSystem(np.array([e1, e1, flipped, e1]), shape=ModuleShape(1, 2))
+    text = _assert_writes_canonical_text(tmp_path / "frame.json", system)
+    assert [line.strip(" ,") for line in text.splitlines()].count("-0.0") == 1
+
+
 def test_save_frame_memory_stays_below_half_the_file(tmp_path):
     system, cert = repetition_frame(ModuleShape(1, 64), {5: 1001})
     path = tmp_path / "repetition.json"
@@ -705,6 +760,23 @@ def test_save_frame_memory_stays_below_half_the_file(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert size > 6_000_000
+    assert peak < size / 2, (peak, size)
+
+
+def test_save_frame_memory_stays_below_half_the_file_with_no_repeated_vector(rng, tmp_path):
+    # Only the previous vector's text is kept, so a frame with no repeats holds one slice too.
+    rows = (1064, 64)
+    system = FrameSystem(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                         shape=ModuleShape(1, 64))
+    path = tmp_path / "random.json"
+    tracemalloc.start()
+    try:
+        save_frame(path, system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
     assert peak < size / 2, (peak, size)
 
 

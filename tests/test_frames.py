@@ -134,6 +134,18 @@ def test_array_constructor_rejects_bad_matrix(matrix, error):
         FrameSystem(matrix, shape=ModuleShape(2, 2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_array_constructor_rejects_frame_operator_underflowing_on_a_nonzero_column():
+    # |1e-200 i|^2 underflows, so S would read 0 in a direction X spans; column 1 is zero.
+    with pytest.raises(OverflowError) as raised:
+        FrameSystem(np.array([[0.0, 1e-200j]]), shape=ModuleShape(1, 2))
+    assert str(raised.value) == ("the frame operator X* X underflows a double: diagonal "
+                                 "entry 2 is 0 on a nonzero column of X")
+    # A subnormal but nonzero S is kept, and so is a zero column.
+    system = FrameSystem(np.array([[0.0, 1e-160j]]), shape=ModuleShape(1, 2))
+    assert 0.0 < system.frame_op.mat[1, 1].real < 1e-308
+
+
 @pytest.mark.parametrize("call,message", [
     (lambda system: synthesis(system, [np.eye(3)] * 3),
      "coefficients must be 2x2 algebra elements, got (3, 3)"),
