@@ -18,7 +18,9 @@ member, as in every file the package writes, "vectors" is read from its
 text (see _text_payload): the rest of the document is decoded with
 "vectors" cut out, the brackets and commas of "vectors" are checked
 against the nesting (N, n, d, d, 2) implies, and its numbers are decoded
-by one flat json.loads, with no nested list built.  Any other file, and
+by one flat json.loads, with no nested list built.  A run of vectors whose
+text is the same byte for byte is decoded once and its numbers repeated,
+the mirror of the writer's run (see _vector_runs).  Any other file, and
 any file that fails one of these checks, is read again and decoded whole,
 and its "vectors" list checked one level at a time (see
 _decode_synthesis), which names the position of a fault.  Both ways end
@@ -461,6 +463,30 @@ def _int_as_double(text: str) -> float:
     return _as_double(int(text))
 
 
+def _vector_runs(data: bytes, start: int, end: int, commas: int) -> tuple[np.ndarray, ...]:
+    """The runs of equal vectors in "vectors": where each run's first vector starts and ends
+    in `data`, and the length of each run.
+
+    data[start] and data[end] are the brackets of "vectors", whose skeleton is
+    checked: vectors of `commas` commas each, so every (commas + 1)-th comma
+    ends one.  A vector's text runs from past the bracket or comma before it to
+    its own last bracket, and a vector whose text has the bytes of the one
+    before it continues that one's run.
+    """
+    inside = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
+    separators = np.flatnonzero(inside == ord(","))[commas::commas + 1] + start + 1
+    starts = np.append(start + 1, separators + 1)
+    ends = np.append(separators, data.rfind(b"]", start, end) + 1)
+    lengths = ends - starts
+    first = np.ones(len(starts), bool)
+    view = memoryview(data)
+    # Only a vector as long as the one before can repeat it; memcmp stops at the first difference.
+    for k in (np.flatnonzero(lengths[1:] == lengths[:-1]) + 1).tolist():
+        first[k] = not data.startswith(view[starts[k - 1]:ends[k - 1]], starts[k])
+    heads = np.flatnonzero(first)
+    return starts[heads], ends[heads], np.diff(heads, append=len(first))
+
+
 def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     """A frame file with "vectors" read from its text: head, shape and synthesis, or None.
 
@@ -469,10 +495,15 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     to the shape of a frame; the brackets and commas of "vectors" must be the
     skeleton of N vectors of that shape, N within the size limit; and the
     numbers, brackets turned into spaces so that no two can run together, must
-    decode as one flat JSON list of finite numbers.  Anything else, a fault
-    included, returns None before a nested list exists, and the caller decodes
-    the file whole.  The head is the rest of the document, its "vectors" null;
-    load_frame hands all three to _frame, where payload_to_frame ends too.
+    decode as one flat JSON list of finite numbers.  Only the first vector of
+    each run of vectors with the same text goes into that list (see
+    _vector_runs), and its numbers are repeated for the rest of the run; a
+    file with no run decodes the whole of "vectors" at once.  Either way at
+    most three copies of the file's size are alive at once.  Anything else, a
+    fault included, returns None before a nested list exists, and the caller
+    decodes the file whole.  The head is the rest of the document, its
+    "vectors" null; load_frame hands all three to _frame, where
+    payload_to_frame ends too.
     """
     if not data.isascii() or b"\\" in data:
         return None
@@ -503,8 +534,14 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     if (rest or _oversized(count, shape.d, shape.n)
             or skeleton[lead:-1] != b"[" + b",".join([vector] * count) + b"]"):
         return None
-    # One expression, so that at most three copies of the file's size are alive at once.
-    text = "[" + str(memoryview(data.translate(_BRACKETS_TO_SPACES))[start + 1:end], "ascii") + "]"
+    starts, ends, runs = _vector_runs(data, start, end, vector.count(b","))
+    # One expression each, so that at most three copies of the file's size are alive at once.
+    if len(runs) == count:  # no run: the whole of "vectors"
+        text = "[" + str(memoryview(data.translate(_BRACKETS_TO_SPACES))[start + 1:end], "ascii") + "]"
+    else:  # the first vector of each run; its copies are not decoded
+        view = memoryview(data)
+        heads = [view[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+        text = "[" + str(b",".join(heads).translate(_BRACKETS_TO_SPACES), "ascii") + "]"
     try:
         # Every number a float, an integer as _as_double has it: no per-item type check.
         numbers = json.loads(text, parse_int=_int_as_double)
@@ -513,7 +550,7 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     values = np.fromiter(numbers, float, len(numbers))
     if not np.isfinite(values).all():
         return None
-    return payload, shape, _synthesis(values, shape)
+    return payload, shape, _synthesis(np.repeat(values.reshape(len(runs), -1), runs, axis=0), shape)
 
 
 @contextmanager

@@ -176,6 +176,30 @@ def _gathered_blocks(contribs: np.ndarray, depth: int):
         yield contribs[assignments, positions].sum(axis=1)
 
 
+def _underflow(rows: np.ndarray, contribs: np.ndarray) -> str | None:
+    """Why some weaving operator is 0 on its diagonal where its vectors are not, or None.
+
+    A diagonal entry of a weaving operator sums one entry >= 0 per position,
+    so it is 0 at column k exactly when every position's chosen contribution
+    is.  Some partition reads 0 on a nonzero column k of its vectors exactly
+    when every position has a family whose contribution is 0 at (k, k), and
+    some position has one whose vector is nonzero in column k besides.  The
+    partition named takes that family at the first such position, and the
+    first family with a 0 at every other.
+    """
+    zero = contribs.diagonal(axis1=-2, axis2=-1).real == 0  # (m, N, D)
+    hidden = zero & rows.any(axis=-2)
+    columns = zero.any(axis=0).all(axis=0) & hidden.any(axis=(0, 1))
+    if columns.any():
+        k = int(np.argmax(columns))
+        assignment = np.argmax(zero[:, :, k], axis=0)
+        position = int(np.argmax(hidden[:, :, k].any(axis=0)))
+        assignment[position] = np.argmax(hidden[:, position, k])
+        return (f"the weaving operator of partition {(assignment + 1).tolist()} underflows a "
+                f"double: diagonal entry {k + 1} is 0 on a nonzero column of its vectors")
+    return None
+
+
 def universal_bounds(
     families: Sequence[FrameSystem],
     tol: float = DEFAULT_TOL,
@@ -194,7 +218,11 @@ def universal_bounds(
     same for any value.  Each block is checked finite before its
     eigensolves: a weaving operator past the double range raises
     OverflowError naming the lexicographically first such partition, though
-    every family's own frame operator may be finite.
+    every family's own frame operator may be finite.  Failing that, a
+    weaving operator whose diagonal underflows to 0 on a nonzero column of
+    its vectors raises OverflowError too (see _underflow, decided once before
+    the blocks), so that rescaling a pair never turns its verdict to "not
+    woven".
     """
     _, count = _check_families(families)
     m = len(families)
@@ -212,6 +240,7 @@ def universal_bounds(
         # rep(f)* rep(f) for every vector of every family; a weaving operator
         # sums one of them per position.
         contribs = rows.conj().swapaxes(-1, -2) @ rows
+        underflow = _underflow(rows, contribs)
         if contribs.shape[-1] > 1:
             blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
         else:
@@ -231,6 +260,8 @@ def universal_bounds(
                 low, worst = float(spectra[first, 0]), start + first
             high = max(high, float(spectra[:, -1].max()))
             start += len(block)
+    if underflow is not None:
+        raise OverflowError(underflow)
 
     return WeavingReport(
         universal_lower=low,

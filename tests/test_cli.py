@@ -821,6 +821,32 @@ def test_weave_overflowing_mix_of_finite_files_exit_4(capsys, tmp_path):
     assert err == "error: the weaving operator of partition [1, 2] overflows a double\n"
 
 
+def _scalar_pair(tmp_path, small, tiny):
+    """Two d = n = 1 files, the vectors [small, tiny] and [tiny, small]."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_frame(a, FrameSystem(np.array([[small + 0j], [tiny]]), shape=ModuleShape(1, 1)))
+    save_frame(b, FrameSystem(np.array([[tiny + 0j], [small]]), shape=ModuleShape(1, 1)))
+    return str(a), str(b)
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_underflowing_mix_exit_4(capsys, tmp_path):
+    # Each S is 1e-320 and kept, but (1e-164)^2 reads 0: partition [2, 1] would weigh 0.
+    code, stdout, err = run(capsys, "weave", *_scalar_pair(tmp_path, 1e-160, 1e-164))
+    assert code == 4 and stdout == ""
+    assert err == ("error: the weaving operator of partition [2, 1] underflows a double: "
+                   "diagonal entry 1 is 0 on a nonzero column of its vectors\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_subnormal_mix_still_weaves(capsys, tmp_path):
+    # The same pair 1e10 times larger: (1e-154)^2 = 1e-308 is subnormal but not 0.
+    report = run_json(capsys, "weave", *_scalar_pair(tmp_path, 1e-150, 1e-154))
+    del report["timing"]
+    assert report == {"isWoven": True, "partitionsChecked": 4, "universalLower": 2e-308,
+                      "universalUpper": 2e-300, "workers": 1, "worstPartition": [2, 1]}
+
+
 @pytest.mark.filterwarnings("error")
 def test_weave_t49_pair_past_double_range_exit_4(capsys, tmp_path):
     built = run_json(capsys, "construct", "t49", "--n", "4",

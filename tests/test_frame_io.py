@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import cstar_frames
@@ -1190,3 +1191,139 @@ def test_oversized_frame_file_refused_without_building_its_skeleton(tmp_path):
     assert str(info.value) == (f"{path}: vectors: a frame of 1 vectors with n = {n}, d = 1 "
                                f"has {n * n} entries, above the limit {MAX_FRAME_ENTRIES}")
     assert peak < 1_000_000, peak
+
+
+# Runs of equal vectors: the text path decodes the first vector of each run and
+# repeats its numbers, so a run must load as the decoded payload does, bit for
+# bit, wherever it sits and however the file is laid out.
+
+def _bit_runs(rows):
+    """The lengths of the runs of rows equal to the one before them, bit for bit."""
+    return [len(list(run)) for _, run in itertools.groupby(row.tobytes() for row in rows)]
+
+
+def _runs_found(data, numbers):
+    """The run lengths the text path finds in a file whose vectors hold `numbers` numbers each."""
+    start = data.index(b"[", data.index(b'"vectors"'))
+    return frame_io._vector_runs(data, start, data.rindex(b"]"), numbers - 1)[-1].tolist()
+
+
+def _rows_of_runs(distinct, lengths):
+    return np.repeat(np.array([distinct[k] for k, _ in lengths]), [n for _, n in lengths], axis=0)
+
+
+@st.composite
+def run_frames(draw):
+    """A shape with d in {1, 2}, and the file-order numbers of vectors in runs of 1-3 distinct ones.
+
+    With a twin, the second distinct vector is the first with one 0.0 made -0.0.
+    A long frame has n = 16, and its second run crosses the writer's first
+    64 KiB slice boundary.
+    """
+    d, long = draw(st.sampled_from([1, 2])), draw(st.booleans())
+    shape = ModuleShape(d, 16 if long else draw(st.integers(1, 3)))
+    size = 2 * shape.n * d * d
+    numbers = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-1e150, 1e150))
+    distinct = [draw(st.lists(numbers, min_size=size, max_size=size))
+                for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        distinct[0][0] = 0.0
+        distinct[1:2] = [[-0.0] + distinct[0][1:]]
+    which = st.integers(0, len(distinct) - 1)
+    if long:
+        per, _ = _slice_sizes(shape)
+        lengths = [(draw(which), per - 2 + draw(st.integers(0, 1))), (draw(which), 5),
+                   (draw(which), draw(st.integers(1, 3)))]
+    else:
+        lengths = draw(st.lists(st.tuples(which, st.integers(1, 6)), min_size=1, max_size=6))
+    return shape, _rows_of_runs(distinct, lengths)
+
+
+_E1, _E1_NEGATIVE_ZERO = [1.0, 0.0, 0.0, 0.0], [1.0, 0.0, -0.0, 0.0]
+
+
+@example((ModuleShape(1, 2), _rows_of_runs([_E1], [(0, 4)])), False)  # one run, vector 1 to the last
+@example((ModuleShape(1, 2), _rows_of_runs([_E1, _E1_NEGATIVE_ZERO], [(0, 2), (1, 3)])), False)
+@settings(deadline=None, max_examples=150)
+@given(run_frames(), st.booleans())
+def test_runs_of_equal_vectors_load_as_the_decoded_payload(frame, minified):
+    shape, rows = frame
+    payload = {"schema": FRAME_SCHEMA, "algebra": {"d": shape.d}, "module": {"n": shape.n},
+               "vectors": rows.reshape(len(rows), shape.n, shape.d, shape.d, 2).tolist()}
+    text = (json.dumps(payload, sort_keys=True, separators=(",", ":")) if minified
+            else dumps_payload(payload))
+    assert _runs_found(text.encode(), rows.shape[1]) == _bit_runs(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        path.write_text(text)
+        assert _takes_text_path(path)
+        try:
+            expected = payload_to_frame(json.loads(text)).system.synthesis
+        except FrameFileError as exc:  # X* X past the double range
+            with pytest.raises(FrameFileError) as info:
+                load_frame(path)
+            assert str(info.value) == f"{path}: {exc}"
+            return
+        actual = load_frame(path).system.synthesis
+        assert actual.shape == expected.shape
+        assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+# A fault planted in vector 5 of a repetition frame: e1, e2 and e3, then a run
+# of four more copies of e2, vectors 4 to 7.  The first keeps the brackets and
+# commas, so the text
+# path decodes the faulty copy and refuses it; the next two do not keep them;
+# the last makes a well-formed file of eight vectors, whose certificate then
+# fails.  Each file is decoded whole, as before, and gets the same message.
+_RUN_FAULTS = {
+    "two-numbers": (lambda vector: vector.replace("1.0", "1 2", 1), False,
+                    "invalid JSON at line 138, column 15: Expecting ',' delimiter"),
+    "letter": (lambda vector: vector.replace("1.0", "x1.0", 1), False,
+               "invalid JSON at line 138, column 13: Expecting value"),
+    "missing-comma": (lambda vector: vector.replace(",", "", 1), False,
+                      "invalid JSON at line 131, column 13: Expecting ',' delimiter"),
+    "vector-too-many": (lambda vector: f"{vector},\n    {vector}", True,
+                        "certificate: does not validate against the vectors; relative frame "
+                        "operator drift 1.622e-01 exceeds 1e-09"),
+}
+
+
+@pytest.mark.parametrize("fault", list(_RUN_FAULTS))
+def test_fault_in_a_copy_inside_a_run_gets_the_whole_decodes_message(tmp_path, capsys, fault):
+    plant, text_path, message = _RUN_FAULTS[fault]
+    system, cert = repetition_frame(ModuleShape(1, 3), {2: 5})
+    payload = frame_to_payload(system, cert)
+    text = dumps_payload(payload)
+    copy_text = json.dumps(payload["vectors"][1], indent=2).replace("\n", "\n    ")
+    copies = [m.start() for m in re.finditer(re.escape(copy_text), text)]
+    assert len(copies) == 5 and _runs_found(text.encode(), 6) == [1, 1, 1, 4]
+    at = copies[2]
+    path = tmp_path / "frame.json"
+    path.write_text(text[:at] + plant(copy_text) + text[at + len(copy_text):])
+    assert _takes_text_path(path) is text_path
+    assert _outcome(load_frame, path) == _outcome(_walk, path) == f"{path}: {message}"
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def _text_path_peak(path):
+    data = path.read_bytes()
+    tracemalloc.start()
+    try:
+        assert frame_io._text_payload(data) is not None
+        return tracemalloc.get_traced_memory()[1] / len(data)
+    finally:
+        tracemalloc.stop()
+
+
+def test_text_path_memory_with_and_without_runs(rng, tmp_path):
+    # With no run, two copies of the file beside the file itself, as before runs
+    # were decoded once; the repetition frame's runs leave about one.
+    rows = (1064, 64)
+    plain = tmp_path / "random.json"
+    save_frame(plain, FrameSystem(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                                  shape=ModuleShape(1, 64)))
+    runs = tmp_path / "repetition.json"
+    save_frame(runs, *repetition_frame(ModuleShape(1, 64), {5: 1001}))
+    assert _text_path_peak(plain) < 2.2
+    assert _text_path_peak(runs) < 1.5

@@ -2,10 +2,11 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cstar_frames.constructors import ScalarProfile, eigenprofile_operator
@@ -457,3 +458,33 @@ def test_weaving_operator_past_double_range():
     assert np.isfinite(weaving_operator([a, b], Partition((1, 1))).mat).all()
     with pytest.raises(OverflowError):
         weaving_operator([a, b], Partition((1, 2)))
+
+
+@st.composite
+def woven_scalar_pairs(draw):
+    """Two d = n = 1 families of 1-4 real vectors of magnitude 1 to 256: every partition weaves."""
+    count = draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(1.0, 256.0), min_size=2 * count, max_size=2 * count))
+    signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=2 * count, max_size=2 * count))
+    return np.array(values).reshape(2, count, 1) * np.array(signs).reshape(2, count, 1)
+
+
+# A vector of magnitude x * 2^k contributes x^2 * 2^(2k), which reads 0 for some
+# x in [1, 256] and not for others when k is about -546 to -530.
+@example(np.array([[[1.0], [1.0], [91.0], [1.0]]] * 2), -544)  # every operator is 5e-324
+@settings(deadline=None, max_examples=300)
+@given(woven_scalar_pairs(), st.one_of(st.integers(-546, -530), st.integers(-600, 600)))
+def test_rescaled_woven_pair_weaves_or_is_refused(pair, k):
+    shape = ModuleShape(1, 1)
+    assert universal_bounds([FrameSystem(f + 0j, shape=shape) for f in pair]).is_woven
+    try:
+        families = [FrameSystem(np.ldexp(f, k) + 0j, shape=shape) for f in pair]
+        report = universal_bounds(families)
+    except OverflowError as exc:
+        # The partition an underflow names has that 0 in its own frame operator.
+        named = re.match(r"the weaving operator of partition \[(.*)\] underflows", str(exc))
+        if named:
+            with pytest.raises(OverflowError, match="underflows a double"):
+                weaving_operator(families, Partition(map(int, named[1].split(", "))))
+        return
+    assert report.is_woven
