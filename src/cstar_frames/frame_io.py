@@ -20,11 +20,12 @@ text (see _text_payload): the rest of the document is decoded with
 against the nesting (N, n, d, d, 2) implies, and its numbers are decoded
 by one flat json.loads, with no nested list built.  A run of vectors whose
 text is the same byte for byte is decoded once and its numbers repeated,
-the mirror of the writer's run (see _vector_runs).  Any other file, and
-any file that fails one of these checks, is read again and decoded whole,
-and its "vectors" list checked one level at a time (see
-_decode_synthesis), which names the position of a fault.  Both ways end
-in one builder, _frame, given the shape and the synthesis matrix.
+the mirror of the writer's run (see _vector_runs); with no run, every vector
+is decoded.  Any other file, and any file that fails one of these checks,
+is read again and decoded whole, and its "vectors" list checked one level
+at a time (see _decode_synthesis), which names the position of a fault.
+Both ways end in one builder, _frame, given the shape and the synthesis
+matrix.
 
 Layout::
 
@@ -463,20 +464,22 @@ def _int_as_double(text: str) -> float:
     return _as_double(int(text))
 
 
-def _vector_runs(data: bytes, start: int, end: int, commas: int) -> tuple[np.ndarray, ...]:
-    """The runs of equal vectors in "vectors": where each run's first vector starts and ends
-    in `data`, and the length of each run.
+def _vector_runs(data: bytes, start: int, stop: int, commas: int) -> tuple[np.ndarray, ...]:
+    """The runs of equal vectors in "vectors": the spans of `data` that hold the first vector
+    of each run, where each span starts and ends, and the length of each run.
 
-    data[start] and data[end] are the brackets of "vectors", whose skeleton is
-    checked: vectors of `commas` commas each, so every (commas + 1)-th comma
-    ends one.  A vector's text runs from past the bracket or comma before it to
-    its own last bracket, and a vector whose text has the bytes of the one
-    before it continues that one's run.
+    data[start] is the bracket that opens "vectors" and data[stop - 1] the last
+    bracket of its last vector, and the skeleton between them is checked:
+    vectors of `commas` commas each, so every (commas + 1)-th comma ends one.
+    A vector's text runs from past the bracket or comma before it to the comma
+    after it, or to `stop`; a vector whose text has the bytes of the one before
+    it continues that one's run.  First vectors next to each other share one
+    span, the commas between them included, so a file with no run is one span.
     """
-    inside = np.frombuffer(data, np.uint8, end - start - 1, start + 1)
+    inside = np.frombuffer(data, np.uint8, stop - start - 1, start + 1)
     separators = np.flatnonzero(inside == ord(","))[commas::commas + 1] + start + 1
     starts = np.append(start + 1, separators + 1)
-    ends = np.append(separators, data.rfind(b"]", start, end) + 1)
+    ends = np.append(separators, stop)
     lengths = ends - starts
     first = np.ones(len(starts), bool)
     view = memoryview(data)
@@ -484,7 +487,10 @@ def _vector_runs(data: bytes, start: int, end: int, commas: int) -> tuple[np.nda
     for k in (np.flatnonzero(lengths[1:] == lengths[:-1]) + 1).tolist():
         first[k] = not data.startswith(view[starts[k - 1]:ends[k - 1]], starts[k])
     heads = np.flatnonzero(first)
-    return starts[heads], ends[heads], np.diff(heads, append=len(first))
+    runs = np.append(heads[1:], len(first)) - heads
+    # A span closes at the last first vector and at each one whose run has copies.
+    closes = np.append(np.flatnonzero(runs[:-1] > 1), len(heads) - 1)
+    return starts[heads[np.append(0, closes[:-1] + 1)]], ends[heads[closes]], runs
 
 
 def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
@@ -498,12 +504,13 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     decode as one flat JSON list of finite numbers.  Only the first vector of
     each run of vectors with the same text goes into that list (see
     _vector_runs), and its numbers are repeated for the rest of the run; a
-    file with no run decodes the whole of "vectors" at once.  Either way at
-    most three copies of the file's size are alive at once.  Anything else, a
-    fault included, returns None before a nested list exists, and the caller
-    decodes the file whole.  The head is the rest of the document, its
-    "vectors" null; load_frame hands all three to _frame, where
-    payload_to_frame ends too.
+    file with no run puts every vector in.  Every byte of "vectors" is in the
+    text of some vector, so a fault in a copy is a fault in its run's first
+    vector.  At most three copies of the file's size are alive at once.
+    Anything else, a fault included, returns None before a nested list
+    exists, and the caller decodes the file whole.  The head is the rest of
+    the document, its "vectors" null; load_frame hands all three to _frame,
+    where payload_to_frame ends too.
     """
     if not data.isascii() or b"\\" in data:
         return None
@@ -534,14 +541,26 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     if (rest or _oversized(count, shape.d, shape.n)
             or skeleton[lead:-1] != b"[" + b",".join([vector] * count) + b"]"):
         return None
-    starts, ends, runs = _vector_runs(data, start, end, vector.count(b","))
-    # One expression each, so that at most three copies of the file's size are alive at once.
-    if len(runs) == count:  # no run: the whole of "vectors"
-        text = "[" + str(memoryview(data.translate(_BRACKETS_TO_SPACES))[start + 1:end], "ascii") + "]"
-    else:  # the first vector of each run; its copies are not decoded
+    # The last vector ends at its last bracket; a number past it would be in no vector's text.
+    stop = data.rfind(b"]", start, end) + 1
+    if data[stop:end].strip(_WHITESPACE):
+        return None
+    span_starts, span_ends, runs = _vector_runs(data, start, stop, vector.count(b","))
+    # One copy of the file's size at a time beside the text, so that at most
+    # three are alive.  A file with no run is one span; joining it as the spans
+    # of a file with runs are joined raised the spectral benchmark's peak RSS
+    # by 0.5-1 MB.
+    if len(runs) == count:  # no run: all of "vectors", from one translate of the file
+        text = "[" + str(memoryview(data.translate(_BRACKETS_TO_SPACES))[start + 1:stop], "ascii") + "]"
+    else:  # each span with the comma or bracket before it, the last with the byte after it
         view = memoryview(data)
-        heads = [view[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
-        text = "[" + str(b",".join(heads).translate(_BRACKETS_TO_SPACES), "ascii") + "]"
+        span_ends[-1] += 1
+        text = bytearray()
+        for span_start, span_end in zip((span_starts - 1).tolist(), span_ends.tolist()):
+            text += view[span_start:span_end]
+        text = text.translate(_BRACKETS_TO_SPACES)
+        text[0], text[-1] = ord("["), ord("]")  # the first and last bytes close the list
+        text = str(text, "ascii")
     try:
         # Every number a float, an integer as _as_double has it: no per-item type check.
         numbers = json.loads(text, parse_int=_int_as_double)
@@ -550,7 +569,9 @@ def _text_payload(data: bytes) -> tuple[dict, ModuleShape, np.ndarray] | None:
     values = np.fromiter(numbers, float, len(numbers))
     if not np.isfinite(values).all():
         return None
-    return payload, shape, _synthesis(np.repeat(values.reshape(len(runs), -1), runs, axis=0), shape)
+    if len(runs) < count:  # the numbers of each run's first vector, once for each vector
+        values = np.repeat(values.reshape(len(runs), -1), runs, axis=0)
+    return payload, shape, _synthesis(values, shape)
 
 
 @contextmanager

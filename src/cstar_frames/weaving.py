@@ -222,7 +222,7 @@ def universal_bounds(
     weaving operator whose diagonal underflows to 0 on a nonzero column of
     its vectors raises OverflowError too (see _underflow, decided once before
     the blocks), so that rescaling a pair never turns its verdict to "not
-    woven".
+    woven"; before the blocks are built, unless one of them could overflow.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -241,6 +241,11 @@ def universal_bounds(
         # sums one of them per position.
         contribs = rows.conj().swapaxes(-1, -2) @ rows
         underflow = _underflow(rows, contribs)
+        # Every block sum is at most the sum over positions of the largest
+        # contribution there, entry by entry; below 2^1023 none can overflow,
+        # so the refusal needs no block.
+        if underflow is not None and np.abs(contribs).max(axis=0).sum(axis=0).max() < 2.0**1023:
+            raise OverflowError(underflow)
         if contribs.shape[-1] > 1:
             blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
         else:

@@ -1205,7 +1205,8 @@ def _bit_runs(rows):
 def _runs_found(data, numbers):
     """The run lengths the text path finds in a file whose vectors hold `numbers` numbers each."""
     start = data.index(b"[", data.index(b'"vectors"'))
-    return frame_io._vector_runs(data, start, data.rindex(b"]"), numbers - 1)[-1].tolist()
+    stop = data.rindex(b"]", 0, data.rindex(b"]")) + 1  # past the last vector's last bracket
+    return frame_io._vector_runs(data, start, stop, numbers - 1)[-1].tolist()
 
 
 def _rows_of_runs(distinct, lengths):
@@ -1269,35 +1270,40 @@ def test_runs_of_equal_vectors_load_as_the_decoded_payload(frame, minified):
         assert np.array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
-# A fault planted in vector 5 of a repetition frame: e1, e2 and e3, then a run
-# of four more copies of e2, vectors 4 to 7.  The first keeps the brackets and
-# commas, so the text
-# path decodes the faulty copy and refuses it; the next two do not keep them;
-# the last makes a well-formed file of eight vectors, whose certificate then
-# fails.  Each file is decoded whole, as before, and gets the same message.
+# A fault planted in a copy of a repetition frame: e1, e2 and e3, then a run
+# of four more copies of e2, vectors 4 to 7.  Most go into vector 5; the first
+# of those keeps the brackets and commas, so the text path decodes the faulty
+# copy and refuses it; the next two do not keep them; the fourth makes a
+# well-formed file of eight vectors, whose certificate then fails.  The last
+# puts a number after vector 7, past the last bracket of the run's last copy,
+# which keeps them too.  Each file is decoded whole, as before, and gets the
+# same message.
 _RUN_FAULTS = {
-    "two-numbers": (lambda vector: vector.replace("1.0", "1 2", 1), False,
+    "two-numbers": (5, lambda vector: vector.replace("1.0", "1 2", 1), False,
                     "invalid JSON at line 138, column 15: Expecting ',' delimiter"),
-    "letter": (lambda vector: vector.replace("1.0", "x1.0", 1), False,
+    "letter": (5, lambda vector: vector.replace("1.0", "x1.0", 1), False,
                "invalid JSON at line 138, column 13: Expecting value"),
-    "missing-comma": (lambda vector: vector.replace(",", "", 1), False,
+    "missing-comma": (5, lambda vector: vector.replace(",", "", 1), False,
                       "invalid JSON at line 131, column 13: Expecting ',' delimiter"),
-    "vector-too-many": (lambda vector: f"{vector},\n    {vector}", True,
+    "vector-too-many": (5, lambda vector: f"{vector},\n    {vector}", True,
                         "certificate: does not validate against the vectors; relative frame "
                         "operator drift 1.622e-01 exceeds 1e-09"),
+    "number-after-the-last-vector": (7, lambda vector: f"{vector} 7", False,
+                                     "invalid JSON at line 203, column 7: Expecting ',' "
+                                     "delimiter"),
 }
 
 
 @pytest.mark.parametrize("fault", list(_RUN_FAULTS))
 def test_fault_in_a_copy_inside_a_run_gets_the_whole_decodes_message(tmp_path, capsys, fault):
-    plant, text_path, message = _RUN_FAULTS[fault]
+    vector, plant, text_path, message = _RUN_FAULTS[fault]
     system, cert = repetition_frame(ModuleShape(1, 3), {2: 5})
     payload = frame_to_payload(system, cert)
     text = dumps_payload(payload)
     copy_text = json.dumps(payload["vectors"][1], indent=2).replace("\n", "\n    ")
     copies = [m.start() for m in re.finditer(re.escape(copy_text), text)]
     assert len(copies) == 5 and _runs_found(text.encode(), 6) == [1, 1, 1, 4]
-    at = copies[2]
+    at = copies[vector - 3]
     path = tmp_path / "frame.json"
     path.write_text(text[:at] + plant(copy_text) + text[at + len(copy_text):])
     assert _takes_text_path(path) is text_path

@@ -460,6 +460,22 @@ def test_weaving_operator_past_double_range():
         weaving_operator([a, b], Partition((1, 2)))
 
 
+def test_underflowing_weave_refused_before_any_eigensolve(monkeypatch):
+    # Partition [2, 1] weighs (1e-164)^2, which reads 0; no weaving operator
+    # can overflow, so no block is built or solved before the refusal.
+    shape = ModuleShape(1, 1)
+    a = FrameSystem(np.array([[1e-160 + 0j], [1e-164]]), shape=shape)
+    b = FrameSystem(np.array([[1e-164 + 0j], [1e-160]]), shape=shape)
+
+    def no_eigensolve(matrix):
+        raise AssertionError("an eigensolve before the refusal")
+
+    monkeypatch.setattr(weaving, "hermitian_eigen", no_eigensolve)
+    with pytest.raises(OverflowError, match=r"^the weaving operator of partition \[2, 1\] "
+                                            r"underflows a double"):
+        universal_bounds([a, b])
+
+
 @st.composite
 def woven_scalar_pairs(draw):
     """Two d = n = 1 families of 1-4 real vectors of magnitude 1 to 256: every partition weaves."""
