@@ -336,7 +336,14 @@ def cmd_perturb(args) -> dict:
     return report
 
 
-def _sweep_table(loaded_a, loaded_b, sizes) -> list[dict]:
+def _sweep_plan(loaded_a, loaded_b, raw: str) -> tuple:
+    """The profiles, sizes and d of a --sweep table; every refusal of the --sweep is raised here."""
+    try:
+        sizes = [int(piece) for piece in raw.split(",") if piece.strip()]
+    except ValueError:
+        raise UsageError(f"bad --sweep value {raw!r}; expected comma-separated integers")
+    if not sizes or any(size < 2 or size % 2 for size in sizes):
+        raise UsageError("--sweep sizes must be even integers >= 2")
     meta_a = loaded_a.scenario
     meta_b = loaded_b.scenario
     if meta_a is None or meta_b is None:
@@ -345,11 +352,13 @@ def _sweep_table(loaded_a, loaded_b, sizes) -> list[dict]:
         )
     if meta_a["profile_a"] != meta_b["profile_a"] or meta_a["profile_b"] != meta_b["profile_b"]:
         raise UsageError("--sweep: the two files carry different scenario profiles")
-    profile_a = ScalarProfile(**meta_a["profile_a"])
-    profile_b = ScalarProfile(**meta_a["profile_b"])
     d = loaded_a.system.shape.d
     for size in sizes:
         _require_size(size, d, size // 2)
+    return ScalarProfile(**meta_a["profile_a"]), ScalarProfile(**meta_a["profile_b"]), sizes, d
+
+
+def _sweep_table(profile_a, profile_b, sizes, d) -> list[dict]:
     rows = []
     for size in sizes:
         scenario = adversarial_scenario(size, profile_a, profile_b, d=d)
@@ -371,26 +380,17 @@ def cmd_weave(args) -> dict:
     workers = _workers_from_env()
     loaded_a = load_frame(args.file_f)
     loaded_b = load_frame(args.file_g)
+    # A bad --sweep is refused before the partitions are enumerated.
+    sweep = _sweep_plan(loaded_a, loaded_b, args.sweep) if args.sweep else None
     families = [loaded_a.system, loaded_b.system]
     report_obj = universal_bounds(
         families, tol=args.tol, max_partitions=args.max_partitions, workers=workers
     )
     report = {**json_object(report_obj), "workers": workers}
-    if args.sweep:
-        sizes = _parse_sweep(args.sweep)
-        report["sweep"] = _sweep_table(loaded_a, loaded_b, sizes)
+    if sweep:
+        report["sweep"] = _sweep_table(*sweep)
     report["timing"] = {"seconds": time.perf_counter() - started}
     return report
-
-
-def _parse_sweep(raw: str) -> list[int]:
-    try:
-        sizes = [int(piece) for piece in raw.split(",") if piece.strip()]
-    except ValueError:
-        raise UsageError(f"bad --sweep value {raw!r}; expected comma-separated integers")
-    if not sizes or any(size < 2 or size % 2 for size in sizes):
-        raise UsageError("--sweep sizes must be even integers >= 2")
-    return sizes
 
 
 def cmd_dual(args) -> dict:

@@ -1050,6 +1050,42 @@ def test_weave_sweep_over_different_profiles_exit_4(capsys, tmp_path):
     assert err == "error: --sweep: the two files carry different scenario profiles\n"
 
 
+@pytest.mark.parametrize("pair,sweep,message", [
+    ("t49", "3", "--sweep sizes must be even integers >= 2"),
+    ("t49", "4,726", "a frame of 726 vectors with n = 363, d = 1 has 263538 entries, "
+                     f"above the limit {MAX_FRAME_ENTRIES}"),
+    ("mixed", "4", "--sweep: the two files carry different scenario profiles"),
+    ("plain", "4", "--sweep needs scenario metadata in both files (written by 'construct t49')"),
+])
+def test_weave_bad_sweep_refused_before_enumeration(capsys, tmp_path, monkeypatch,
+                                                     pair, sweep, message):
+    if pair == "plain":
+        a = b = str(write_onb(tmp_path / "onb.json"))
+    else:
+        a, b = _t49_pair(capsys, tmp_path / "one", "gaussian:1")
+        if pair == "mixed":
+            _, b = _t49_pair(capsys, tmp_path / "two", "geometric:1:0.5")
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the partitions were enumerated before the --sweep refusal")
+
+    monkeypatch.setattr(cli, "universal_bounds", enumerate_nothing)
+    code, stdout, err = run(capsys, "weave", a, b, "--sweep", sweep)
+    assert code == 4 and stdout == ""
+    assert err == f"error: {message}\n"
+
+
+def test_weave_bad_sweep_comes_before_the_partition_cap_and_the_shape(capsys, tmp_path):
+    a, b = _t49_pair(capsys, tmp_path / "sc", "gaussian:1")
+    onb = str(write_onb(tmp_path / "onb.json", n=2))
+    for argv in ([a, b, "--max-partitions", "1"], [a, onb]):
+        code, _, err = run(capsys, "weave", *argv, "--sweep", "3")
+        assert code == 4
+        assert err == "error: --sweep sizes must be even integers >= 2\n"
+    assert run(capsys, "weave", a, b, "--max-partitions", "1")[0] == 5
+    assert run(capsys, "weave", a, onb)[0] == 3
+
+
 def test_weave_non_integer_max_partitions_exit_4(capsys, tmp_path):
     path = write_onb(tmp_path / "onb.json")
     code, _, err = run(capsys, "weave", str(path), str(path), "--max-partitions", "abc")

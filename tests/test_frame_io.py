@@ -1274,10 +1274,12 @@ def test_runs_of_equal_vectors_load_as_the_decoded_payload(frame, minified):
 # of four more copies of e2, vectors 4 to 7.  Most go into vector 5; the first
 # of those keeps the brackets and commas, so the text path decodes the faulty
 # copy and refuses it; the next two do not keep them; the fourth makes a
-# well-formed file of eight vectors, whose certificate then fails.  The last
+# well-formed file of eight vectors, whose certificate then fails.  The fifth
 # puts a number after vector 7, past the last bracket of the run's last copy,
-# which keeps them too.  Each file is decoded whole, as before, and gets the
-# same message.
+# which keeps them too.  The last moves the last comma of vector 5 past its
+# closing bracket, next to the comma before vector 6: the count of commas is
+# kept, and only the skeleton of vectors 5 and 6 shows the fault.  Each file
+# is decoded whole, as before, and gets the same message.
 _RUN_FAULTS = {
     "two-numbers": (5, lambda vector: vector.replace("1.0", "1 2", 1), False,
                     "invalid JSON at line 138, column 15: Expecting ',' delimiter"),
@@ -1291,6 +1293,9 @@ _RUN_FAULTS = {
     "number-after-the-last-vector": (7, lambda vector: f"{vector} 7", False,
                                      "invalid JSON at line 203, column 7: Expecting ',' "
                                      "delimiter"),
+    "comma-moved-to-the-next-copy": (5, lambda vector: "".join(vector.rsplit(",", 1)) + ",",
+                                     False, "invalid JSON at line 147, column 13: Expecting "
+                                            "',' delimiter"),
 }
 
 
@@ -1333,3 +1338,100 @@ def test_text_path_memory_with_and_without_runs(rng, tmp_path):
     save_frame(runs, *repetition_frame(ModuleShape(1, 64), {5: 1001}))
     assert _text_path_peak(plain) < 2.2
     assert _text_path_peak(runs) < 1.5
+
+
+# Damaged copies of repetition frames with runs: the text path decodes only
+# the first vector of each run, which is sound only if every byte of "vectors"
+# is in some vector's text.  Whatever one or two edits inside "vectors" do, the
+# text path and the whole decode must agree: the same frame to the bit, or the
+# same message.
+
+_EDIT_BYTES = ",[]0123456789.-+eE \n"
+
+
+def _repetition_text(d, n, repeats, certificate, minified):
+    system, cert = repetition_frame(ModuleShape(d, n), repeats)
+    payload = frame_to_payload(system, cert if certificate else None)
+    if minified:
+        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return dumps_payload(payload)
+
+
+def _inside_vectors(text):
+    """The offsets of the brackets that open and close "vectors"."""
+    return text.index("[", text.index('"vectors"')), text.rindex("]")
+
+
+def _vector_ends(text):
+    """The offsets just past the closing bracket of each vector."""
+    depth, ends = 0, []
+    for at in range(_inside_vectors(text)[0], len(text)):
+        depth += {"[": 1, "]": -1}.get(text[at], 0)
+        if depth == 1 and text[at] == "]":
+            ends.append(at + 1)
+    return ends
+
+
+@st.composite
+def damaged_repetition_texts(draw):
+    """A repetition frame with runs, d in {1, 2}, pretty or minified, with or without its
+    certificate, and one or two edits inside "vectors".  An edit replaces, inserts or
+    deletes one byte of _EDIT_BYTES, or deletes a comma and inserts a "," or "]" elsewhere."""
+    n = draw(st.integers(1, 3))
+    repeats = draw(st.dictionaries(st.integers(1, n), st.integers(2, 5), min_size=1))
+    text = _repetition_text(draw(st.sampled_from([1, 2])), n, repeats, draw(st.booleans()),
+                            draw(st.booleans()))
+
+    def position(low, high):
+        # Anywhere, or often just past the closing bracket of a vector, where its text ends.
+        ends = [k for k in _vector_ends(text) if low <= k <= high]
+        anywhere = st.integers(low, high)
+        return draw(anywhere | st.sampled_from(ends) if ends else anywhere)
+
+    for _ in range(draw(st.integers(1, 2))):
+        first, last = _inside_vectors(text)
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "move-comma"]))
+        if kind == "move-comma":
+            cut = draw(st.sampled_from([k for k in range(first, last) if text[k] == ","]))
+            text = text[:cut] + text[cut + 1:]
+            at = position(first + 1, last - 1)
+            text = text[:at] + draw(st.sampled_from(",]")) + text[at:]
+        else:
+            at = position(first + (kind == "insert"), last)
+            new = "" if kind == "delete" else draw(st.sampled_from(_EDIT_BYTES))
+            text = text[:at] + new + text[at + (kind != "insert"):]
+    return text
+
+
+def _in_vector(text, vector, old, new):
+    """`text` with the first `old` in its `vector`-th vector (from 1) made `new`."""
+    at = text.index(old, ([_inside_vectors(text)[0]] + _vector_ends(text))[vector - 1])
+    return text[:at] + new + text[at + len(old):]
+
+
+# Each takes the text path.  Vectors 4-8 of the first two are copies of
+# vector 2, and vectors 3-6 of the last two copies of vector 1: a digit changed
+# inside a copy, without and with the certificate that then fails; a 0 added
+# to the first vector of a run, which keeps its value but not its text; and a
+# 0.0 made -0.0 inside a copy, which keeps neither its text nor its bits.
+_TEXT_PATH_DAMAGE = [
+    _in_vector(_repetition_text(1, 3, {2: 6}, False, False), 6, "1.0", "1.5"),
+    _in_vector(_repetition_text(1, 3, {2: 6}, True, False), 6, "1.0", "1.5"),
+    _in_vector(_repetition_text(2, 2, {1: 5}, True, True), 3, "1.0", "1.00"),
+    _in_vector(_repetition_text(2, 2, {1: 5}, False, True), 5, "0.0", "-0.0"),
+]
+
+
+@example(_TEXT_PATH_DAMAGE[0])
+@example(_TEXT_PATH_DAMAGE[1])
+@example(_TEXT_PATH_DAMAGE[2])
+@example(_TEXT_PATH_DAMAGE[3])
+@settings(deadline=None, max_examples=300)
+@given(damaged_repetition_texts())
+def test_damaged_runs_load_as_the_whole_decode_does(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "frame.json"
+        path.write_text(text)
+        if text in _TEXT_PATH_DAMAGE:
+            assert _takes_text_path(path)
+        assert _outcome(load_frame, path) == _outcome(_walk, path)
