@@ -59,7 +59,7 @@ from .errors import (
 )
 from .frame_io import json_object, load_frame, save_frame
 from .frames import _oversized, dual_frame, optimal_bounds, perturbation_distance
-from .linalg import DEFAULT_TOL, hermitian_eigen, relative_drift
+from .linalg import DEFAULT_TOL, exceeds, hermitian_eigen, relative_drift
 from .module_space import ModuleShape
 from .weaving import (
     DEFAULT_PARTITION_CAP,
@@ -206,7 +206,7 @@ def _save_checked(path, system, certificate, scenario=None):
     save_frame(path, system, certificate, scenario)
     bounds = optimal_bounds(system)
     again = optimal_bounds(load_frame(path).system)
-    if relative_drift((bounds.lower, bounds.upper), (again.lower, again.upper)) > DEFAULT_TOL:
+    if exceeds(relative_drift((bounds.lower, bounds.upper), (again.lower, again.upper)), DEFAULT_TOL):
         raise FrameFileError(
             f"{path}: bounds drifted on read-back: ({again.lower}, {again.upper}) vs "
             f"({bounds.lower}, {bounds.upper}) as written"
@@ -327,8 +327,8 @@ def cmd_perturb(args) -> dict:
         report["sandwich"] = {"applicable": False, "holds": None}
     else:
         low, high = predicted
-        allowance = DEFAULT_TOL * high
-        holds = (low - allowance <= actual.lower) and (actual.upper <= high + allowance)
+        holds = (not exceeds(low - actual.lower, DEFAULT_TOL, high)
+                 and not exceeds(actual.upper - high, DEFAULT_TOL, high))
         gap = est.value - mu  # the flattened display form (L - mu)^2, reported alongside
         report["predicted"] = {"low": low, "high": high, "lowAlternate": gap * gap}
         report["sandwich"] = {"applicable": True, "holds": holds}
@@ -381,7 +381,7 @@ def cmd_weave(args) -> dict:
     loaded_a = load_frame(args.file_f)
     loaded_b = load_frame(args.file_g)
     # A bad --sweep is refused before the partitions are enumerated.
-    sweep = _sweep_plan(loaded_a, loaded_b, args.sweep) if args.sweep else None
+    sweep = _sweep_plan(loaded_a, loaded_b, args.sweep) if args.sweep is not None else None
     families = [loaded_a.system, loaded_b.system]
     report_obj = universal_bounds(
         families, tol=args.tol, max_partitions=args.max_partitions, workers=workers
@@ -403,7 +403,7 @@ def cmd_dual(args) -> dict:
     # the loader takes; in either case the dual is written without one.
     cert = loaded.certificate
     dual_cert = cert.dual(args.tol) if cert is not None else None
-    if dual_cert is not None and dual_cert.drift(dual) > DEFAULT_TOL:
+    if dual_cert is not None and exceeds(dual_cert.drift(dual), DEFAULT_TOL):
         dual_cert = None
     save_frame(args.out, dual, dual_cert)
     return {

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import LengthMismatchError, NotSameOperatorError
 from .frames import FrameSystem, frame_operator
-from .linalg import DEFAULT_TOL, ROUNDING_RTOL, relative_drift
+from .linalg import DEFAULT_TOL, ROUNDING_RTOL, exceeds, relative_drift
 from .module_space import ModuleOperator, ModuleShape
 
 PROFILE_KINDS = ("constant", "gaussian", "geometric", "power")
@@ -185,7 +185,7 @@ class CompactTightCert:
             raise ValueError(f"alphas + xi is past the double range at xi = {self.xi!r}")
         if self.profile is not None:
             drift = relative_drift(derived, alphas, self.xi)  # xi: l_k - xi may cancel
-            if drift > DEFAULT_TOL:
+            if exceeds(drift, DEFAULT_TOL):
                 raise ValueError(f"compact part eigenvalues disagree with the profile by "
                                  f"{drift:.3e} (relative)")
         alphas.flags.writeable = False
@@ -214,7 +214,7 @@ class CompactTightCert:
         """
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             spectrum = self.alphas + self.xi
-            if self.xi == 0 or spectrum.min() <= tol * np.abs(spectrum).max():
+            if self.xi == 0 or not exceeds(spectrum.min(), tol, np.abs(spectrum).max()):
                 return None
             inverse_xi = 1.0 / self.xi
             alphas = -inverse_xi * (self.alphas * (1.0 / spectrum)) + 0.0
@@ -252,7 +252,7 @@ def profile_frame(
                             permutation=tuple(range(1, count + 1)))
     if count == shape.n:
         drift = cert.drift(system)
-        if drift > ROUNDING_RTOL:
+        if exceeds(drift, ROUNDING_RTOL):
             raise AssertionError(f"constructed frame operator misses its certificate by "
                                  f"{drift:.3e} (relative)")
     return system, cert
@@ -313,23 +313,23 @@ def representation_unique(
     op1 = first.operator_matrix()
     op2 = second.operator_matrix()
     drift = relative_drift(op1, op2)
-    if drift > DEFAULT_TOL:
+    if exceeds(drift, DEFAULT_TOL):
         raise NotSameOperatorError(f"certificates describe different operators; "
                                    f"relative drift {drift:.3e}")
     for culprit, cert in (("first", first), ("second", second)):
         tail = cert.declared_limit - cert.xi
-        if abs(tail) > DEFAULT_TOL * max(abs(cert.declared_limit), abs(cert.xi)):
+        if exceeds(abs(tail), DEFAULT_TOL, max(abs(cert.declared_limit), abs(cert.xi))):
             return UniquenessVerdict(False, (
                 f"{culprit} certificate declares a part whose eigenvalue sequence "
                 f"tends to {tail:g}, not 0, so it is not a compact perturbation of "
                 f"its shift"))
-    if abs(first.xi - second.xi) > DEFAULT_TOL * max(abs(first.xi), abs(second.xi)):
+    if exceeds(abs(first.xi - second.xi), DEFAULT_TOL, max(abs(first.xi), abs(second.xi))):
         return UniquenessVerdict(False, (
             f"shifts {first.xi:g} and {second.xi:g} differ; the parts would "
             f"differ by the constant {first.xi - second.xi:g} * I, whose "
             f"eigenvalue sequence cannot tend to 0"))
     part_drift = relative_drift(first.alphas, second.alphas)
-    if part_drift > DEFAULT_TOL:
+    if exceeds(part_drift, DEFAULT_TOL):
         return UniquenessVerdict(
             False, f"equal shifts but compact parts differ by {part_drift:.3e} (relative)")
     return UniquenessVerdict(equal=True, reason="same shift and same compact part")

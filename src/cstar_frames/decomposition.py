@@ -37,6 +37,7 @@ from .linalg import (
     ROUNDING_RTOL,
     _fold,
     _scaled_down,
+    exceeds,
     frobenius,
     hermitian_eigen,
     hermitian_inverse,
@@ -66,11 +67,11 @@ class ShiftDecomposition:
         recombined = self.remainder.mat + self.xi * np.eye(dim)
         # Judged at the size of S and xi, however much S and xi*I cancel in T.
         drift = relative_drift(self.source.mat, recombined, self.xi)
-        if drift > ROUNDING_RTOL:
+        if exceeds(drift, ROUNDING_RTOL):
             raise InconsistentDecompositionError(f"remainder + xi*I misses the source operator "
                                                  f"by {drift:.3e} (relative)")
         defect = relative_drift(self.remainder.mat, self.remainder.mat.conj().T, self.source.mat)
-        if defect > ROUNDING_RTOL:
+        if exceeds(defect, ROUNDING_RTOL):
             raise InconsistentDecompositionError(f"remainder must be self-adjoint; "
                                                  f"relative defect {defect:.3e}")
 
@@ -90,7 +91,7 @@ def _spectrum(mat) -> np.ndarray:
 def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, float]:
     """Whether lambda_min(T) >= -tol * max(||T||, |xi|) (S's and xi's size), and lambda_min(T)."""
     smallest, largest = _spectrum(dec.remainder.mat)[[0, -1]].tolist()
-    return smallest >= -tol * max(-smallest, largest, abs(dec.xi)), smallest
+    return not exceeds(-smallest, tol, max(-smallest, largest, abs(dec.xi))), smallest
 
 
 def shift_decompose(system: FrameSystem, xi: float) -> ShiftDecomposition:
@@ -152,10 +153,10 @@ def decomposition_diagnostics(
     if positive and xi > 0:
         lower_margin = bounds.lower - xi
         upper_margin = upper_cap - bounds.upper
-        allowance = tol * max(bounds.upper, abs(xi))
+        size = max(bounds.upper, abs(xi))
         part1 = PartCheck(
             applicable=True,
-            holds=(lower_margin >= -allowance) and (upper_margin >= -allowance),
+            holds=not exceeds(-lower_margin, tol, size) and not exceeds(-upper_margin, tol, size),
             slack=min(lower_margin, upper_margin),
         )
     else:
@@ -165,7 +166,7 @@ def decomposition_diagnostics(
     defect = relative_drift(tmat, tmat.conj().T, dec.source.mat)
     part2 = PartCheck(
         applicable=True,
-        holds=(defect <= ROUNDING_RTOL) and math.isfinite(np.abs(_spectrum(tmat)).max()),
+        holds=not exceeds(defect, ROUNDING_RTOL) and math.isfinite(np.abs(_spectrum(tmat)).max()),
         slack=defect,
     )
 
@@ -232,7 +233,7 @@ def deviation_certificate(
     return DeviationCertificate(
         alpha=float(alpha),
         eta=float(eta),
-        holds=least >= -DEFAULT_TOL * size,
+        holds=not exceeds(-least, DEFAULT_TOL, size),
         slack=least * scale * scale,
     )
 
@@ -254,17 +255,11 @@ def alignment_predicates(
     if eta < 0:
         raise ValueError("eta must be nonnegative")
 
-    def leq(a: float, b: float) -> bool:
-        return a <= b + ROUNDING_RTOL * max(abs(a), abs(b))
-
-    lhs = leq(
-        module_norm(f) * module_norm(g),
-        _eta_stretch(eta) * operator_norm(inner_product(f, g)),
+    pairs = (
+        (module_norm(f) * module_norm(g), _eta_stretch(eta) * operator_norm(inner_product(f, g))),
+        (module_norm(alpha * f - g), math.sqrt(_eta_fraction(eta)) * module_norm(g)),
     )
-    rhs = leq(
-        module_norm(alpha * f - g),
-        math.sqrt(_eta_fraction(eta)) * module_norm(g),
-    )
+    lhs, rhs = (not exceeds(a - b, ROUNDING_RTOL, max(abs(a), abs(b))) for a, b in pairs)
     return lhs, rhs
 
 
@@ -346,7 +341,7 @@ def frame_lower_bound(
         rho = sharpest
     elif rho < 0:
         raise ValueError("rho must be nonnegative")
-    elif rho > sharpest and relative_drift(sharpest, rho, dec.remainder.mat) > ROUNDING_RTOL:
+    elif rho > sharpest and exceeds(relative_drift(sharpest, rho, dec.remainder.mat), ROUNDING_RTOL):
         raise ValueError(f"rho={rho} exceeds the sharpest admissible value {sharpest}")
     value = rho / _eta_stretch(eta) - abs(dec.xi)
     formula_only = not _remainder_positive(dec, DEFAULT_TOL)[0]

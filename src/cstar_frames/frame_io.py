@@ -78,7 +78,7 @@ import numpy as np
 from .constructors import CompactTightCert, ScalarProfile
 from .errors import FrameFileError
 from .frames import FrameSystem, _oversized
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, exceeds
 from .module_space import ModuleShape
 from .weaving import Partition
 
@@ -300,7 +300,7 @@ def _decode_certificate(raw, system: FrameSystem) -> CompactTightCert:
     except ValueError as exc:
         raise FrameFileError(f"{where}: {exc}") from exc
     drift = cert.drift(system)
-    if drift > DEFAULT_TOL:
+    if exceeds(drift, DEFAULT_TOL):
         raise FrameFileError(f"{where}: does not validate against the vectors; relative "
                              f"frame operator drift {drift:.3e} exceeds {DEFAULT_TOL:.0e}")
     return cert

@@ -18,7 +18,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import LengthMismatchError, NotAFrameError, ShapeMismatchError
-from .linalg import DEFAULT_TOL, as_matrix, hermitian_eigen, hermitian_inverse, operator_norm, psd_sqrt
+from .linalg import (DEFAULT_TOL, as_matrix, exceeds, hermitian_eigen, hermitian_inverse,
+                     operator_norm, psd_sqrt)
 from .module_space import (
     ModuleOperator,
     ModuleShape,
@@ -177,8 +178,8 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
     return BoundsReport(
         lower=lower,
         upper=upper,
-        tight=(upper - lower) <= tol * upper,
-        is_frame=lower > tol * upper,
+        tight=not exceeds(upper - lower, tol, upper),
+        is_frame=exceeds(lower, tol, upper),
         is_bessel=True,
     )
 

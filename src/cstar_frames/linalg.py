@@ -19,7 +19,8 @@ could overflow.
 
 The package's whole tolerance policy is the two constants below, each
 times the size of what a decision was computed from, never an absolute
-threshold: so no verdict changes when a frame is rescaled.
+threshold: so no verdict changes when a frame is rescaled.  Every verdict
+is decided in one place, :func:`exceeds`, or its negation.
 """
 
 from __future__ import annotations
@@ -50,6 +51,14 @@ JACOBI_SWEEP_CAP = 100
 
 # Convergence target: off-diagonal Frobenius mass relative to ||M||_F.
 _JACOBI_OFFDIAG_RTOL = 1e-13
+
+
+def exceeds(value: float, tol: float, size: float = 1.0) -> bool:
+    """Whether `value` is above `tol` times `size`, the size of what it was computed from.
+
+    The one threshold rule: x >= -tol * size is decided as not exceeds(-x, tol, size).
+    """
+    return value > tol * size
 
 
 def as_matrix(data) -> np.ndarray:
@@ -171,7 +180,7 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
     halves give):
 
     - ||D||_F^2 == 0: M itself is returned, after 4 array operations;
-    - otherwise the defect is checked and M + M* is halved: 6 operations.
+    - otherwise M + M* is halved and the defect checked: 6 operations.
 
     A returned M differs from the fold only where the fold would move an entry
     by less than 2^-537: a zero's sign, or a skew whose square underflows.
@@ -190,18 +199,16 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
         skew = np.vdot(diff, diff).real
         if not skew:
             return mat
-        _require_defect_within_tol(math.sqrt(skew / total), where)
+        defect = math.sqrt(skew / total)
         folded = mat + adjoint  # every |entry| < 2^451, so the sum cannot overflow
         folded *= 0.5
-        return folded
-    _require_defect_within_tol(relative_drift(mat, mat.conj().T), where)
-    return _fold(mat)  # M + M* may overflow here
-
-
-def _require_defect_within_tol(defect: float, where: str) -> None:
-    if defect > DEFAULT_TOL:
+    else:
+        defect = relative_drift(mat, mat.conj().T)
+        folded = _fold(mat)  # M + M* may overflow here
+    if exceeds(defect, DEFAULT_TOL):
         raise NotHermitianError(f"{where}: relative symmetry defect {defect:.3e} exceeds "
                                 f"{DEFAULT_TOL:.0e}")
+    return folded
 
 
 def hermitian_eigen(matrix) -> SpectralResult:
@@ -253,7 +260,7 @@ def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
     if tol < 0:
         raise ValueError("psd_check: tolerance must be nonnegative")
     low, high = hermitian_eigen(_fold(mat)).eigenvalues[[0, -1]]
-    return bool(low >= -tol * max(-low, high))
+    return not exceeds(-low, tol, max(-low, high))
 
 
 def _scaled_down(matrix, floor: float = 0.0) -> tuple[np.ndarray, float]:
@@ -293,7 +300,7 @@ def hermitian_inverse(matrix, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Spectral inverse of a Hermitian matrix with lambda_min > tol * max |lambda|."""
     result = hermitian_eigen(matrix)
     smallest, largest = result.eigenvalues[[0, -1]]
-    if smallest <= tol * max(-smallest, largest):
+    if not exceeds(smallest, tol, max(-smallest, largest)):
         raise SingularMatrixError(f"hermitian_inverse: smallest eigenvalue {smallest:.3e} is "
                                   f"not above {tol:.3e} times the largest |eigenvalue|")
     vecs = result.eigenvectors
@@ -312,7 +319,7 @@ def psd_sqrt(matrix) -> np.ndarray:
     """
     result = hermitian_eigen(matrix)
     smallest, largest = result.eigenvalues[[0, -1]]
-    if smallest < -DEFAULT_TOL * max(-smallest, largest):
+    if exceeds(-smallest, DEFAULT_TOL, max(-smallest, largest)):
         raise NotPSDError(f"psd_sqrt: smallest eigenvalue {smallest:.3e} below "
                           f"-{DEFAULT_TOL:.0e} times the largest |eigenvalue|")
     clipped = np.clip(result.eigenvalues, 0.0, None)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import (DEFAULT_TOL, _fold, as_matrix, hermitian_eigen, operator_norm, psd_check,
-                     relative_drift)
+from .linalg import (DEFAULT_TOL, _fold, as_matrix, exceeds, hermitian_eigen, operator_norm,
+                     psd_check, relative_drift)
 
 #: Seed used by sampling probes when the caller does not supply one.
 DEFAULT_SEED = 1729
@@ -171,7 +171,7 @@ def operator_positive(T: ModuleOperator, tol: float = DEFAULT_TOL) -> bool:
     within the kernel's Hermitian tolerance cannot be positive, so that
     case answers False instead of raising.
     """
-    return relative_drift(T.mat, T.mat.conj().T) <= DEFAULT_TOL and psd_check(T.mat, tol)
+    return not exceeds(relative_drift(T.mat, T.mat.conj().T), DEFAULT_TOL) and psd_check(T.mat, tol)
 
 
 def random_vector(shape: ModuleShape, rng: np.random.Generator) -> ModuleVector:

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from .constructors import CompactTightCert, ScalarProfile, _basis_frame
 from .frames import FrameSystem
-from .linalg import DEFAULT_TOL, hermitian_eigen
+from .linalg import DEFAULT_TOL, exceeds, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
@@ -271,7 +271,7 @@ def universal_bounds(
     return WeavingReport(
         universal_lower=low,
         universal_upper=high,
-        is_woven=low > tol * high,
+        is_woven=exceeds(low, tol, high),
         partitions_checked=total,
         worst_partition=_partition_at(worst, m, count),
     )

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cstar_frames
 from cstar_frames import cli
@@ -1042,6 +1044,19 @@ def test_weave_bad_sweep_exit_4(capsys, tmp_path, sweep, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("sweep", ["", " ", ","])
+def test_weave_empty_sweep_refused_before_enumeration(capsys, tmp_path, monkeypatch, sweep):
+    a, b = _t49_pair(capsys, tmp_path / "sc", "gaussian:1")
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("the partitions were enumerated before the --sweep refusal")
+
+    monkeypatch.setattr(cli, "universal_bounds", enumerate_nothing)
+    code, stdout, err = run(capsys, "weave", a, b, "--sweep", sweep)
+    assert code == 4 and stdout == ""
+    assert err == "error: --sweep sizes must be even integers >= 2\n"
+
+
 def test_weave_sweep_over_different_profiles_exit_4(capsys, tmp_path):
     a, _ = _t49_pair(capsys, tmp_path / "one", "gaussian:1")
     _, b = _t49_pair(capsys, tmp_path / "two", "geometric:1:0.5")
@@ -1228,3 +1243,90 @@ def test_main_honours_load_frame_patched_after_first_call(capsys, tmp_path, monk
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert err == f"error: {path}: refused\n"
+
+
+# ----------------------------------------------------- exits as a property
+
+#: Extreme values for --xi, --eta, --alpha and --tol (and a construct's floats).
+EXTREMES = ("1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.0")
+
+
+@st.composite
+def small_frames(draw, shape=None):
+    """A synthesis matrix with d <= 2, n <= 3 and N <= 8 small integer entries, times 1,
+    2^-270 or 2^250 (its X* X stays inside the double range), and its shape."""
+    if shape is None:
+        shape = ModuleShape(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
+    count = draw(st.integers(1, 8))
+    size = 2 * count * shape.d * shape.dim
+    parts = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    re_im = np.array(parts, dtype=float).reshape(2, count * shape.d, shape.dim)
+    scale = draw(st.sampled_from((1.0, 2.0**-270, 2.0**250)))
+    return shape, scale * (re_im[0] + 1j * re_im[1])
+
+
+@st.composite
+def cli_calls(draw, folder):
+    """Two frames to write as f.json and g.json (g of f's shape or not), and an argument
+    vector for one of the seven subcommands, with extreme floats and --sweep values."""
+    first = draw(small_frames())
+    second = draw(small_frames(first[0] if draw(st.booleans()) else None))
+    f, g = str(folder / "f.json"), str(folder / "g.json")
+
+    def value(flag, choices=EXTREMES):
+        return [f"{flag}={draw(st.sampled_from(choices))}"]
+
+    def maybe(flag):
+        return value(flag) if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(("analyze", "dual", "perturb", "weave", "t4", "repetition",
+                                    "t49")))
+    small = ["--n", str(draw(st.integers(1, 4))), "--d", str(draw(st.integers(1, 2)))]
+    out = ["--out", str(folder / "out.json")]
+    if command == "analyze":
+        argv = ["analyze", f, *maybe("--xi"), *maybe("--eta"), *maybe("--alpha"), *maybe("--tol")]
+    elif command == "dual":
+        argv = ["dual", f, *out, *maybe("--tol")]
+    elif command == "perturb":
+        argv = ["perturb", f, g, *value("--xi"), *maybe("--eta"), *maybe("--tol")]
+    elif command == "weave":
+        pair = [f, g] if draw(st.booleans()) else [str(folder / "sc-a.json"),
+                                                   str(folder / "sc-b.json")]
+        sweep = ["--sweep", draw(st.sampled_from(("", ",", "3", "4")))] if draw(st.booleans()) else []
+        argv = ["weave", *pair, *sweep, *maybe("--tol")]
+    elif command == "t4":
+        kind = draw(st.sampled_from(("constant", "gaussian", "geometric", "power")))
+        argv = ["construct", "t4", "--kind", kind, *value("--xi"), *value("--c"), *maybe("--r"),
+                *maybe("--p"), *small, *out]
+    elif command == "repetition":
+        spec = f"{draw(st.integers(0, 4))}:{draw(st.integers(0, 3))}"
+        argv = ["construct", "repetition", "--repeat", spec, *small, *out]
+    else:
+        profiles = ("gaussian:1", "geometric:1e308:0.99", "power:1:2", "geometric:5e-324:0.5")
+        argv = ["construct", "t49", *value("--profile1", profiles),
+                *value("--profile2", profiles), *small, "--out", str(folder / "built")]
+    form = draw(st.sampled_from(("json", "text")))
+    return first, second, [*argv, "--format", form]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the report holds {name}")
+
+
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_call_ends_in_a_documented_exit(capsys, tmp_path, data):
+    if not (tmp_path / "sc-a.json").exists():  # a t49 pair, for weave --sweep
+        assert main(["construct", "t49", "--n", "4", "--profile1", "gaussian:1",
+                     "--profile2", "geometric:1:0.5", "--out", str(tmp_path / "sc")]) == 0
+    (shape_f, synthesis_f), (shape_g, synthesis_g), argv = data.draw(cli_calls(tmp_path))
+    save_frame(tmp_path / "f.json", FrameSystem(synthesis_f, shape=shape_f))
+    save_frame(tmp_path / "g.json", FrameSystem(synthesis_g, shape=shape_g))
+    capsys.readouterr()
+    code, stdout, err = run(capsys, *argv)
+    assert code in {0, 2, 3, 4, 5, 6}
+    if code:
+        assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
+    elif argv[-1] == "json":
+        json.loads(stdout, parse_constant=_refuse_constant)

@@ -114,6 +114,61 @@ def test_stray_literal_is_caught(tmp_path):
     assert _stray_literals(module) == ["module.py:3: 1e-12"]
 
 
+#: The names a tolerance is read from.
+TOLERANCES = {"tol", "DEFAULT_TOL", "ROUNDING_RTOL"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _stray_verdicts(path: Path) -> list[str]:
+    """Comparisons naming a tolerance, or a name bound to arithmetic on one, outside
+    linalg.exceeds; a tolerance compared with a literal (an argument check) is allowed."""
+    tree = ast.parse(path.read_text())
+    rule = {
+        id(node) for function in ast.walk(tree)
+        if path.name == "linalg.py" and isinstance(function, ast.FunctionDef)
+        and function.name == "exceeds" for node in ast.walk(function)
+    }
+    scaled = TOLERANCES | {
+        target.id for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+        and _names(node.value) & TOLERANCES
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    hits = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and id(node) not in rule and _names(node) & scaled
+        and not all(isinstance(x, ast.Constant) or isinstance(x, ast.Name) and x.id in TOLERANCES
+                    for x in (node.left, *node.comparators))
+    ]
+    return [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+            for node in sorted(hits, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_every_verdict_goes_through_exceeds():
+    # One threshold rule: value > tol * size, in linalg.exceeds, or its negation.
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    assert [hit for path in files for hit in _stray_verdicts(path)] == []
+
+
+def test_stray_verdict_is_caught(tmp_path):
+    rule = "def exceeds(value, tol, size=1.0):\n    return value > tol * size\n"
+    (tmp_path / "linalg.py").write_text(rule + "bad = x > tol * y\n")
+    (tmp_path / "module.py").write_text(
+        rule + "ok = tol < 0\nallowance = DEFAULT_TOL * y\nbad = x - allowance <= z\n"
+        "worse = drift <= ROUNDING_RTOL\nfine = exceeds(drift, ROUNDING_RTOL)\n")
+    assert _stray_verdicts(tmp_path / "linalg.py") == ["linalg.py:3: x > tol * y"]
+    assert _stray_verdicts(tmp_path / "module.py") == [
+        "module.py:2: value > tol * size",
+        "module.py:5: x - allowance <= z",
+        "module.py:6: drift <= ROUNDING_RTOL",
+    ]
+
+
 def test_scaled_identity_is_still_a_frame():
     # The orthonormal basis of A^4 scaled by 2^-20: bounds 2^-40 ~ 9e-13,
     # below an absolute 1e-9 but a frame at any scale.
