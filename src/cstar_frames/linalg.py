@@ -2,11 +2,15 @@
 
 Every spectral quantity in this package funnels through
 :func:`hermitian_eigen`, which hands the Hermitian part of its input to
-LAPACK (``numpy.linalg.eigh``).  :func:`jacobi_eigen`, a cyclic Jacobi
-iteration with complex rotations, computes the same spectrum by an
-independent method and is kept as the reference the LAPACK path is
-checked against in the tests (Jacobi is the more accurate of the two on
-graded matrices; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
+LAPACK's ``eigh_lo`` kernel, the gufunc ``numpy.linalg.eigh`` dispatches to,
+under the error state numpy sets for it (the invalid flag, LAPACK's failure,
+raises; overflow, division and underflow are ignored) but without numpy's
+checks, which the Hermitian part has passed.  An eigenvalue past the double
+range is refused.  :func:`jacobi_eigen`, a cyclic Jacobi iteration with
+complex rotations, computes the same spectrum by an independent method and
+is kept as the reference the LAPACK path is checked against in the tests
+(Jacobi is the more accurate of the two on graded matrices; Demmel &
+Veselic, SIAM J. Matrix Anal. Appl. 1992).
 
 Near-Hermitian input is folded to its Hermitian part ``(M + M*)/2``
 before either kernel runs; input that is Hermitian bit for bit goes to the
@@ -30,6 +34,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import eigh_lo
 
 from .errors import (
     NoConvergenceError,
@@ -211,17 +216,24 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
     return folded
 
 
+def _no_convergence(err, flag):
+    """The error state's handler: eigh_lo raises the invalid flag when LAPACK fails."""
+    raise NoConvergenceError("hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge")
+
+
 def hermitian_eigen(matrix) -> SpectralResult:
     """Full spectrum of a Hermitian matrix by LAPACK's divide and conquer.
 
     The argument is only read, so read-only arrays and views are fine.
-    Raises NoConvergenceError if LAPACK reports that it failed to converge.
+    Raises NoConvergenceError if LAPACK reports that it failed to converge, and
+    OverflowError if an eigenvalue is past the double range.
     """
     work = _hermitian_part(matrix, "hermitian_eigen")
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(work)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"hermitian_eigen: LAPACK eigh failed: {exc}") from exc
+    with np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        eigenvalues, eigenvectors = eigh_lo(work, signature="D->dD")
+    if eigenvalues[0] == -math.inf or eigenvalues[-1] == math.inf:
+        raise OverflowError("hermitian_eigen: an eigenvalue is past the double range")
     return SpectralResult(eigenvalues, eigenvectors)
 
 

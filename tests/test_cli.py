@@ -938,6 +938,25 @@ def test_shift_past_double_range_exit_4(capsys, tmp_path, command):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "F"], ["analyze", "F", "--tol", "0"], ["analyze", "F", "--xi", "1"],
+    ["perturb", "F", "F", "--xi", "0", "--tol", "0"], ["dual", "F", "--out", "OUT"],
+    ["weave", "F", "F"],
+])
+def test_spectrum_past_double_range_exit_4(capsys, tmp_path, argv):
+    # X* X = [[1e308, 1e308], [1e308, 1e308]] is finite, but its eigenvalue 2e308 is not.
+    path, out = tmp_path / "rank-one.json", tmp_path / "dual.json"
+    path.write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                "module": {"n": 2},
+                                "vectors": [[[[[1e154, 0.0]]], [[[1e154, 0.0]]]]]}))
+    names = {"F": str(path), "OUT": str(out)}
+    code, stdout, err = run(capsys, *[names.get(arg, arg) for arg in argv])
+    assert code == 4 and stdout == ""
+    assert err == "error: hermitian_eigen: an eigenvalue is past the double range\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_certificate_past_double_range_exit_2(capsys, tmp_path):
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cstar_frames import linalg
 from cstar_frames.errors import (
     NoConvergenceError,
     NotHermitianError,
@@ -189,12 +190,16 @@ def test_eigen_sweep_cap():
 
 
 def test_eigen_lapack_failure_is_no_convergence(monkeypatch):
-    def fail(_):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    # The kernel reports a failure by raising the invalid flag, as LAPACK's does;
+    # hermitian_eigen's error state turns the flag into the error.
+    def fail(work, signature):
+        np.sqrt(np.float64(-1.0))
+        return np.linalg.eigh(work)
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(NoConvergenceError, match="LAPACK"):
+    monkeypatch.setattr(linalg, "eigh_lo", fail)
+    with pytest.raises(NoConvergenceError, match="LAPACK") as caught:
         hermitian_eigen(np.eye(2))
+    assert str(caught.value) == "hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge"
 
 
 def test_jacobi_skips_a_zero_pivot():
@@ -410,6 +415,42 @@ def test_unfolded_edge_cases_keep_the_eigenvalues_of_the_fold(make):
     assert hermitian_eigen(mat).eigenvalues.tobytes() == folded.tobytes()
 
 
+def _laid_out(mat, layout):
+    """`mat` as it is, as a read-only view into a stack, in Fortran order, or as its real part."""
+    if layout == "stack view":
+        stack = np.stack([mat + 1.0, mat, mat - 1.0])
+        stack.setflags(write=False)
+        return stack[1]
+    if layout == "fortran":
+        return np.asfortranarray(mat)
+    return mat.real.copy() if layout == "real" else mat
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.sampled_from(("hermitian", "near-hermitian", "real diagonal")),
+       st.one_of(st.integers(-470, -440), st.integers(-30, 30), st.integers(440, 470)),
+       st.sampled_from(("as is", "stack view", "fortran", "real")), st.integers(0, 2**32 - 1))
+def test_hermitian_eigen_is_numpy_eigh_of_the_hermitian_part_bit_for_bit(size, kind, exponent,
+                                                                           layout, seed):
+    # hermitian_eigen calls the kernel that np.linalg.eigh dispatches to, with
+    # none of its checks; on the same Hermitian part both give the same bits.
+    # 2^exponent takes ||M||_F^2 past both ends of (2^-898, 2^902).
+    rng = np.random.default_rng(seed)
+    if kind == "real diagonal":
+        mat = np.diag(rng.uniform(-1.0, 1.0, size)).astype(complex)
+    else:
+        mat = random_hermitian(rng, size)
+    if kind == "near-hermitian":  # a relative skew of at most 1e-12
+        noise = random_complex(rng, size, size)
+        mat += 2e-13 * np.linalg.norm(mat) / np.linalg.norm(noise) * noise
+    mat = _laid_out(math.ldexp(1.0, exponent) * mat, layout)
+    got = hermitian_eigen(mat)
+    want = np.linalg.eigh(_hermitian_part(mat, "where"))
+    for ours, numpys in zip(got, want):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (numpys.dtype, numpys.shape,
+                                                            numpys.tobytes())
+
+
 def _frame_operator_matrix():
     rng = np.random.default_rng(11)
     system = FrameSystem(random_complex(rng, 12, 6), shape=ModuleShape(2, 3))
@@ -589,6 +630,19 @@ def test_inverse_singular_rejected():
 def test_inverse_past_double_range_rejected():
     with pytest.raises(OverflowError, match=r"^hermitian_inverse: 1 / 1\.000e-310 overflows a double$"):
         hermitian_inverse(np.diag([1e-310, 1.0e-309]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_spectrum_past_double_range_rejected():
+    # Every entry is finite, but the eigenvalue 2e308 (or -2e308) is not.
+    message = r"^hermitian_eigen: an eigenvalue is past the double range$"
+    for sign in (1.0, -1.0):
+        with pytest.raises(OverflowError, match=message):
+            hermitian_eigen(np.full((2, 2), sign * 1e308))
+    for call in (psd_check, hermitian_inverse):
+        for tol in (0.0, DEFAULT_TOL):
+            with pytest.raises(OverflowError, match=message):
+                call(np.full((2, 2), 1e308), tol)
 
 
 # ------------------------------------------------------------------- psd_sqrt
