@@ -218,11 +218,14 @@ def universal_bounds(
     same for any value.  Each block is checked finite before its
     eigensolves: a weaving operator past the double range raises
     OverflowError naming the lexicographically first such partition, though
-    every family's own frame operator may be finite.  Failing that, a
-    weaving operator whose diagonal underflows to 0 on a nonzero column of
-    its vectors raises OverflowError too (see _underflow, decided once before
-    the blocks), so that rescaling a pair never turns its verdict to "not
-    woven"; before the blocks are built, unless one of them could overflow.
+    every family's own frame operator may be finite.  A finite one whose
+    eigensolve finds an eigenvalue past the range raises OverflowError
+    naming its own partition, and no further eigensolve is made.  Failing
+    that, a weaving operator whose diagonal underflows to 0 on a nonzero
+    column of its vectors raises OverflowError too (see _underflow, decided
+    once before the blocks), so that rescaling a pair never turns its verdict
+    to "not woven"; before the blocks are built, unless one of them could
+    overflow.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -257,7 +260,18 @@ def universal_bounds(
                     f"the weaving operator of partition "
                     f"{list(_partition_at(place, m, count).assignment)} overflows a double"
                 )
-            spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
+            spectra = []  # its length is the index in the block of the operator being solved
+            try:
+                for gram in block:
+                    spectra.append(hermitian_eigen(gram).eigenvalues)
+            except OverflowError as exc:
+                place = start + len(spectra)
+                raise OverflowError(
+                    f"the weaving operator of partition "
+                    f"{list(_partition_at(place, m, count).assignment)} has an eigenvalue past "
+                    f"the double range"
+                ) from exc
+            spectra = np.array(spectra)
             # argmin keeps the first of equal minima: blocks and their Grams come
             # in lexicographic order, so this is the lexicographically smallest argmin.
             first = int(np.argmin(spectra[:, 0]))

@@ -952,7 +952,11 @@ def test_spectrum_past_double_range_exit_4(capsys, tmp_path, argv):
     names = {"F": str(path), "OUT": str(out)}
     code, stdout, err = run(capsys, *[names.get(arg, arg) for arg in argv])
     assert code == 4 and stdout == ""
-    assert err == "error: hermitian_eigen: an eigenvalue is past the double range\n"
+    if argv[0] == "weave":  # the first of its two partitions, [1] and [2], is named
+        assert err == ("error: the weaving operator of partition [1] has an eigenvalue past "
+                       "the double range\n")
+    else:
+        assert err == "error: hermitian_eigen: an eigenvalue is past the double range\n"
     assert not out.exists()
 
 

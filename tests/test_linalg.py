@@ -2,6 +2,8 @@
 
 import copy
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -200,6 +202,65 @@ def test_eigen_lapack_failure_is_no_convergence(monkeypatch):
     with pytest.raises(NoConvergenceError, match="LAPACK") as caught:
         hermitian_eigen(np.eye(2))
     assert str(caught.value) == "hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge"
+
+
+def _caller_handler(err, flag):
+    raise AssertionError("the caller's error handler was called")
+
+
+@pytest.mark.parametrize("outcome", ["returns", "no convergence", "overflow"])
+def test_hermitian_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
+    # hermitian_eigen's own error state is entered and left around the kernel
+    # alone; the caller's, whatever it is, is the one in force after any outcome.
+    matrix = np.full((2, 2), 1e308) if outcome == "overflow" else np.eye(2)
+    if outcome == "no convergence":
+        def fail(work, signature):
+            np.sqrt(np.float64(-1.0))
+            return np.linalg.eigh(work)
+
+        monkeypatch.setattr(linalg, "eigh_lo", fail)
+    raised = {"returns": None, "no convergence": NoConvergenceError, "overflow": OverflowError}
+    for state in ({"all": "raise"}, {"all": "ignore"}, {"all": "call", "call": _caller_handler},
+                  {"divide": "warn", "over": "print", "under": "log", "invalid": "raise"}):
+        with np.errstate(**state):
+            before = (np.geterr(), np.geterrcall())
+            try:
+                hermitian_eigen(matrix)
+            except (NoConvergenceError, OverflowError) as exc:
+                assert type(exc) is raised[outcome]
+            else:
+                assert raised[outcome] is None
+            assert (np.geterr(), np.geterrcall()) == before
+
+
+@pytest.mark.parametrize("exponent", [-460, 0, 460])
+def test_hermitian_eigen_bits_do_not_depend_on_the_callers_error_state(rng, exponent):
+    # 2^exponent takes ||M||_F^2 past both ends of the range _hermitian_part inlines.
+    for size in range(1, 9):
+        mat = math.ldexp(1.0, exponent) * random_hermitian(rng, size)
+        spectra = []
+        for state in ({"all": "raise"}, {"all": "ignore"}):
+            with np.errstate(**state):
+                spectra.append([part.tobytes() for part in hermitian_eigen(mat)])
+        assert spectra[0] == spectra[1]
+
+
+def test_hermitian_eigen_on_two_threads_gives_the_serial_bits(rng):
+    mats = [random_hermitian(rng, size) for size in rng.integers(1, 9, 200)]
+    serial = [[part.tobytes() for part in hermitian_eigen(mat)] for mat in mats]
+
+    def solve(mat):
+        return [part.tobytes() for part in hermitian_eigen(mat)], np.geterr()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(solve, mats, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [bits for bits, _ in threaded] == serial
+    assert all(state == np.geterr() for _, state in threaded)
 
 
 def test_jacobi_skips_a_zero_pivot():

@@ -1,6 +1,7 @@
 """Partition exhaustion, universal bounds, and the adversarial pair."""
 
 import itertools
+import json
 import math
 import re
 
@@ -15,6 +16,7 @@ from cstar_frames.frames import FrameSystem, optimal_bounds
 from cstar_frames.linalg import hermitian_eigen
 from cstar_frames.module_space import ModuleShape, standard_basis
 from cstar_frames import weaving
+from cstar_frames.cli import main
 from cstar_frames.constructors import _basis_frame
 from cstar_frames.weaving import (
     Partition,
@@ -458,6 +460,50 @@ def test_weaving_operator_past_double_range():
     assert np.isfinite(weaving_operator([a, b], Partition((1, 1))).mat).all()
     with pytest.raises(OverflowError):
         weaving_operator([a, b], Partition((1, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_universal_bounds_names_partition_with_eigenvalue_past_double_range(monkeypatch):
+    # Every weaving operator is finite, but those taking (1e154, 1e154) from
+    # family 2 at position 1 have the eigenvalue 2e308; [2, 1] is the first.
+    shape = ModuleShape(1, 2)
+    a = FrameSystem(np.array([[1.0 + 0j, 1.0], [1.0, 1.0]]), shape=shape)
+    b = FrameSystem(np.array([[1e154 + 0j, 1e154], [1.0, 1.0]]), shape=shape)
+    solved = []
+
+    def counted(matrix):
+        solved.append(matrix)
+        return hermitian_eigen(matrix)
+
+    monkeypatch.setattr(weaving, "hermitian_eigen", counted)
+    saved = weaving.LEAF_BLOCK_BYTES
+    try:
+        for budget in (64, 128, 256):  # one 2 x 2 operator (64 bytes) a block, two, or all four
+            weaving.LEAF_BLOCK_BYTES = budget
+            solved.clear()
+            with pytest.raises(OverflowError, match=r"^the weaving operator of partition "
+                                                    r"\[2, 1\] has an eigenvalue past the "
+                                                    r"double range$"):
+                universal_bounds([a, b])
+            assert len(solved) == 3, budget  # [1, 1], [1, 2] and [2, 1], nothing after
+    finally:
+        weaving.LEAF_BLOCK_BYTES = saved
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_names_partition_with_eigenvalue_past_double_range(capsys, tmp_path):
+    # The pair of the test above, as files: weave exits 4 with one line naming [2, 1].
+    paths = []
+    for role, first in (("a", 1.0), ("b", 1e154)):
+        vectors = [[[[[x, 0.0]]], [[[x, 0.0]]]] for x in (first, 1.0)]
+        paths.append(tmp_path / f"{role}.json")
+        paths[-1].write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
+                                         "module": {"n": 2}, "vectors": vectors}))
+    code = main(["weave", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == ("error: the weaving operator of partition [2, 1] has an eigenvalue "
+                            "past the double range\n")
 
 
 def test_underflowing_weave_refused_before_any_eigensolve(monkeypatch):
