@@ -252,6 +252,8 @@ def _parse_repeats(raw_items) -> dict[int, int]:
                 raise UsageError(
                     f"bad repeat spec {piece!r}; expected index:count"
                 )
+            if index in table:
+                raise UsageError(f"--repeat index {index} given twice")
             table[index] = count
     if not table:
         raise UsageError("at least one --repeat index:count is required")

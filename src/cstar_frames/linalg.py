@@ -195,7 +195,8 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
     Outside the range the defect is relative_drift(M, M*), which rescales,
     and the fold is _fold.  On a weave whose 16388
     eigensolves of 7 x 7 operators are all Hermitian bit for bit, the shortcut
-    takes about 17% off the cycle (0.292 -> 0.242 s on 2 cores, numpy 2.4).
+    takes about 18% off the call (0.194 -> 0.158 s, the fastest of 40 calls
+    each way, interleaved in one process, on 2 cores, numpy 2.4).
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or not 0.0 < (total := np.vdot(mat, mat).real) < math.inf:

@@ -6,10 +6,9 @@ bounds.  At desk scale the quantifier over partitions is answered by
 literal exhaustion: all m^N assignments, capped, in lexicographic order,
 keeping the first strict minimum of the smallest eigenvalue and the
 maximum of the largest.  The weaving operators come in blocks of at most
-LEAF_BLOCK_BYTES, each summed in the order ndarray.sum sums one gathered
-stack, so to the bit: running prefix sums over the leading positions,
-with the trailing ones appended a level at a time (1 x 1 operators, which
-numpy sums pairwise, are gathered and summed alike).  Each spectrum is one
+LEAF_BLOCK_BYTES, each summed left to right over the positions, whatever
+its size: running prefix sums over the leading positions, with the
+trailing ones appended a level at a time.  Each spectrum is one
 hermitian_eigen call.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
@@ -40,10 +39,8 @@ DEFAULT_PARTITION_CAP = 1 << 20
 
 #: universal_bounds builds the weaving operators in blocks of at most this
 #: many bytes (256 KiB) of operators, or one operator where a single one is
-#: larger; 1 x 1 operators count the (N, 1, 1) stack gathered for each, and
-#: their (m^L, N) index arrays come on top.  Larger blocks were no faster on
-#: the benchmark's 6 x 6 and 7 x 7 operators and raised the peak memory of a
-#: weave.
+#: larger.  Larger blocks were no faster on the benchmark's 6 x 6 and 7 x 7
+#: operators and raised the peak memory of a weave.
 LEAF_BLOCK_BYTES = 1 << 18
 
 
@@ -142,8 +139,8 @@ def _leaf_blocks(contribs: np.ndarray, depth: int):
 
     The leading N - depth positions are walked with running prefix sums, and
     each block appends the trailing positions one level at a time, so every
-    Gram is summed left to right, as ndarray.sum(axis=0) sums an (N, D, D)
-    stack with D > 1.
+    Gram, 1 x 1 ones included, is summed left to right over the positions:
+    for D > 1, the order in which ndarray.sum(axis=0) sums an (N, D, D) stack.
     """
     m, count = contribs.shape[:2]
     lead = count - depth
@@ -157,23 +154,6 @@ def _leaf_blocks(contribs: np.ndarray, depth: int):
         for k in range(lead, count):
             block = _append(block, contribs[:, k])
         yield block
-
-
-def _gathered_blocks(contribs: np.ndarray, depth: int):
-    """The same operators as _leaf_blocks for D = 1, summed as ndarray.sum sums them.
-
-    numpy sums a contiguous axis pairwise, not left to right, and an (N, 1, 1)
-    stack is one; so each block gathers its m^depth stacks and sums them alike.
-    This would give the same bits for D > 1 too, but gathers N contributions
-    per operator where _leaf_blocks adds about two, which made a weave of two
-    N = 14 families of 7 x 7 operators about 8% slower.
-    """
-    m, count = contribs.shape[:2]
-    places, positions = m ** np.arange(count - 1, -1, -1), np.arange(count)
-    leaves = m**depth
-    for start in range(0, m**count, leaves):
-        assignments = np.arange(start, start + leaves)[:, None] // places % m
-        yield contribs[assignments, positions].sum(axis=1)
 
 
 def _underflow(rows: np.ndarray, contribs: np.ndarray) -> str | None:
@@ -249,11 +229,7 @@ def universal_bounds(
         # so the refusal needs no block.
         if underflow is not None and np.abs(contribs).max(axis=0).sum(axis=0).max() < 2.0**1023:
             raise OverflowError(underflow)
-        if contribs.shape[-1] > 1:
-            blocks = _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes))
-        else:
-            blocks = _gathered_blocks(contribs, _leaf_depth(m, count, contribs[0].nbytes))
-        for block in blocks:
+        for block in _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes)):
             if not np.isfinite(block).all():
                 place = start + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))
                 raise OverflowError(

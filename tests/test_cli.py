@@ -20,7 +20,7 @@ from cstar_frames.constructors import CompactTightCert
 from cstar_frames.decomposition import DeviationCertificate, ShiftDecomposition, shift_decompose
 from cstar_frames.errors import FrameFileError
 from cstar_frames.frame_io import LoadedFrame, load_frame, save_frame
-from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem, frame_from_operator
+from cstar_frames.frames import MAX_FRAME_ENTRIES, FrameSystem, frame_from_operator, optimal_bounds
 from cstar_frames.module_space import ModuleOperator, ModuleShape, ModuleVector, standard_basis
 from cstar_frames.weaving import Partition, WeavingReport
 
@@ -1040,6 +1040,7 @@ def test_inapplicable_parts_have_no_slack(capsys, tmp_path):
     ("a:b", "bad repeat spec 'a:b'; expected index:count"),
     ("1-2", "bad repeat spec '1-2'; expected index:count"),
     (",", "at least one --repeat index:count is required"),
+    ("2:3,2:5", "--repeat index 2 given twice"),
 ])
 def test_construct_bad_repeat_exit_4(capsys, tmp_path, repeat, message):
     out = tmp_path / "rep.json"
@@ -1047,6 +1048,15 @@ def test_construct_bad_repeat_exit_4(capsys, tmp_path, repeat, message):
                        "--out", str(out))
     assert code == 4
     assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_construct_repeat_index_in_two_flags_exit_4(capsys, tmp_path):
+    out = tmp_path / "rep.json"
+    code, stdout, err = run(capsys, "construct", "repetition", "--n", "3", "--repeat", "2:3",
+                            "--repeat", "2:5", "--out", str(out))
+    assert code == 4 and stdout == ""
+    assert err == "error: --repeat index 2 given twice\n"
     assert not out.exists()
 
 
@@ -1353,3 +1363,84 @@ def test_every_call_ends_in_a_documented_exit(capsys, tmp_path, data):
         assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n"), err
     elif argv[-1] == "json":
         json.loads(stdout, parse_constant=_refuse_constant)
+
+
+# ---------------------------------------------------- scaling as a property
+
+@st.composite
+def scaling_calls(draw):
+    """Two small integer families (d, n <= 2, N <= 4, entries -3..3), a shift, (alpha, eta)
+    and a power of two 2^k with |k| <= 100, as in test_tolerances.scaling_cases."""
+    shape = ModuleShape(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    count = draw(st.integers(1, 4))
+    size = 2 * count * shape.d * shape.dim
+
+    def family():
+        parts = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        re_im = np.array(parts, dtype=float).reshape(2, count * shape.d, shape.dim)
+        return FrameSystem(re_im[0] + 1j * re_im[1], shape=shape)
+
+    first, second = family(), family()
+    shift = draw(st.sampled_from(("zero", "lower", "upper", "other")))
+    # Multiples of 1/64, so that 4^k times them is exact for every k drawn.
+    other, alpha = (draw(st.integers(-256, 1280)) / 64.0 for _ in range(2))
+    eta = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0)))
+    return first, second, shift, other, alpha, eta, draw(st.integers(-100, 100))
+
+
+def _leaves(report, path=""):
+    """{dotted path: value} for every leaf of a JSON report but its file names and timing."""
+    leaves = {}
+    for key, value in report.items():
+        if key not in ("file", "out", "timing"):
+            name = f"{path}{key}"
+            leaves.update(_leaves(value, f"{name}.") if isinstance(value, dict)
+                          else {name: value})
+    return leaves
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(scaling_calls())
+def test_reports_scale_with_the_frame(capsys, tmp_path, case):
+    # Scaling every vector by 2^k scales each frame operator by q = 4^k exactly,
+    # so every bound the CLI reports scales exactly and no verdict changes.
+    first, second, shift, other, alpha, eta, k = case
+    c = 2.0**k
+    q = c * c
+    files = {}
+    for name, family in (("f", first), ("g", second)):
+        for scale, tag in ((1.0, ""), (c, "-scaled")):
+            files[name + tag] = str(tmp_path / f"{name}{tag}.json")
+            save_frame(files[name + tag], FrameSystem(scale * family.synthesis, shape=family.shape))
+    bounds = optimal_bounds(first)
+    xi = {"zero": 0.0, "lower": bounds.lower, "upper": bounds.upper, "other": other}[shift]
+
+    def scales(base_argv, scaled_argv, factors):
+        """Both calls exit alike; on exit 0 their reports agree leaf by leaf, each leaf
+        named in `factors` scaled by its factor and every other one identical."""
+        base_code, base_out, _ = run(capsys, *base_argv, "--format", "json")
+        scaled_code, scaled_out, _ = run(capsys, *scaled_argv, "--format", "json")
+        assert scaled_code == base_code
+        if base_code == 0:
+            base, scaled = _leaves(json.loads(base_out)), _leaves(json.loads(scaled_out))
+            assert scaled.keys() == base.keys()
+            for path, value in base.items():
+                factor = factors.get(path)
+                expected = value if factor is None or value is None else factor * value
+                assert scaled[path] == expected, path
+
+    scales(["analyze", files["f"], f"--xi={xi!r}", f"--eta={eta!r}", f"--alpha={alpha!r}"],
+           ["analyze", files["f-scaled"], f"--xi={q * xi!r}", f"--eta={eta!r}",
+            f"--alpha={q * alpha!r}"],
+           {"bounds.lower": q, "bounds.upper": q, "decomposition.xi": q,
+            "decomposition.besselBound": q, "decomposition.lowerBound.value": q,
+            "decomposition.lowerBound.rho": q, "decomposition.deviation.alpha": q,
+            "decomposition.deviation.slack": q * q,
+            "decomposition.parts.positiveShiftImpliesFrame.slack": q,
+            "decomposition.parts.lowerBoundImpliesPositive.slack": q})
+    scales(["weave", files["f"], files["g"]], ["weave", files["f-scaled"], files["g-scaled"]],
+           {"universalLower": q, "universalUpper": q})
+    scales(["dual", files["f"], "--out", str(tmp_path / "dual.json")],
+           ["dual", files["f-scaled"], "--out", str(tmp_path / "dual-scaled.json")],
+           {"original.lower": q, "original.upper": q, "dual.lower": 1 / q, "dual.upper": 1 / q})

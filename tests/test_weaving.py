@@ -1,5 +1,6 @@
 """Partition exhaustion, universal bounds, and the adversarial pair."""
 
+import functools
 import itertools
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cstar_frames.constructors import ScalarProfile, eigenprofile_operator
 from cstar_frames.errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
+from cstar_frames.frame_io import save_frame
 from cstar_frames.frames import FrameSystem, optimal_bounds
 from cstar_frames.linalg import hermitian_eigen
 from cstar_frames.module_space import ModuleShape, standard_basis
@@ -230,14 +232,22 @@ def test_universal_bounds_enclose_each_family(families):
 
 
 def reference_bounds(families):
-    """One partition at a time: itertools.product, a gather and sum, and one eigensolve each."""
+    """One partition at a time: itertools.product, a left-to-right sum, and one eigensolve each.
+
+    For D > 1 the sum is also checked to be, bit for bit, the one ndarray.sum
+    gives on the gathered stack.
+    """
     shape, count, m = families[0].shape, len(families[0]), len(families)
     rows = np.stack([fam.synthesis for fam in families]).reshape(m, count, shape.d, shape.dim)
     contribs = rows.conj().swapaxes(-1, -2) @ rows
     positions = np.arange(count)
     low, worst, high = np.inf, None, -np.inf
     for assignment in itertools.product(range(m), repeat=count):
-        eigenvalues = hermitian_eigen(contribs[assignment, positions].sum(axis=0)).eigenvalues
+        stack = contribs[assignment, positions]
+        gram = functools.reduce(np.add, stack)
+        if shape.dim > 1:
+            assert gram.tobytes() == stack.sum(axis=0).tobytes()
+        eigenvalues = hermitian_eigen(gram).eigenvalues
         if eigenvalues[0] < low:
             low, worst = float(eigenvalues[0]), assignment
         high = max(high, float(eigenvalues[-1]))
@@ -272,7 +282,7 @@ def test_universal_bounds_bit_identical_to_one_partition_at_a_time(families):
     expected = reference_bounds(families)
     m, count, dim = len(families), len(families[0]), families[0].shape.dim
     # One leaf per block, then m, m^2, ... up to all of them in one block.
-    leaf = 16 * dim * dim if dim > 1 else 16 * count
+    leaf = 16 * dim * dim
     saved = weaving.LEAF_BLOCK_BYTES
     try:
         for budget in [1] + [leaf * m**depth for depth in range(count + 1)]:
@@ -286,9 +296,10 @@ def test_universal_bounds_bit_identical_to_one_partition_at_a_time(families):
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_scalar_weaving_sums_as_numpy_does(seed):
-    # numpy sums an (N, 1, 1) stack pairwise, not left to right, so scalar
-    # families would show a left-to-right walk in the last bits.
+def test_scalar_weaving_sums_left_to_right(seed):
+    # Scalar families show the order of the sums in the last bits: each 1 x 1
+    # weaving operator is summed left to right over the positions, as for
+    # D > 1, not pairwise as numpy sums a contiguous (N, 1, 1) stack.
     rng = np.random.default_rng(seed)
     m, count = (2, 8) if seed % 2 else (3, 6)
     scales = 10.0 ** rng.uniform(-3, 3, (count, 1))
@@ -440,7 +451,7 @@ def test_universal_bounds_names_first_overflowing_partition(seed):
     families, expected = overflowing_families(seed)
     m, count, dim = len(families), len(families[0]), families[0].shape.dim
     message = f"the weaving operator of partition {list(expected)} overflows a double"
-    leaf = 16 * dim * dim if dim > 1 else 16 * count
+    leaf = 16 * dim * dim
     saved = weaving.LEAF_BLOCK_BYTES
     try:
         for budget in [1] + [leaf * m**depth for depth in range(count + 1)]:
@@ -520,6 +531,45 @@ def test_underflowing_weave_refused_before_any_eigensolve(monkeypatch):
     with pytest.raises(OverflowError, match=r"^the weaving operator of partition \[2, 1\] "
                                             r"underflows a double"):
         universal_bounds([a, b])
+
+
+def underflow_after_enumeration():
+    """Partition [1, 2] takes (7e153, 1e-170) and (7e153, 0): its second diagonal entry
+    (1e-170)^2 reads 0, and its first, 9.8e307, is finite but past the 2^1023 that
+    rules out any overflow, so every block is built and solved before the refusal."""
+    shape = ModuleShape(1, 2)
+    return [FrameSystem(np.array(rows, dtype=complex), shape=shape)
+            for rows in ([[7e153, 1e-170], [0.0, 1.0]], [[0.0, 1.0], [7e153, 0.0]])]
+
+
+UNDERFLOW_MESSAGE = ("the weaving operator of partition [1, 2] underflows a double: "
+                     "diagonal entry 2 is 0 on a nonzero column of its vectors")
+
+
+@pytest.mark.filterwarnings("error")
+def test_underflowing_weave_refused_after_enumeration(monkeypatch):
+    solved = []
+
+    def counted(matrix):
+        solved.append(matrix)
+        return hermitian_eigen(matrix)
+
+    monkeypatch.setattr(weaving, "hermitian_eigen", counted)
+    with pytest.raises(OverflowError) as raised:
+        universal_bounds(underflow_after_enumeration())
+    assert str(raised.value) == UNDERFLOW_MESSAGE
+    assert len(solved) == 4  # all four weaving operators, then the refusal
+
+
+@pytest.mark.filterwarnings("error")
+def test_weave_refuses_underflow_after_enumeration(capsys, tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, family in zip(paths, underflow_after_enumeration()):
+        save_frame(path, family)
+    code = main(["weave", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == f"error: {UNDERFLOW_MESSAGE}\n"
 
 
 @st.composite
