@@ -22,12 +22,9 @@ field, identical inputs give byte-identical JSON.  A report holds the
 package's result types (BoundsReport, PartCheck, ...) as they are; each is
 printed as its JSON object (frame_io.json_object: field names in camelCase,
 None fields left out), and then a number past the double range reads null
-(None in text), so no report holds Infinity or NaN.  The CSTAR_FRAMES_THREADS
-environment variable (a positive integer, default 1) is validated and
-echoed as "workers" in the weave report; enumeration runs on the calling
-thread whatever its value.  In-process callers may call main(argv)
-repeatedly: the argument parser is built on the first call and kept for
-the process.
+(None in text), so no report holds Infinity or NaN.  In-process callers
+may call main(argv) repeatedly: the argument parser is built on the first
+call and kept for the process.
 """
 
 from __future__ import annotations
@@ -67,8 +64,6 @@ from .weaving import (
     universal_bounds,
     weaving_operator,
 )
-
-THREADS_ENV = "CSTAR_FRAMES_THREADS"
 
 
 class UsageError(Exception):
@@ -122,19 +117,6 @@ def _require_size(vectors: int, d: int, n: int) -> None:
     refusal = _oversized(vectors, d, n)
     if refusal is not None:
         raise UsageError(refusal)
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0  # not an integer: refused below with the same message
-    if value < 1:
-        raise UsageError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 #: The parameters a profile spec gives after its kind, in order.
@@ -379,16 +361,14 @@ def _sweep_table(profile_a, profile_b, sizes, d) -> list[dict]:
 
 def cmd_weave(args) -> dict:
     started = time.perf_counter()
-    workers = _workers_from_env()
     loaded_a = load_frame(args.file_f)
     loaded_b = load_frame(args.file_g)
     # A bad --sweep is refused before the partitions are enumerated.
     sweep = _sweep_plan(loaded_a, loaded_b, args.sweep) if args.sweep is not None else None
     families = [loaded_a.system, loaded_b.system]
-    report_obj = universal_bounds(
-        families, tol=args.tol, max_partitions=args.max_partitions, workers=workers
+    report = json_object(
+        universal_bounds(families, tol=args.tol, max_partitions=args.max_partitions)
     )
-    report = {**json_object(report_obj), "workers": workers}
     if sweep:
         report["sweep"] = _sweep_table(*sweep)
     report["timing"] = {"seconds": time.perf_counter() - started}

@@ -7,9 +7,9 @@ literal exhaustion: all m^N assignments, capped, in lexicographic order,
 keeping the first strict minimum of the smallest eigenvalue and the
 maximum of the largest.  The weaving operators come in blocks of at most
 LEAF_BLOCK_BYTES, each summed left to right over the positions, whatever
-its size: running prefix sums over the leading positions, with the
-trailing ones appended a level at a time.  Each spectrum is one
-hermitian_eigen call.
+its size: the leading positions of its partitions, then the trailing
+ones appended a level at a time.  Each spectrum is one hermitian_eigen
+call.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -22,6 +22,7 @@ contradiction itself.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -127,33 +128,26 @@ def _leaf_depth(m: int, count: int, leaf_bytes: int) -> int:
     return depth
 
 
-def _append(block: np.ndarray | None, options: np.ndarray) -> np.ndarray:
-    """Each Gram of `block` plus each of `options`, lexicographically; None is one zero Gram."""
-    if block is None:
-        return options
+def _append(block: np.ndarray, options: np.ndarray) -> np.ndarray:
+    """Each Gram of `block` plus each of `options`, lexicographically."""
     return (block[:, None] + options[None]).reshape(-1, *options.shape[1:])
 
 
 def _leaf_blocks(contribs: np.ndarray, depth: int):
     """The weaving operators of all m^N partitions in lexicographic order, m^depth at a time.
 
-    The leading N - depth positions are walked with running prefix sums, and
-    each block appends the trailing positions one level at a time, so every
-    Gram, 1 x 1 ones included, is summed left to right over the positions:
-    for D > 1, the order in which ndarray.sum(axis=0) sums an (N, D, D) stack.
+    Each block sums its head's choice at each of the leading N - depth
+    positions, then appends the trailing positions one level at a time, so
+    every Gram, 1 x 1 ones included, is summed left to right over the
+    positions: for D > 1, the order in which ndarray.sum(axis=0) sums an
+    (N, D, D) stack.
     """
     m, count = contribs.shape[:2]
     lead = count - depth
-    prefix = [None] * (lead + 1)  # prefix[k]: the (1, D, D) sum over the first k positions
+    trailing = [contribs[:, k] for k in range(lead, count)]
     for head in itertools.product(range(m), repeat=lead):
-        # From the head before, the positions from the last nonzero family on changed.
-        changed = max((k for k, family in enumerate(head) if family), default=0)
-        for k in range(changed, lead):
-            prefix[k + 1] = _append(prefix[k], contribs[head[k], k][None])
-        block = prefix[lead]
-        for k in range(lead, count):
-            block = _append(block, contribs[:, k])
-        yield block
+        chosen = [contribs[family, k][None] for k, family in enumerate(head)]
+        yield functools.reduce(_append, chosen + trailing)
 
 
 def _underflow(rows: np.ndarray, contribs: np.ndarray) -> str | None:
@@ -184,7 +178,6 @@ def universal_bounds(
     families: Sequence[FrameSystem],
     tol: float = DEFAULT_TOL,
     max_partitions: int = DEFAULT_PARTITION_CAP,
-    workers: int | None = None,
 ) -> WeavingReport:
     """Exhaust all partitions and report the universal frame constants.
 
@@ -193,10 +186,9 @@ def universal_bounds(
     is the worst partition); universal_upper the maximum of the largest;
     the families are woven iff universal_lower > tol * universal_upper.
     The weaving operators are built in lexicographic blocks of at most
-    LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, on the
-    calling thread; `workers` is accepted and ignored, so the report is the
-    same for any value.  Each block is checked finite before its
-    eigensolves: a weaving operator past the double range raises
+    LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, so
+    repeated calls give the same report.  Each block is checked finite
+    before its eigensolves: a weaving operator past the double range raises
     OverflowError naming the lexicographically first such partition, though
     every family's own frame operator may be finite.  A finite one whose
     eigensolve finds an eigenvalue past the range raises OverflowError

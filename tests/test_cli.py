@@ -269,26 +269,6 @@ def test_weave_cap_exit_5(capsys, tmp_path):
     assert code == 5
 
 
-def test_weave_thread_env_deterministic(capsys, tmp_path, monkeypatch):
-    a = write_onb(tmp_path / "a.json")
-    b = write_onb(tmp_path / "b.json", scale=math.sqrt(2.0))
-    outputs = []
-    for workers in ("1", "2", "8"):
-        monkeypatch.setenv("CSTAR_FRAMES_THREADS", workers)
-        report = run_json(capsys, "weave", str(a), str(b))
-        report.pop("timing")
-        report.pop("workers")
-        outputs.append(json.dumps(report, sort_keys=True))
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_weave_invalid_thread_env_exit_4(capsys, tmp_path, monkeypatch):
-    path = write_onb(tmp_path / "onb.json")
-    monkeypatch.setenv("CSTAR_FRAMES_THREADS", "zero")
-    code, _, _ = run(capsys, "weave", str(path), str(path))
-    assert code == 4
-
-
 def test_weave_sweep_decay_table(capsys, tmp_path):
     prefix = tmp_path / "sc"
     built = run_json(capsys, "construct", "t49", "--n", "8",
@@ -846,7 +826,7 @@ def test_weave_subnormal_mix_still_weaves(capsys, tmp_path):
     report = run_json(capsys, "weave", *_scalar_pair(tmp_path, 1e-150, 1e-154))
     del report["timing"]
     assert report == {"isWoven": True, "partitionsChecked": 4, "universalLower": 2e-308,
-                      "universalUpper": 2e-300, "workers": 1, "worstPartition": [2, 1]}
+                      "universalUpper": 2e-300, "worstPartition": [2, 1]}
 
 
 @pytest.mark.filterwarnings("error")
@@ -1156,8 +1136,7 @@ def test_weave_json_report_names_fields_in_camel_case(capsys, tmp_path):
     report = run_json(capsys, "weave", str(a), str(b))
     del report["timing"]
     assert report == {"universalLower": pytest.approx(1.0), "universalUpper": pytest.approx(2.0),
-                      "isWoven": True, "partitionsChecked": 8, "worstPartition": [1, 1, 1],
-                      "workers": 1}
+                      "isWoven": True, "partitionsChecked": 8, "worstPartition": [1, 1, 1]}
 
 
 def _text_keys(stdout):
@@ -1212,8 +1191,7 @@ def test_text_reports_keep_their_line_order(capsys, tmp_path):
     code, stdout, _ = run(capsys, "weave", t4, t4)
     assert code == 0
     assert _text_keys(stdout) == ["universalLower", "universalUpper", "isWoven",
-                                  "partitionsChecked", "worstPartition", "workers",
-                                  "timing", "  seconds"]
+                                  "partitionsChecked", "worstPartition", "timing", "  seconds"]
 
 
 # ------------------------------------------------------ one parser per process
@@ -1285,12 +1263,14 @@ EXTREMES = ("1e308", "-1e308", "5e-324", "-5e-324", "0", "-0.0")
 
 
 @st.composite
-def small_frames(draw, shape=None):
+def small_frames(draw, shape=None, count=None):
     """A synthesis matrix with d <= 2, n <= 3 and N <= 8 small integer entries, times 1,
-    2^-270 or 2^250 (its X* X stays inside the double range), and its shape."""
+    2^-270 or 2^250 (its X* X stays inside the double range), and its shape; `shape` and
+    the count N are drawn unless given."""
     if shape is None:
         shape = ModuleShape(draw(st.integers(1, 2)), draw(st.integers(1, 3)))
-    count = draw(st.integers(1, 8))
+    if count is None:
+        count = draw(st.integers(1, 8))
     size = 2 * count * shape.d * shape.dim
     parts = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
     re_im = np.array(parts, dtype=float).reshape(2, count * shape.d, shape.dim)
@@ -1444,3 +1424,89 @@ def test_reports_scale_with_the_frame(capsys, tmp_path, case):
     scales(["dual", files["f"], "--out", str(tmp_path / "dual.json")],
            ["dual", files["f-scaled"], "--out", str(tmp_path / "dual-scaled.json")],
            {"original.lower": q, "original.upper": q, "dual.lower": 1 / q, "dual.upper": 1 / q})
+
+
+# ------------------------------------ spectra checked independently, as properties
+
+#: Tolerances the two properties below pass as --tol: 0, the default and two large ones.
+PROPERTY_TOLS = (0.0, 1e-9, 1e-3, 0.5)
+
+
+def _band(dim, upper):
+    """16 D eps lambda_max: how far two backward-stable eigensolves of one D x D Hermitian
+    matrix of largest eigenvalue `upper` may disagree on any eigenvalue."""
+    return 16 * dim * np.finfo(float).eps * upper
+
+
+def _saved_synthesis(path):
+    """The synthesis matrix of a frame file, read with json alone: "vectors" holds each
+    vector's n coefficients, each a d x d matrix of [re, im] pairs."""
+    with open(path) as f:
+        vectors = np.array(json.load(f)["vectors"], dtype=float)
+    count, n, d = vectors.shape[:3]
+    blocks = vectors[..., 0] + 1j * vectors[..., 1]
+    return blocks.transpose(0, 2, 1, 3).reshape(count * d, n * d)
+
+
+def _bounds_agree(bounds, eigenvalues, tol, dim):
+    """A report's bounds against an independent spectrum of X* X: lower and upper each
+    within the band, and isFrame and tight the same wherever their margin lies more than
+    3 bands from 0 (a margin sums at most three terms, each within a band)."""
+    lower, upper = max(eigenvalues[0], 0.0), max(eigenvalues[-1], 0.0)
+    band = _band(dim, upper)
+    assert abs(bounds["lower"] - lower) <= band, (bounds, lower, band)
+    assert abs(bounds["upper"] - upper) <= band, (bounds, upper, band)
+    for verdict, margin in (("isFrame", lower - tol * upper),
+                            ("tight", tol * upper - (upper - lower))):
+        if abs(margin) > 3 * band:
+            assert bounds[verdict] == (margin > 0), (verdict, bounds, margin, band)
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_frames(), st.sampled_from(PROPERTY_TOLS))
+def test_analyze_bounds_match_an_independent_eigvalsh(capsys, tmp_path, frame, tol):
+    shape, synthesis = frame
+    path = tmp_path / "f.json"
+    save_frame(path, FrameSystem(synthesis, shape=shape))
+    x = _saved_synthesis(path)
+    report = run_json(capsys, "analyze", str(path), f"--tol={tol!r}")
+    _bounds_agree(report["bounds"], np.linalg.eigvalsh(x.conj().T @ x), tol, shape.dim)
+
+
+@st.composite
+def rotated_pairs(draw):
+    """Two small integer frames of one shape and length, a seed for a unitary U on C^{nd},
+    and a tolerance."""
+    shape, first = draw(small_frames())
+    _, second = draw(small_frames(shape, first.shape[0] // shape.d))
+    seed, tol = draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(PROPERTY_TOLS))
+    return shape, first, second, seed, tol
+
+
+@settings(deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rotated_pairs())
+def test_reports_survive_a_unitary_change_of_coordinates(capsys, tmp_path, case):
+    # (XU)* XU = U* X* X U has the spectrum of X* X, and each weaving operator of
+    # (XU, YU) is U* S_P U, so only rounding may move a bound: within the band.
+    shape, first, second, seed, tol = case
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((shape.dim,) * 2)
+                     + 1j * rng.standard_normal((shape.dim,) * 2)).Q
+    paths = {}
+    for name, synthesis in (("f", first), ("g", second), ("fu", first @ u), ("gu", second @ u)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_frame(paths[name], FrameSystem(synthesis, shape=shape))
+    eigenvalues = np.linalg.eigvalsh(first.conj().T @ first)
+    for name in ("f", "fu"):
+        report = run_json(capsys, "analyze", paths[name], f"--tol={tol!r}")
+        _bounds_agree(report["bounds"], eigenvalues, tol, shape.dim)
+
+    woven = run_json(capsys, "weave", paths["f"], paths["g"], f"--tol={tol!r}")
+    rotated = run_json(capsys, "weave", paths["fu"], paths["gu"], f"--tol={tol!r}")
+    band = _band(shape.dim, woven["universalUpper"])
+    for key in ("universalLower", "universalUpper"):
+        assert abs(rotated[key] - woven[key]) <= band, (key, woven, rotated, band)
+    if abs(woven["universalLower"] - tol * woven["universalUpper"]) > 3 * band:
+        assert rotated["isWoven"] == woven["isWoven"]

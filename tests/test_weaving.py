@@ -128,26 +128,6 @@ def test_universal_bounds_find_adversarial_partition():
     assert report.partitions_checked == 64
 
 
-def test_universal_bounds_worker_determinism():
-    F = onb_system(3)
-    G = onb_system(3, scale=math.sqrt(2.0))
-    reports = [universal_bounds([F, G], workers=w) for w in (1, 2, 8)]
-    for report in reports[1:]:
-        assert report.universal_lower == reports[0].universal_lower
-        assert report.universal_upper == reports[0].universal_upper
-        assert report.worst_partition.assignment == reports[0].worst_partition.assignment
-
-
-def test_universal_bounds_worker_determinism_asymmetric():
-    scenario = adversarial_scenario(8, GAUSS0, ScalarProfile("geometric", xi=0.0, c=1.0, r=0.5))
-    families = [scenario.frame_a, scenario.frame_b]
-    reports = [universal_bounds(families, workers=w) for w in (1, 3, 8)]
-    for report in reports[1:]:
-        assert report.universal_lower == reports[0].universal_lower
-        assert report.universal_upper == reports[0].universal_upper
-        assert report.worst_partition.assignment == reports[0].worst_partition.assignment
-
-
 def test_universal_bounds_permutation_stable(rng):
     scenario = adversarial_scenario(6, GAUSS0, GAUSS0)
     families = [scenario.frame_a, scenario.frame_b]
