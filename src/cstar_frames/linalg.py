@@ -5,15 +5,15 @@ Every spectral quantity in this package funnels through
 LAPACK's ``eigh_lo`` kernel, the gufunc ``numpy.linalg.eigh`` dispatches to,
 under the error state numpy sets for it (the invalid flag, LAPACK's failure,
 raises; overflow, division and underflow are ignored) but without numpy's
-checks, which the Hermitian part has passed.  That state is one
-``np.errstate`` decorator, built at import, on the private ``_eigh``; numpy
-2 enters it per call through a context variable, so it is thread-safe and
-leaves the caller's state as it found it.  An eigenvalue past the double
-range is refused.  :func:`jacobi_eigen`, a cyclic Jacobi iteration with
-complex rotations, computes the same spectrum by an independent method and
-is kept as the reference the LAPACK path is checked against in the tests
-(Jacobi is the more accurate of the two on graded matrices; Demmel &
-Veselic, SIAM J. Matrix Anal. Appl. 1992).
+checks, which the Hermitian part has passed.  That state is one object, built
+at import by numpy's private ``_make_extobj`` and set around each kernel call
+in its private ``_extobj_contextvar`` (numpy 2.0 on), as ``np.errstate`` does
+minus the rebuild: so it is thread-safe and leaves the caller's state as it
+found it.  An eigenvalue past the double range is refused.  :func:`jacobi_eigen`,
+a cyclic Jacobi iteration with complex rotations, computes the same spectrum by
+an independent method and is kept as the reference the LAPACK path is checked
+against in the tests (Jacobi is the more accurate of the two on graded
+matrices; Demmel & Veselic, SIAM J. Matrix Anal. Appl. 1992).
 
 Near-Hermitian input is folded to its Hermitian part ``(M + M*)/2``
 before either kernel runs; input that is Hermitian bit for bit goes to the
@@ -37,6 +37,7 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 from numpy.linalg._umath_linalg import eigh_lo
 
 from .errors import (
@@ -225,26 +226,25 @@ def _no_convergence(err, flag):
     raise NoConvergenceError("hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge")
 
 
-# Built once, at import (see the module docstring); eigh_lo is looked up at call
-# time, so a test can replace it.
-@np.errstate(call=_no_convergence, invalid="call", over="ignore", divide="ignore",
-             under="ignore")
-def _eigh(work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh_lo of a 2-D, square, finite complex128 array under numpy.linalg.eigh's error state."""
-    return eigh_lo(work, signature="D->dD")
+# numpy.linalg.eigh's error state; its buffer size, the one at import, goes unused.
+_EIGH_STATE = _make_extobj(call=_no_convergence, invalid="call", over="ignore",
+                           divide="ignore", under="ignore")
 
 
 def hermitian_eigen(matrix) -> SpectralResult:
     """Full spectrum of a Hermitian matrix by LAPACK's divide and conquer.
 
-    The argument is only read, so read-only arrays and views are fine.  The
-    kernel runs under its own error state, which a module-level np.errstate
-    decorator enters and leaves around it, so the caller's state is the same
-    afterwards, whether this returns or raises.
-    Raises NoConvergenceError if LAPACK reports that it failed to converge, and
-    OverflowError if an eigenvalue is past the double range.
+    The argument is only read, so read-only arrays and views are fine.  Raises
+    NoConvergenceError if LAPACK fails to converge and OverflowError if an
+    eigenvalue is past the double range.  Only the kernel runs under _EIGH_STATE,
+    built at import, set in numpy's context variable and reset even on a raise.
     """
-    eigenvalues, eigenvectors = _eigh(_hermitian_part(matrix, "hermitian_eigen"))
+    work = _hermitian_part(matrix, "hermitian_eigen")
+    token = _extobj_contextvar.set(_EIGH_STATE)
+    try:
+        eigenvalues, eigenvectors = eigh_lo(work, signature="D->dD")
+    finally:
+        _extobj_contextvar.reset(token)
     if eigenvalues[0] == -math.inf or eigenvalues[-1] == math.inf:
         raise OverflowError("hermitian_eigen: an eigenvalue is past the double range")
     return SpectralResult(eigenvalues, eigenvectors)

@@ -233,6 +233,26 @@ def test_hermitian_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
             assert (np.geterr(), np.geterrcall()) == before
 
 
+@pytest.mark.parametrize("state", [{"all": "raise"}, {"all": "call", "call": _caller_handler}])
+def test_kernel_runs_under_numpy_eighs_error_state(monkeypatch, state):
+    # The state built at import is the one numpy.linalg.eigh enters around the
+    # same kernel, every flag and the handler, whatever the caller's state is.
+    with np.errstate(call=linalg._no_convergence, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        expected = (np.geterr(), np.geterrcall())
+    seen = []
+
+    def record(work, signature):
+        seen.append((np.geterr(), np.geterrcall()))
+        return np.linalg.eigh(work)
+
+    monkeypatch.setattr(linalg, "eigh_lo", record)
+    with np.errstate(**state):
+        assert (np.geterr(), np.geterrcall()) != expected
+        hermitian_eigen(np.eye(2))
+    assert seen == [expected]
+
+
 @pytest.mark.parametrize("exponent", [-460, 0, 460])
 def test_hermitian_eigen_bits_do_not_depend_on_the_callers_error_state(rng, exponent):
     # 2^exponent takes ||M||_F^2 past both ends of the range _hermitian_part inlines.
