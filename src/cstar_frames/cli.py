@@ -10,9 +10,8 @@ Exit codes are fixed so scripts can branch on them (see EXIT_CODES):
     3  dimension mismatch between operands
     4  invalid flags, out-of-range values, an --out that cannot be written
        or a closed standard output (the message is the OS error), a frame too
-       large to build, an S - xi*I, a dual, a weaving operator or an
-       eigenvalue past the double range, or a weaving operator that underflows
-       to a zero diagonal entry on a nonzero column of its vectors
+       large to build, or an S - xi*I, a dual, an eigenvalue or a universal
+       weaving upper bound past the double range
     5  partition enumeration cap exceeded
     6  input is not a frame
 
@@ -73,8 +72,8 @@ class UsageError(Exception):
 #: Exit code of each error that is reported without a traceback; no command
 #: handler catches an error to translate it.  OSError is an --out that cannot
 #: be written or a closed standard output (reading a file reports
-#: FrameFileError), and OverflowError an S - xi*I, a dual, a weaving operator
-#: or an eigenvalue past the double range, or a weaving operator underflowing to 0.
+#: FrameFileError), and OverflowError an S - xi*I, a dual, an eigenvalue or a
+#: universal weaving upper bound past the double range.
 EXIT_CODES = {FrameFileError: 2, ShapeMismatchError: 3, LengthMismatchError: 3,
               UsageError: 4, OSError: 4, OverflowError: 4,
               TooManyPartitionsError: 5, NotAFrameError: 6}

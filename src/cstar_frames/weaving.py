@@ -9,7 +9,9 @@ maximum of the largest.  The weaving operators come in blocks of at most
 LEAF_BLOCK_BYTES, each summed left to right over the positions, whatever
 its size: the leading positions of its partitions, then the trailing
 ones appended a level at a time.  Each spectrum is one hermitian_eigen
-call.
+call.  The operators are formed from the families divided by one power of
+two, which is exact and keeps every one of them inside the double range;
+the constants are multiplied back at the end.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from .constructors import CompactTightCert, ScalarProfile, _basis_frame
 from .frames import FrameSystem
-from .linalg import DEFAULT_TOL, exceeds, hermitian_eigen
+from .linalg import DEFAULT_TOL, _binade, exceeds, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
@@ -150,30 +153,6 @@ def _leaf_blocks(contribs: np.ndarray, depth: int):
         yield functools.reduce(_append, chosen + trailing)
 
 
-def _underflow(rows: np.ndarray, contribs: np.ndarray) -> str | None:
-    """Why some weaving operator is 0 on its diagonal where its vectors are not, or None.
-
-    A diagonal entry of a weaving operator sums one entry >= 0 per position,
-    so it is 0 at column k exactly when every position's chosen contribution
-    is.  Some partition reads 0 on a nonzero column k of its vectors exactly
-    when every position has a family whose contribution is 0 at (k, k), and
-    some position has one whose vector is nonzero in column k besides.  The
-    partition named takes that family at the first such position, and the
-    first family with a 0 at every other.
-    """
-    zero = contribs.diagonal(axis1=-2, axis2=-1).real == 0  # (m, N, D)
-    hidden = zero & rows.any(axis=-2)
-    columns = zero.any(axis=0).all(axis=0) & hidden.any(axis=(0, 1))
-    if columns.any():
-        k = int(np.argmax(columns))
-        assignment = np.argmax(zero[:, :, k], axis=0)
-        position = int(np.argmax(hidden[:, :, k].any(axis=0)))
-        assignment[position] = np.argmax(hidden[:, position, k])
-        return (f"the weaving operator of partition {(assignment + 1).tolist()} underflows a "
-                f"double: diagonal entry {k + 1} is 0 on a nonzero column of its vectors")
-    return None
-
-
 def universal_bounds(
     families: Sequence[FrameSystem],
     tol: float = DEFAULT_TOL,
@@ -187,17 +166,14 @@ def universal_bounds(
     the families are woven iff universal_lower > tol * universal_upper.
     The weaving operators are built in lexicographic blocks of at most
     LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, so
-    repeated calls give the same report.  Each block is checked finite
-    before its eigensolves: a weaving operator past the double range raises
-    OverflowError naming the lexicographically first such partition, though
-    every family's own frame operator may be finite.  A finite one whose
-    eigensolve finds an eigenvalue past the range raises OverflowError
-    naming its own partition, and no further eigensolve is made.  Failing
-    that, a weaving operator whose diagonal underflows to 0 on a nonzero
-    column of its vectors raises OverflowError too (see _underflow, decided
-    once before the blocks), so that rescaling a pair never turns its verdict
-    to "not woven"; before the blocks are built, unless one of them could
-    overflow.
+    repeated calls give the same report.  They are built from the families
+    divided by the power of two s that puts their largest real or imaginary
+    part in [1, 2) (linalg._binade): the division is exact, every entry of
+    a weaving operator is then below 8 N d, and a diagonal entry that
+    underflows to 0 is below 2^-1055 times the upper bound, so the verdict,
+    decided before the constants are multiplied back by s twice, is the
+    exact one and does not change when a pair is rescaled.  An upper bound
+    past the double range after that raises OverflowError.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -207,52 +183,29 @@ def universal_bounds(
             f"{m}^{count} = {total} partitions exceed the cap {max_partitions}"
         )
     rows = _row_blocks(families)
+    scale = _binade(float(np.abs(rows.view(np.float64)).max()))
+    rows /= scale
+    # rep(f)* rep(f) for every vector of every family; a weaving operator
+    # sums one of them per position.
+    contribs = rows.conj().swapaxes(-1, -2) @ rows
     low, worst, high = np.inf, None, -np.inf
     start = 0
-    # The blocks are summed lazily in this loop; one past the double range is
-    # refused below, so numpy's overflow warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        # rep(f)* rep(f) for every vector of every family; a weaving operator
-        # sums one of them per position.
-        contribs = rows.conj().swapaxes(-1, -2) @ rows
-        underflow = _underflow(rows, contribs)
-        # Every block sum is at most the sum over positions of the largest
-        # contribution there, entry by entry; below 2^1023 none can overflow,
-        # so the refusal needs no block.
-        if underflow is not None and np.abs(contribs).max(axis=0).sum(axis=0).max() < 2.0**1023:
-            raise OverflowError(underflow)
-        for block in _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes)):
-            if not np.isfinite(block).all():
-                place = start + int(np.argmin(np.isfinite(block).all(axis=(1, 2))))
-                raise OverflowError(
-                    f"the weaving operator of partition "
-                    f"{list(_partition_at(place, m, count).assignment)} overflows a double"
-                )
-            spectra = []  # its length is the index in the block of the operator being solved
-            try:
-                for gram in block:
-                    spectra.append(hermitian_eigen(gram).eigenvalues)
-            except OverflowError as exc:
-                place = start + len(spectra)
-                raise OverflowError(
-                    f"the weaving operator of partition "
-                    f"{list(_partition_at(place, m, count).assignment)} has an eigenvalue past "
-                    f"the double range"
-                ) from exc
-            spectra = np.array(spectra)
-            # argmin keeps the first of equal minima: blocks and their Grams come
-            # in lexicographic order, so this is the lexicographically smallest argmin.
-            first = int(np.argmin(spectra[:, 0]))
-            if spectra[first, 0] < low:
-                low, worst = float(spectra[first, 0]), start + first
-            high = max(high, float(spectra[:, -1].max()))
-            start += len(block)
-    if underflow is not None:
-        raise OverflowError(underflow)
+    for block in _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes)):
+        spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
+        # argmin keeps the first of equal minima: blocks and their Grams come
+        # in lexicographic order, so this is the lexicographically smallest argmin.
+        first = int(np.argmin(spectra[:, 0]))
+        if spectra[first, 0] < low:
+            low, worst = float(spectra[first, 0]), start + first
+        high = max(high, float(spectra[:, -1].max()))
+        start += len(block)
+    upper = high * scale * scale
+    if math.isinf(upper):
+        raise OverflowError("the universal upper bound is past the double range")
 
     return WeavingReport(
-        universal_lower=low,
-        universal_upper=high,
+        universal_lower=low * scale * scale,
+        universal_upper=upper,
         is_woven=exceeds(low, tol, high),
         partitions_checked=total,
         worst_partition=_partition_at(worst, m, count),

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import cstar_frames
-from cstar_frames import cli
+from cstar_frames import cli, weaving
 from cstar_frames.cli import EXIT_CODES, main
 from cstar_frames.constructors import CompactTightCert
 from cstar_frames.decomposition import DeviationCertificate, ShiftDecomposition, shift_decompose
@@ -792,15 +792,22 @@ def _one_error_line(err):
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
 
 
+def _weave_refused_past_range(capsys, monkeypatch, *files):
+    """weave FILES exits 4 with the one past-range line, at every block size up to 2 KiB."""
+    for budget in [1 << e for e in range(12)]:
+        monkeypatch.setattr(weaving, "LEAF_BLOCK_BYTES", budget)
+        code, stdout, err = run(capsys, "weave", *files)
+        assert code == 4 and stdout == ""
+        assert err == "error: the universal upper bound is past the double range\n", budget
+
+
 @pytest.mark.filterwarnings("error")
-def test_weave_overflowing_mix_of_finite_files_exit_4(capsys, tmp_path):
+def test_weave_overflowing_mix_of_finite_files_exit_4(capsys, tmp_path, monkeypatch):
     # Each S is about 1.44e308, but the partition taking both large vectors sums to 2.9e308.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_frame(a, FrameSystem(np.array([[1.2e154 + 0j], [1e-300]]), shape=ModuleShape(1, 1)))
     save_frame(b, FrameSystem(np.array([[1e-300 + 0j], [1.2e154]]), shape=ModuleShape(1, 1)))
-    code, stdout, err = run(capsys, "weave", str(a), str(b))
-    assert code == 4 and stdout == ""
-    assert err == "error: the weaving operator of partition [1, 2] overflows a double\n"
+    _weave_refused_past_range(capsys, monkeypatch, str(a), str(b))
 
 
 def _scalar_pair(tmp_path, small, tiny):
@@ -812,12 +819,13 @@ def _scalar_pair(tmp_path, small, tiny):
 
 
 @pytest.mark.filterwarnings("error")
-def test_weave_underflowing_mix_exit_4(capsys, tmp_path):
-    # Each S is 1e-320 and kept, but (1e-164)^2 reads 0: partition [2, 1] would weigh 0.
-    code, stdout, err = run(capsys, "weave", *_scalar_pair(tmp_path, 1e-160, 1e-164))
-    assert code == 4 and stdout == ""
-    assert err == ("error: the weaving operator of partition [2, 1] underflows a double: "
-                   "diagonal entry 1 is 0 on a nonzero column of its vectors\n")
+def test_weave_underflowing_mix_weaves(capsys, tmp_path):
+    # Each S is 1e-320 and kept, and (1e-164)^2 reads 0, but the pair is woven:
+    # partition [2, 1] weighs 2e-328, 1e-8 times the upper bound 2e-320.
+    report = run_json(capsys, "weave", *_scalar_pair(tmp_path, 1e-160, 1e-164))
+    del report["timing"]
+    assert report == {"isWoven": True, "partitionsChecked": 4, "universalLower": 0.0,
+                      "universalUpper": 2e-320, "worstPartition": [2, 1]}
 
 
 @pytest.mark.filterwarnings("error")
@@ -830,13 +838,11 @@ def test_weave_subnormal_mix_still_weaves(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_weave_t49_pair_past_double_range_exit_4(capsys, tmp_path):
+def test_weave_t49_pair_past_double_range_exit_4(capsys, tmp_path, monkeypatch):
     built = run_json(capsys, "construct", "t49", "--n", "4",
                      "--profile1", "geometric:1e308:0.99", "--profile2", "geometric:1e308:0.99",
                      "--out", str(tmp_path / "sc"))
-    code, stdout, err = run(capsys, "weave", built["files"]["a"], built["files"]["b"])
-    assert code == 4 and stdout == ""
-    assert err == "error: the weaving operator of partition [1, 1, 2, 1] overflows a double\n"
+    _weave_refused_past_range(capsys, monkeypatch, built["files"]["a"], built["files"]["b"])
 
 
 @pytest.mark.filterwarnings("error")
@@ -932,9 +938,8 @@ def test_spectrum_past_double_range_exit_4(capsys, tmp_path, argv):
     names = {"F": str(path), "OUT": str(out)}
     code, stdout, err = run(capsys, *[names.get(arg, arg) for arg in argv])
     assert code == 4 and stdout == ""
-    if argv[0] == "weave":  # the first of its two partitions, [1] and [2], is named
-        assert err == ("error: the weaving operator of partition [1] has an eigenvalue past "
-                       "the double range\n")
+    if argv[0] == "weave":
+        assert err == "error: the universal upper bound is past the double range\n"
     else:
         assert err == "error: hermitian_eigen: an eigenvalue is past the double range\n"
     assert not out.exists()

@@ -4,7 +4,6 @@ import functools
 import itertools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -420,17 +419,20 @@ def overflowing_families(seed):
                                      rng.choice([0.5, 1.0, 1e154], count)) for _ in range(m)]
         except OverflowError:  # one family alone is past the double range
             continue
-        expected = first_overflowing(families)
-        if expected is not None:
-            return families, expected
+        if first_overflowing(families) is not None:
+            return families
+
+
+OVERFLOW_MESSAGE = "the universal upper bound is past the double range"
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("seed", range(8))
 def test_universal_bounds_names_first_overflowing_partition(seed):
-    families, expected = overflowing_families(seed)
+    # Some weaving operator is past the double range though every family's own
+    # frame operator is finite: at every block size, the upper bound is refused.
+    families = overflowing_families(seed)
     m, count, dim = len(families), len(families[0]), families[0].shape.dim
-    message = f"the weaving operator of partition {list(expected)} overflows a double"
     leaf = 16 * dim * dim
     saved = weaving.LEAF_BLOCK_BYTES
     try:
@@ -438,7 +440,7 @@ def test_universal_bounds_names_first_overflowing_partition(seed):
             weaving.LEAF_BLOCK_BYTES = budget
             with pytest.raises(OverflowError) as raised:
                 universal_bounds(families)
-            assert str(raised.value) == message, budget
+            assert str(raised.value) == OVERFLOW_MESSAGE, budget
     finally:
         weaving.LEAF_BLOCK_BYTES = saved
 
@@ -454,102 +456,56 @@ def test_weaving_operator_past_double_range():
 
 
 @pytest.mark.filterwarnings("error")
-def test_universal_bounds_names_partition_with_eigenvalue_past_double_range(monkeypatch):
+def test_weave_names_partition_with_eigenvalue_past_double_range(capsys, tmp_path, monkeypatch):
     # Every weaving operator is finite, but those taking (1e154, 1e154) from
-    # family 2 at position 1 have the eigenvalue 2e308; [2, 1] is the first.
-    shape = ModuleShape(1, 2)
-    a = FrameSystem(np.array([[1.0 + 0j, 1.0], [1.0, 1.0]]), shape=shape)
-    b = FrameSystem(np.array([[1e154 + 0j, 1e154], [1.0, 1.0]]), shape=shape)
-    solved = []
-
-    def counted(matrix):
-        solved.append(matrix)
-        return hermitian_eigen(matrix)
-
-    monkeypatch.setattr(weaving, "hermitian_eigen", counted)
-    saved = weaving.LEAF_BLOCK_BYTES
-    try:
-        for budget in (64, 128, 256):  # one 2 x 2 operator (64 bytes) a block, two, or all four
-            weaving.LEAF_BLOCK_BYTES = budget
-            solved.clear()
-            with pytest.raises(OverflowError, match=r"^the weaving operator of partition "
-                                                    r"\[2, 1\] has an eigenvalue past the "
-                                                    r"double range$"):
-                universal_bounds([a, b])
-            assert len(solved) == 3, budget  # [1, 1], [1, 2] and [2, 1], nothing after
-    finally:
-        weaving.LEAF_BLOCK_BYTES = saved
-
-
-@pytest.mark.filterwarnings("error")
-def test_weave_names_partition_with_eigenvalue_past_double_range(capsys, tmp_path):
-    # The pair of the test above, as files: weave exits 4 with one line naming [2, 1].
+    # family 2 at position 1 have the eigenvalue 2e308: weave exits 4 with one
+    # line at every block size.
     paths = []
     for role, first in (("a", 1.0), ("b", 1e154)):
         vectors = [[[[[x, 0.0]]], [[[x, 0.0]]]] for x in (first, 1.0)]
         paths.append(tmp_path / f"{role}.json")
         paths[-1].write_text(json.dumps({"schema": "cstar-frames/1", "algebra": {"d": 1},
                                          "module": {"n": 2}, "vectors": vectors}))
-    code = main(["weave", *map(str, paths)])
-    captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
-    assert captured.err == ("error: the weaving operator of partition [2, 1] has an eigenvalue "
-                            "past the double range\n")
-
-
-def test_underflowing_weave_refused_before_any_eigensolve(monkeypatch):
-    # Partition [2, 1] weighs (1e-164)^2, which reads 0; no weaving operator
-    # can overflow, so no block is built or solved before the refusal.
-    shape = ModuleShape(1, 1)
-    a = FrameSystem(np.array([[1e-160 + 0j], [1e-164]]), shape=shape)
-    b = FrameSystem(np.array([[1e-164 + 0j], [1e-160]]), shape=shape)
-
-    def no_eigensolve(matrix):
-        raise AssertionError("an eigensolve before the refusal")
-
-    monkeypatch.setattr(weaving, "hermitian_eigen", no_eigensolve)
-    with pytest.raises(OverflowError, match=r"^the weaving operator of partition \[2, 1\] "
-                                            r"underflows a double"):
-        universal_bounds([a, b])
+    for budget in (64, 128, 256):  # one 2 x 2 operator (64 bytes) a block, two, or all four
+        monkeypatch.setattr(weaving, "LEAF_BLOCK_BYTES", budget)
+        code = main(["weave", *map(str, paths)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err == f"error: {OVERFLOW_MESSAGE}\n"
 
 
 def underflow_after_enumeration():
     """Partition [1, 2] takes (7e153, 1e-170) and (7e153, 0): its second diagonal entry
-    (1e-170)^2 reads 0, and its first, 9.8e307, is finite but past the 2^1023 that
-    rules out any overflow, so every block is built and solved before the refusal."""
+    (1e-170)^2 reads 0, and its first is 9.8e307, so its smallest eigenvalue, about
+    5e-341, is far below 1e-9 times the upper bound: the pair is not woven."""
     shape = ModuleShape(1, 2)
     return [FrameSystem(np.array(rows, dtype=complex), shape=shape)
             for rows in ([[7e153, 1e-170], [0.0, 1.0]], [[0.0, 1.0], [7e153, 0.0]])]
 
 
-UNDERFLOW_MESSAGE = ("the weaving operator of partition [1, 2] underflows a double: "
-                     "diagonal entry 2 is 0 on a nonzero column of its vectors")
-
-
 @pytest.mark.filterwarnings("error")
-def test_underflowing_weave_refused_after_enumeration(monkeypatch):
-    solved = []
-
-    def counted(matrix):
-        solved.append(matrix)
-        return hermitian_eigen(matrix)
-
-    monkeypatch.setattr(weaving, "hermitian_eigen", counted)
-    with pytest.raises(OverflowError) as raised:
-        universal_bounds(underflow_after_enumeration())
-    assert str(raised.value) == UNDERFLOW_MESSAGE
-    assert len(solved) == 4  # all four weaving operators, then the refusal
-
-
-@pytest.mark.filterwarnings("error")
-def test_weave_refuses_underflow_after_enumeration(capsys, tmp_path):
+def test_weave_reads_an_underflowing_partition_as_not_woven(capsys, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, family in zip(paths, underflow_after_enumeration()):
         save_frame(path, family)
-    code = main(["weave", *map(str, paths)])
+    code = main(["weave", *map(str, paths), "--format", "json"])
     captured = capsys.readouterr()
-    assert code == 4 and captured.out == ""
-    assert captured.err == f"error: {UNDERFLOW_MESSAGE}\n"
+    assert code == 0 and captured.err == ""
+    report = json.loads(captured.out)
+    del report["timing"]
+    assert report == {"isWoven": False, "partitionsChecked": 4, "universalLower": 0.0,
+                      "universalUpper": 9.8e307, "worstPartition": [1, 2]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("first, second, upper", [(0.0, 0.0, 0.0), (0.0, 1.0, 2.0),
+                                                  (1.0, 0.0, 2.0)])
+def test_all_zero_families_weave_to_zero(first, second, upper):
+    # The largest part is 0, so the pair is divided by _binade's floor, 2^-1022.
+    shape = ModuleShape(1, 1)
+    families = [FrameSystem(np.full((2, 1), x + 0j), shape=shape) for x in (first, second)]
+    report = universal_bounds(families)
+    assert (report.universal_lower, report.universal_upper, report.is_woven) == (0.0, upper, False)
 
 
 @st.composite
@@ -567,16 +523,21 @@ def woven_scalar_pairs(draw):
 @settings(deadline=None, max_examples=300)
 @given(woven_scalar_pairs(), st.one_of(st.integers(-546, -530), st.integers(-600, 600)))
 def test_rescaled_woven_pair_weaves_or_is_refused(pair, k):
+    # Whenever the pair scaled by 2^k is a pair of frames, its constants are 4^k
+    # times the unscaled ones, rounded once, or the upper one is refused past the range.
     shape = ModuleShape(1, 1)
-    assert universal_bounds([FrameSystem(f + 0j, shape=shape) for f in pair]).is_woven
+    base = universal_bounds([FrameSystem(f + 0j, shape=shape) for f in pair])
+    assert base.is_woven
     try:
         families = [FrameSystem(np.ldexp(f, k) + 0j, shape=shape) for f in pair]
-        report = universal_bounds(families)
-    except OverflowError as exc:
-        # The partition an underflow names has that 0 in its own frame operator.
-        named = re.match(r"the weaving operator of partition \[(.*)\] underflows", str(exc))
-        if named:
-            with pytest.raises(OverflowError, match="underflows a double"):
-                weaving_operator(families, Partition(map(int, named[1].split(", "))))
+    except OverflowError:  # X* X of a family is past the double range or underflows
         return
-    assert report.is_woven
+    with np.errstate(over="ignore"):
+        lower, upper = np.ldexp([base.universal_lower, base.universal_upper], 2 * k)
+    if np.isinf(upper):
+        with pytest.raises(OverflowError, match=f"^{OVERFLOW_MESSAGE}$"):
+            universal_bounds(families)
+        return
+    report = universal_bounds(families)
+    assert (report.universal_lower, report.universal_upper) == (lower, upper)
+    assert report.worst_partition == base.worst_partition and report.is_woven
