@@ -29,6 +29,7 @@ call and kept for the process.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -507,17 +508,17 @@ def _render_text(report: dict, indent: int = 0) -> list[str]:
     return lines
 
 
-def _print_report(text: str) -> None:
-    """Print the report; a closed standard output raises BrokenPipeError (an OSError).
+def _print(text: str, stream) -> None:
+    """Print to `stream`; a closed stream raises BrokenPipeError (an OSError).
 
-    Standard output is then pointed at os.devnull, as the SIGPIPE note in the
+    The stream is then pointed at os.devnull, as the SIGPIPE note in the
     Python docs shows, so that the interpreter's flush at exit prints nothing.
     """
     try:
-        print(text, flush=True)
+        print(text, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
         raise
 
@@ -530,10 +531,11 @@ def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
         report = _past_range_as_null(args.handler(args))
-        _print_report(json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
-                      else "\n".join(_render_text(report)))
+        _print(json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
+               else "\n".join(_render_text(report)), sys.stdout)
     except tuple(EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with contextlib.suppress(BrokenPipeError):  # standard error closed too: the code is all
+            _print(f"error: {exc}", sys.stderr)
         return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
     return 0
 

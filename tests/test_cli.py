@@ -285,6 +285,38 @@ def test_weave_sweep_decay_table(capsys, tmp_path):
         assert row["adversarialMin"] <= row["envelope"]
 
 
+@pytest.mark.parametrize("positions,sweep", [(6, []), (8, [4, 8, 12])])
+def test_weave_makes_one_eigensolve_per_partition_and_sweep_size(capsys, tmp_path, monkeypatch,
+                                                                 positions, sweep):
+    """A weave of m families at N positions with --sweep s1,...,sk makes m^N + k eigensolves.
+
+    The count is the one the benchmark pins for its weave workloads; the wrapper is bound
+    wherever the package imported hermitian_eigen, weaving and cli among them.
+    """
+    prefix = tmp_path / "sc"
+    built = run_json(capsys, "construct", "t49", "--n", str(positions),
+                     "--profile1", "geometric:1:0.7", "--profile2", "geometric:1.5:0.8",
+                     "--out", str(prefix))
+    original = cli.hermitian_eigen
+    calls = []
+
+    def counted(matrix):
+        calls.append(None)
+        return original(matrix)
+
+    bound = [name for name, module in sys.modules.items() if name.startswith("cstar_frames")
+             and getattr(module, "hermitian_eigen", None) is original]
+    assert {"cstar_frames.weaving", "cstar_frames.cli", "cstar_frames.linalg"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "hermitian_eigen", counted)
+    argv = ["weave", built["files"]["a"], built["files"]["b"]]
+    if sweep:
+        argv += ["--sweep", ",".join(map(str, sweep))]
+    report = run_json(capsys, *argv)
+    assert report["partitionsChecked"] == 2 ** positions
+    assert len(calls) == 2 ** positions + len(sweep)
+
+
 def test_weave_sweep_without_scenario_exit_4(capsys, tmp_path):
     path = write_onb(tmp_path / "onb.json")
     code, _, err = run(capsys, "weave", str(path), str(path), "--sweep", "4,8")
@@ -467,6 +499,22 @@ def test_closed_standard_output_exit_4(tmp_path, fmt):
         os.close(write)
     assert done.returncode == 4
     assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+def test_closed_standard_output_and_error_exit_with_the_mapped_code(tmp_path):
+    """With both streams one pipe whose reader has gone, the exit code is all that is left."""
+    path = write_onb(tmp_path / "onb.json")
+    src = Path(cstar_frames.__file__).parent.parent
+    for argv, code in ((["analyze", str(path), "--format", "json"], 4),
+                       (["analyze", str(tmp_path / "missing.json")], 2)):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", *argv], stdout=write,
+                                  stderr=write, env={**os.environ, "PYTHONPATH": str(src)})
+        finally:
+            os.close(write)
+        assert done.returncode == code, argv
 
 
 @pytest.mark.parametrize("command,flags", [

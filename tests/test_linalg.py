@@ -21,6 +21,7 @@ from cstar_frames.errors import (
 from cstar_frames.frames import FrameSystem
 from cstar_frames.linalg import (
     DEFAULT_TOL,
+    SpectralResult,
     _hermitian_part,
     as_matrix,
     hermitian_eigen,
@@ -184,6 +185,36 @@ def test_eigen_rejects_non_finite():
         for bad in (math.nan, math.inf, complex(0.0, math.nan)):
             with pytest.raises(ValueError, match="finite"):
                 kernel([[1.0, 0.0], [0.0, bad]])
+
+
+def _assert_spectral_result(result, size):
+    assert type(result) is SpectralResult
+    assert result._fields == ("eigenvalues", "eigenvectors")
+    values, vectors = result
+    assert values is result.eigenvalues and vectors is result.eigenvectors
+    assert type(values) is np.ndarray and values.dtype == np.float64
+    assert values.shape == (size,)
+    assert type(vectors) is np.ndarray and vectors.dtype == np.complex128
+    assert vectors.shape == (size, size)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_eigen_returns_exactly_a_spectral_result(rng, size):
+    mat = random_hermitian(rng, size)
+    with pytest.warns(PendingDeprecationWarning, match="matrix subclass"):
+        legacy = np.matrix(mat)
+    for kernel in KERNELS:
+        for argument in (mat, np.diag(np.diag(mat)), legacy, mat.tolist()):
+            _assert_spectral_result(kernel(argument), size)
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_a_replaced_kernels_pair_comes_back_as_a_spectral_result(monkeypatch, rng, size):
+    # numpy.linalg.eigh gives its own named pair, EighResult; a plain tuple is the other form.
+    for kernel in (lambda work, signature: np.linalg.eigh(work),
+                   lambda work, signature: tuple(np.linalg.eigh(work))):
+        monkeypatch.setattr(linalg, "eigh_lo", kernel)
+        _assert_spectral_result(hermitian_eigen(random_hermitian(rng, size)), size)
 
 
 def test_eigen_sweep_cap():
