@@ -11,7 +11,9 @@ its size: the leading positions of its partitions, then the trailing
 ones appended a level at a time.  Each spectrum is one hermitian_eigen
 call.  The operators are formed from the families divided by one power of
 two, which is exact and keeps every one of them inside the double range;
-the constants are multiplied back at the end.
+the constants are multiplied back at the end.  The m N contributions they
+sum are folded to their Hermitian parts once, so every weaving operator is
+Hermitian bit for bit and reaches the kernel as it is.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from .constructors import CompactTightCert, ScalarProfile, _basis_frame
 from .frames import FrameSystem
-from .linalg import DEFAULT_TOL, _binade, exceeds, hermitian_eigen
+from .linalg import DEFAULT_TOL, _binade, _fold, exceeds, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
@@ -173,7 +175,10 @@ def universal_bounds(
     underflows to 0 is below 2^-1055 times the upper bound, so the verdict,
     decided before the constants are multiplied back by s twice, is the
     exact one and does not change when a pair is rescaled.  An upper bound
-    past the double range after that raises OverflowError.
+    past the double range after that raises OverflowError.  The contributions
+    rep(f)* rep(f) are folded once (linalg._fold), so each weaving operator,
+    a sum of exactly Hermitian matrices, is Hermitian bit for bit, and
+    hermitian_eigen's check passes it to the kernel unfolded.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -185,9 +190,9 @@ def universal_bounds(
     rows = _row_blocks(families)
     scale = _binade(float(np.abs(rows.view(np.float64)).max()))
     rows /= scale
-    # rep(f)* rep(f) for every vector of every family; a weaving operator
-    # sums one of them per position.
-    contribs = rows.conj().swapaxes(-1, -2) @ rows
+    # rep(f)* rep(f) for every vector of every family, folded: a weaving
+    # operator sums one of them per position, so it is Hermitian bit for bit.
+    contribs = _fold(rows.conj().swapaxes(-1, -2) @ rows)
     low, worst, high = np.inf, None, -np.inf
     start = 0
     for block in _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes)):

@@ -22,6 +22,7 @@ from cstar_frames.frames import FrameSystem
 from cstar_frames.linalg import (
     DEFAULT_TOL,
     SpectralResult,
+    _fold,
     _hermitian_part,
     as_matrix,
     hermitian_eigen,
@@ -602,6 +603,46 @@ def test_hermitian_eigen_never_writes_into_its_argument(make):
         assert argument.tobytes() == before.tobytes()
     for got, want in zip(result, fresh):
         assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------- _fold
+
+def _bits(mat):
+    return mat.shape, np.ascontiguousarray(mat).view(np.int64).tobytes()
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(-1074, 1023), st.integers(0, 2**32 - 1))
+def test_fold_of_a_matrix_keeps_its_bits(size, exponent, seed):
+    # The 2-D fold written with .T: summed then halved below 2^1022, halved
+    # first from there on.
+    mat = math.ldexp(1.0, exponent) * random_complex(np.random.default_rng(seed), size, size)
+    if np.abs(mat).max() < 2.0**1022:
+        expected = (mat + mat.conj().T) * 0.5
+    else:
+        half = mat * 0.5
+        expected = half + half.conj().T
+    assert _bits(_fold(mat)) == _bits(expected)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=2), st.integers(1, 5),
+       st.sampled_from([(-1074, -1000), (-30, 30), (1000, 1021), (1015, 1023)]),
+       st.integers(0, 2**32 - 1))
+def test_fold_of_a_stack_folds_each_matrix(lead, size, exponents, seed):
+    # Each matrix gets its own power of two from the band, so subnormal,
+    # normal and huge matrices share a stack.  Below 2^1022 the stack's fold
+    # is each matrix's; one entry at or above it halves every matrix first.
+    rng = np.random.default_rng(seed)
+    scales = np.ldexp(1.0, rng.integers(*exponents, lead, endpoint=True))
+    stack = scales[..., None, None] * random_complex(rng, math.prod(lead) * size, size).reshape(
+        *lead, size, size)
+    folded = _fold(stack)
+    below = np.abs(stack).max() < 2.0**1022
+    for index in np.ndindex(*lead):
+        half = stack[index] * 0.5
+        expected = _fold(stack[index]) if below else half + half.conj().T
+        assert _bits(folded[index]) == _bits(expected), index
 
 
 # ----------------------------------------------------------------- psd_check

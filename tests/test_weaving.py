@@ -14,7 +14,7 @@ from cstar_frames.constructors import ScalarProfile, eigenprofile_operator
 from cstar_frames.errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from cstar_frames.frame_io import save_frame
 from cstar_frames.frames import FrameSystem, optimal_bounds
-from cstar_frames.linalg import hermitian_eigen
+from cstar_frames.linalg import _fold, hermitian_eigen
 from cstar_frames.module_space import ModuleShape, standard_basis
 from cstar_frames import weaving
 from cstar_frames.cli import main
@@ -218,7 +218,7 @@ def reference_bounds(families):
     """
     shape, count, m = families[0].shape, len(families[0]), len(families)
     rows = np.stack([fam.synthesis for fam in families]).reshape(m, count, shape.d, shape.dim)
-    contribs = rows.conj().swapaxes(-1, -2) @ rows
+    contribs = _fold(rows.conj().swapaxes(-1, -2) @ rows)
     positions = np.arange(count)
     low, worst, high = np.inf, None, -np.inf
     for assignment in itertools.product(range(m), repeat=count):
@@ -272,6 +272,41 @@ def test_universal_bounds_bit_identical_to_one_partition_at_a_time(families):
             assert got == expected, budget
     finally:
         weaving.LEAF_BLOCK_BYTES = saved
+
+
+def _dense_pair(d, n, count, seed):
+    rng = np.random.default_rng(seed)
+    rows = (count * d, n * d)
+    return [FrameSystem(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                        shape=ModuleShape(d, n)) for _ in range(2)]
+
+
+@example(_dense_pair(2, 3, 4, 1))  # numpy's rows* rows of this pair is not Hermitian bit for bit
+@settings(deadline=None, max_examples=40)
+@given(weaving_families())
+def test_weaving_operators_reach_the_kernel_hermitian_bit_for_bit(families):
+    # The contributions are folded once, so hermitian_eigen finds each of the
+    # m^N operators equal to its adjoint and has nothing left to fold.
+    handed = []
+
+    def spy(matrix):
+        handed.append(matrix)
+        return hermitian_eigen(matrix)
+
+    saved = weaving.hermitian_eigen
+    weaving.hermitian_eigen = spy
+    try:
+        universal_bounds(families)
+    finally:
+        weaving.hermitian_eigen = saved
+    assert len(handed) == len(families) ** len(families[0])
+    for gram in handed:
+        adjoint = gram.conj().T
+        # conj flips the sign of a zero imaginary part, so zeros are compared by value.
+        nonzero = gram.imag != 0
+        assert gram.real.tobytes() == adjoint.real.tobytes()
+        assert gram.imag[nonzero].tobytes() == adjoint.imag[nonzero].tobytes()
+        assert not adjoint.imag[~nonzero].any()
 
 
 @pytest.mark.parametrize("seed", range(12))
