@@ -1,19 +1,19 @@
 """Exhaustive weaving analysis and the adversarial interleaved pair.
 
 Weaving asks whether every way of mixing several same-length families
-(vector j taken from exactly one family) stays a frame with common
-bounds.  At desk scale the quantifier over partitions is answered by
-literal exhaustion: all m^N assignments, capped, in lexicographic order,
-keeping the first strict minimum of the smallest eigenvalue and the
-maximum of the largest.  The weaving operators come in blocks of at most
-LEAF_BLOCK_BYTES, each summed left to right over the positions, whatever
-its size: the leading positions of its partitions, then the trailing
-ones appended a level at a time.  Each spectrum is one hermitian_eigen
-call.  The operators are formed from the families divided by one power of
-two, which is exact and keeps every one of them inside the double range;
-the constants are multiplied back at the end.  The m N contributions they
-sum are folded to their Hermitian parts once, so every weaving operator is
-Hermitian bit for bit and reaches the kernel as it is.
+(vector j taken from exactly one family) stays a frame with common bounds.
+At desk scale this is answered by exhausting all m^N assignments, capped,
+in lexicographic order.  The enumeration only records extremes: each
+partition's smallest eigenvalue (8 bytes a partition, 8 MB at the default
+cap) and each block's largest.  The bounds, the verdict and the worst
+partition, the first tied with the minimum within ROUNDING_RTOL times the
+upper bound, are then decided once.  The weaving operators come in blocks
+of at most LEAF_BLOCK_BYTES, each summed left to right over the positions:
+the leading positions of its partitions, then the trailing ones appended a
+level at a time, one hermitian_eigen call each.  They are formed from the
+families divided by one power of two, which is exact and keeps them inside
+the double range, and from contributions folded to their Hermitian parts
+once, so each is Hermitian bit for bit and reaches the kernel as it is.
 
 `adversarial_scenario` builds the classic obstruction: two frames, each
 an orthonormal basis on half the index set with a decaying scaled-basis
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import LengthMismatchError, ShapeMismatchError, TooManyPartitionsError
 from .constructors import CompactTightCert, ScalarProfile, _basis_frame
 from .frames import FrameSystem
-from .linalg import DEFAULT_TOL, _binade, _fold, exceeds, hermitian_eigen
+from .linalg import DEFAULT_TOL, ROUNDING_RTOL, _binade, _fold, exceeds, hermitian_eigen
 from .module_space import ModuleOperator, ModuleShape
 
 #: Hard default cap on exhaustive enumeration (2^20 assignments).
@@ -162,23 +162,26 @@ def universal_bounds(
 ) -> WeavingReport:
     """Exhaust all partitions and report the universal frame constants.
 
-    universal_lower is the minimum over partitions of the smallest
-    weaving eigenvalue (its argmin, lexicographically smallest on ties,
-    is the worst partition); universal_upper the maximum of the largest;
-    the families are woven iff universal_lower > tol * universal_upper.
-    The weaving operators are built in lexicographic blocks of at most
-    LEAF_BLOCK_BYTES, each spectrum by its own hermitian_eigen call, so
-    repeated calls give the same report.  They are built from the families
-    divided by the power of two s that puts their largest real or imaginary
-    part in [1, 2) (linalg._binade): the division is exact, every entry of
-    a weaving operator is then below 8 N d, and a diagonal entry that
-    underflows to 0 is below 2^-1055 times the upper bound, so the verdict,
-    decided before the constants are multiplied back by s twice, is the
-    exact one and does not change when a pair is rescaled.  An upper bound
-    past the double range after that raises OverflowError.  The contributions
-    rep(f)* rep(f) are folded once (linalg._fold), so each weaving operator,
-    a sum of exactly Hermitian matrices, is Hermitian bit for bit, and
-    hermitian_eigen's check passes it to the kernel unfolded.
+    The loop records each partition's smallest weaving eigenvalue, in
+    lexicographic order (8 bytes a partition, 8 MB at the default cap), and
+    each block's largest; one pass then decides the rest.  universal_lower
+    is the least minimum and universal_upper the greatest maximum; the
+    families are woven iff universal_lower > tol * universal_upper; the worst
+    partition is the first whose minimum is tied with universal_lower, within
+    ROUNDING_RTOL * universal_upper, so rounding does not pick among
+    partitions equal in exact arithmetic.  Blocks hold at most
+    LEAF_BLOCK_BYTES of operators and each spectrum is its own
+    hermitian_eigen call, so repeated calls give the same report.  The
+    operators are formed from the families divided by the power of two s
+    that puts their largest real or imaginary part in [1, 2)
+    (linalg._binade): the division is exact, every entry of a weaving
+    operator is then below 8 N d, and a diagonal entry that underflows to 0
+    is below 2^-1055 times the upper bound, so the verdict and the tie,
+    decided before the constants are multiplied back by s twice, are exact
+    and do not change when a pair is rescaled.  An upper bound past the
+    double range after that raises OverflowError.  The contributions
+    rep(f)* rep(f) are folded once (linalg._fold), so each weaving operator
+    is Hermitian bit for bit and hermitian_eigen passes it on unfolded.
     """
     _, count = _check_families(families)
     m = len(families)
@@ -190,24 +193,20 @@ def universal_bounds(
     rows = _row_blocks(families)
     scale = _binade(float(np.abs(rows.view(np.float64)).max()))
     rows /= scale
-    # rep(f)* rep(f) for every vector of every family, folded: a weaving
-    # operator sums one of them per position, so it is Hermitian bit for bit.
+    # Every rep(f)* rep(f), folded, so that each weaving operator is Hermitian bit for bit.
     contribs = _fold(rows.conj().swapaxes(-1, -2) @ rows)
-    low, worst, high = np.inf, None, -np.inf
-    start = 0
-    for block in _leaf_blocks(contribs, _leaf_depth(m, count, contribs[0, 0].nbytes)):
+    depth = _leaf_depth(m, count, contribs[0, 0].nbytes)
+    minima = np.empty((m ** (count - depth), m**depth))
+    maxima = np.empty(len(minima))
+    for k, block in enumerate(_leaf_blocks(contribs, depth)):
         spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
-        # argmin keeps the first of equal minima: blocks and their Grams come
-        # in lexicographic order, so this is the lexicographically smallest argmin.
-        first = int(np.argmin(spectra[:, 0]))
-        if spectra[first, 0] < low:
-            low, worst = float(spectra[first, 0]), start + first
-        high = max(high, float(spectra[:, -1].max()))
-        start += len(block)
+        minima[k], maxima[k] = spectra[:, 0], spectra[:, -1].max()
+    low, high = float(minima.min()), float(maxima.max())
     upper = high * scale * scale
     if math.isinf(upper):
         raise OverflowError("the universal upper bound is past the double range")
-
+    # The first partition whose smallest eigenvalue is tied with the minimum.
+    worst = int(np.argmax(~exceeds(minima.ravel() - low, ROUNDING_RTOL, high)))
     return WeavingReport(
         universal_lower=low * scale * scale,
         universal_upper=upper,
