@@ -349,7 +349,7 @@ def _sweep_table(profile_a, profile_b, sizes, d) -> list[dict]:
         mixed = weaving_operator(
             [scenario.frame_a, scenario.frame_b], scenario.adversarial
         )
-        smallest = float(hermitian_eigen(mixed.mat).eigenvalues[0])
+        smallest = float(hermitian_eigen(mixed.mat, vectors=False).eigenvalues[0])
         envelope = 2.0 * (profile_a.eval(size - 1) + profile_b.eval(size - 1))
         rows.append({
             "size": size,

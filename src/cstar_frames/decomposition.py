@@ -85,7 +85,7 @@ class ShiftDecomposition:
 
 def _spectrum(mat) -> np.ndarray:
     """T's ascending eigenvalues, folded first: T's asymmetry from rounding S may dwarf T."""
-    return hermitian_eigen(_fold(mat)).eigenvalues
+    return hermitian_eigen(_fold(mat), vectors=False).eigenvalues
 
 
 def _remainder_positive(dec: ShiftDecomposition, tol: float) -> tuple[bool, float]:

@@ -172,7 +172,7 @@ def optimal_bounds(system: FrameSystem, tol: float = DEFAULT_TOL) -> BoundsRepor
     lower = max(lambda_min(S), 0) and upper = lambda_max(S); the family
     is a frame iff lower > tol * upper, and tight iff upper - lower <= tol * upper.
     """
-    eigenvalues = hermitian_eigen(system.frame_op.mat).eigenvalues
+    eigenvalues = hermitian_eigen(system.frame_op.mat, vectors=False).eigenvalues
     lower = max(float(eigenvalues[0]), 0.0)
     upper = max(float(eigenvalues[-1]), 0.0)
     return BoundsReport(

@@ -1,13 +1,16 @@
 """Dense complex matrix kernel: Hermitian spectra and spectral calculus.
 
 Every spectral quantity in this package funnels through
-:func:`hermitian_eigen`, which hands the Hermitian part of its input to
-LAPACK's ``eigh_lo`` kernel, the gufunc ``numpy.linalg.eigh`` dispatches to,
-under the error state numpy sets for it (the invalid flag, LAPACK's failure,
-raises; overflow, division and underflow are ignored) but without numpy's
-checks, which the Hermitian part has passed.  That state is one object, built
-at import by numpy's private ``_make_extobj`` and set around each kernel call
-in its private ``_extobj_contextvar`` (numpy 2.0 on), as ``np.errstate`` does
+:func:`hermitian_eigen`, which hands the Hermitian part of its input to one
+of two LAPACK kernels: ``eigh_lo``, the gufunc ``numpy.linalg.eigh``
+dispatches to, for a caller that reads eigenvectors (hermitian_inverse and
+psd_sqrt), or ``eigvalsh_lo``, ``numpy.linalg.eigvalsh``'s, for every other
+caller, which reads eigenvalues alone.  Either runs under the error state
+numpy sets for both (the invalid flag, LAPACK's failure, raises; overflow,
+division and underflow are ignored) but without numpy's checks, which the
+Hermitian part has passed.  That state is one object, built at import by
+numpy's private ``_make_extobj`` and set around each kernel call in its
+private ``_extobj_contextvar`` (numpy 2.0 on), as ``np.errstate`` does
 minus the rebuild: so it is thread-safe and leaves the caller's state as it
 found it.  An eigenvalue past the double range is refused.  Beside the checks
 and the kernel a call does little: its norms skip ``np.vdot``'s NEP 18 dispatch
@@ -40,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
-from numpy.linalg._umath_linalg import eigh_lo
+from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
 
 from .errors import (
     NoConvergenceError,
@@ -137,10 +140,10 @@ def require_square(mat: np.ndarray, where: str) -> None:
 
 
 class SpectralResult(NamedTuple):
-    """Ascending real eigenvalues and the matching unitary eigenvector columns."""
+    """Ascending real eigenvalues and the matching unitary eigenvector columns, or None."""
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
 
 def _offdiag_mass(mat: np.ndarray) -> float:
@@ -197,12 +200,12 @@ def _hermitian_part(matrix, where: str) -> np.ndarray:
     A returned M differs from the fold only where the fold would move an entry
     by less than 2^-537: a zero's sign, or a skew whose square underflows.
     Outside the range the defect is relative_drift(M, M*), which rescales,
-    and the fold is _fold.  Both squares are _vdot's.  Of a diagonal 7 x 7
-    call of hermitian_eigen, a weave's, 6.6 us alone on one thread, these checks
-    take 3.2 us, the kernel under its state 2.6 and the rest 0.8 (numpy 2.4).
-    A dense 6 x 6 weaving operator, Hermitian bit for bit, takes 11.6 us a call
-    and 3.0 us of checks; the same operator summed from unfolded contributions,
-    which takes the fold, 13.5 and 4.8 us.
+    and the fold is _fold.  Both squares are _vdot's.  A weave's calls are
+    values only (numpy 2.4, one thread).  Of a diagonal 7 x 7 one, 5.5 us,
+    these checks take 3.2 us and eigvalsh_lo under its state 1.9 (eigh_lo
+    2.5).  A dense 6 x 6 weaving operator, Hermitian bit for bit, takes 8.4 us
+    a call, 3.0 of checks and 4.4 of kernel (eigh_lo 6.8); summed from
+    unfolded contributions, it would take the fold and 4.8 us of checks.
     """
     mat = np.asarray(matrix, dtype=complex)
     if mat.ndim != 2 or not 0.0 < (total := _vdot(mat, mat).real) < math.inf:
@@ -241,18 +244,26 @@ _vdot = np.vdot._implementation
 _set_state, _reset_state = _extobj_contextvar.set, _extobj_contextvar.reset
 
 
-def hermitian_eigen(matrix) -> SpectralResult:
-    """Full spectrum of a Hermitian matrix by LAPACK's divide and conquer.
+def hermitian_eigen(matrix, *, vectors: bool = True) -> SpectralResult:
+    """Full spectrum of a Hermitian matrix by LAPACK, with or without eigenvectors.
 
-    The argument is only read, so read-only arrays and views are fine.  Raises
-    NoConvergenceError if LAPACK fails to converge and OverflowError if an
-    eigenvalue is past the double range.  Only the kernel runs under _EIGH_STATE,
-    built at import, set in numpy's context variable and reset even on a raise.
+    With `vectors` the kernel is eigh_lo, numpy.linalg.eigh's; without, it is
+    eigvalsh_lo, numpy.linalg.eigvalsh's, and the eigenvectors are None.  A
+    caller asks for eigenvectors only if it reads them: hermitian_inverse and
+    psd_sqrt do, every other caller in the package reads the eigenvalues
+    alone.  The argument is only read, so read-only arrays and views are fine.
+    Raises NoConvergenceError if LAPACK fails to converge and OverflowError if
+    an eigenvalue is past the double range.  Only the kernel runs under
+    _EIGH_STATE, the state both numpy functions set, built at import, set in
+    numpy's context variable and reset even on a raise.
     """
     work = _hermitian_part(matrix, "hermitian_eigen")
     token = _set_state(_EIGH_STATE)
     try:
-        result = eigh_lo(work, signature="D->dD")  # (eigenvalues, eigenvectors)
+        if vectors:
+            result = eigh_lo(work, signature="D->dD")  # (eigenvalues, eigenvectors)
+        else:
+            result = eigvalsh_lo(work, signature="D->d"), None
     finally:
         _reset_state(token)
     eigenvalues = result[0]
@@ -295,7 +306,7 @@ def psd_check(matrix, tol: float = DEFAULT_TOL) -> bool:
     require_square(mat, "psd_check")
     if tol < 0:
         raise ValueError("psd_check: tolerance must be nonnegative")
-    low, high = hermitian_eigen(_fold(mat)).eigenvalues[[0, -1]]
+    low, high = hermitian_eigen(_fold(mat), vectors=False).eigenvalues[[0, -1]]
     return not exceeds(-low, tol, max(-low, high))
 
 
@@ -316,7 +327,7 @@ def operator_norm(matrix) -> float:
     mat, scale = _scaled_down(matrix)
     rows, cols = mat.shape
     gram = mat @ mat.conj().T if rows <= cols else mat.conj().T @ mat
-    top = float(hermitian_eigen(gram).eigenvalues[-1])
+    top = float(hermitian_eigen(gram, vectors=False).eigenvalues[-1])
     return scale * math.sqrt(max(top, 0.0))
 
 
@@ -328,7 +339,7 @@ def sigma_min(matrix) -> float:
     """
     mat, scale = _scaled_down(matrix)
     gram = mat.conj().T @ mat
-    bottom = float(hermitian_eigen(gram).eigenvalues[0])
+    bottom = float(hermitian_eigen(gram, vectors=False).eigenvalues[0])
     return scale * math.sqrt(max(bottom, 0.0))
 
 

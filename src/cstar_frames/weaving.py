@@ -199,7 +199,7 @@ def universal_bounds(
     minima = np.empty((m ** (count - depth), m**depth))
     maxima = np.empty(len(minima))
     for k, block in enumerate(_leaf_blocks(contribs, depth)):
-        spectra = np.array([hermitian_eigen(gram).eigenvalues for gram in block])
+        spectra = np.array([hermitian_eigen(gram, vectors=False).eigenvalues for gram in block])
         minima[k], maxima[k] = spectra[:, 0], spectra[:, -1].max()
     low, high = float(minima.min()), float(maxima.max())
     upper = high * scale * scale

@@ -285,6 +285,27 @@ def test_weave_sweep_decay_table(capsys, tmp_path):
         assert row["adversarialMin"] <= row["envelope"]
 
 
+def spy_on_hermitian_eigen(monkeypatch):
+    """A list that gets each hermitian_eigen call's `vectors`, True unless given.
+
+    The spy is bound wherever the package imported hermitian_eigen, weaving,
+    cli and linalg among them, so calls from inside linalg are seen too.
+    """
+    original = cli.hermitian_eigen
+    calls = []
+
+    def spy(matrix, **kwargs):
+        calls.append(kwargs.get("vectors", True))
+        return original(matrix, **kwargs)
+
+    bound = [name for name, module in sys.modules.items() if name.startswith("cstar_frames")
+             and getattr(module, "hermitian_eigen", None) is original]
+    assert {"cstar_frames.weaving", "cstar_frames.cli", "cstar_frames.linalg"} <= set(bound)
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "hermitian_eigen", spy)
+    return calls
+
+
 @pytest.mark.parametrize("positions,sweep", [(6, []), (8, [4, 8, 12])])
 def test_weave_makes_one_eigensolve_per_partition_and_sweep_size(capsys, tmp_path, monkeypatch,
                                                                  positions, sweep):
@@ -297,24 +318,50 @@ def test_weave_makes_one_eigensolve_per_partition_and_sweep_size(capsys, tmp_pat
     built = run_json(capsys, "construct", "t49", "--n", str(positions),
                      "--profile1", "geometric:1:0.7", "--profile2", "geometric:1.5:0.8",
                      "--out", str(prefix))
-    original = cli.hermitian_eigen
-    calls = []
-
-    def counted(matrix):
-        calls.append(None)
-        return original(matrix)
-
-    bound = [name for name, module in sys.modules.items() if name.startswith("cstar_frames")
-             and getattr(module, "hermitian_eigen", None) is original]
-    assert {"cstar_frames.weaving", "cstar_frames.cli", "cstar_frames.linalg"} <= set(bound)
-    for name in bound:
-        monkeypatch.setattr(sys.modules[name], "hermitian_eigen", counted)
+    calls = spy_on_hermitian_eigen(monkeypatch)
     argv = ["weave", built["files"]["a"], built["files"]["b"]]
     if sweep:
         argv += ["--sweep", ",".join(map(str, sweep))]
     report = run_json(capsys, *argv)
     assert report["partitionsChecked"] == 2 ** positions
     assert len(calls) == 2 ** positions + len(sweep)
+
+
+def test_eigenvectors_are_computed_only_where_they_are_read(capsys, tmp_path, monkeypatch):
+    """Each command's hermitian_eigen calls, and how many of them compute eigenvectors.
+
+    Only dual reads eigenvectors, in hermitian_inverse; every other call is
+    values only.  The totals are the eigensolves per call that the benchmark
+    pins: analyze 10 with --xi --eta --alpha and 1 without, dual 4, perturb 8,
+    construct repetition 2, and m^N plus one per --sweep size for weave.
+    """
+    rng = np.random.default_rng(5)
+    shape = ModuleShape(2, 3)
+    first = rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6))
+    second = first + 1e-3 * (rng.standard_normal((16, 6)) + 1j * rng.standard_normal((16, 6)))
+    f, g = str(tmp_path / "f.json"), str(tmp_path / "g.json")
+    save_frame(f, FrameSystem(first, shape=shape))
+    save_frame(g, FrameSystem(second, shape=shape))
+    pair = tmp_path / "pair"
+    calls = spy_on_hermitian_eigen(monkeypatch)
+    expected = [
+        (["analyze", f], 1, 0),
+        (["analyze", f, "--xi", "1.0", "--eta", "0.5", "--alpha", "1.0"], 10, 0),
+        (["dual", f, "--out", str(tmp_path / "dual.json")], 4, 1),
+        (["perturb", f, g, "--xi", "1.0", "--eta", "0.5"], 8, 0),
+        (["construct", "t4", "--kind", "gaussian", "--xi", "1", "--c", "1", "--n", "8",
+          "--out", str(tmp_path / "t4.json")], 2, 0),
+        (["construct", "repetition", "--n", "3", "--repeat", "1:3",
+          "--out", str(tmp_path / "rep.json")], 2, 0),
+        (["construct", "t49", "--n", "6", "--profile1", "geometric:1:0.7",
+          "--profile2", "geometric:1.5:0.8", "--out", str(pair)], 4, 0),
+        (["weave", f"{pair}-a.json", f"{pair}-b.json", "--sweep", "4,8"], 2**6 + 2, 0),
+        (["weave", f, g], 2**8, 0),
+    ]
+    for argv, total, with_vectors in expected:
+        calls.clear()
+        run_json(capsys, *argv)
+        assert (len(calls), calls.count(True)) == (total, with_vectors), argv
 
 
 def test_weave_sweep_without_scenario_exit_4(capsys, tmp_path):

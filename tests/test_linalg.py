@@ -210,6 +210,18 @@ def test_eigen_returns_exactly_a_spectral_result(rng, size):
 
 
 @pytest.mark.parametrize("size", [1, 7])
+def test_values_only_eigen_returns_a_spectral_result_without_eigenvectors(rng, size):
+    mat = random_hermitian(rng, size)
+    for argument in (mat, np.diag(np.diag(mat)), mat.tolist()):
+        result = hermitian_eigen(argument, vectors=False)
+        assert type(result) is SpectralResult
+        values, vectors = result
+        assert values is result.eigenvalues and vectors is None
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert values.shape == (size,)
+
+
+@pytest.mark.parametrize("size", [1, 7])
 def test_a_replaced_kernels_pair_comes_back_as_a_spectral_result(monkeypatch, rng, size):
     # numpy.linalg.eigh gives its own named pair, EighResult; a plain tuple is the other form.
     for kernel in (lambda work, signature: np.linalg.eigh(work),
@@ -223,41 +235,55 @@ def test_eigen_sweep_cap():
         jacobi_eigen([[2.0, 1.0], [1.0, 2.0]], max_sweeps=0)
 
 
+# The kernel hermitian_eigen calls with and without eigenvectors: the name it is
+# bound to in linalg and the numpy function that dispatches to it.
+LAPACK_KERNELS = {True: ("eigh_lo", np.linalg.eigh), False: ("eigvalsh_lo", np.linalg.eigvalsh)}
+
+
+def _failing(kernel):
+    """`kernel` after raising the invalid flag, as LAPACK's kernels do when they fail."""
+    def fail(work, signature):
+        np.sqrt(np.float64(-1.0))
+        return kernel(work)
+
+    return fail
+
+
+def _assert_lapack_failure_is_no_convergence(monkeypatch, vectors):
+    name, kernel = LAPACK_KERNELS[vectors]
+    monkeypatch.setattr(linalg, name, _failing(kernel))
+    with pytest.raises(NoConvergenceError, match="LAPACK") as caught:
+        hermitian_eigen(np.eye(2), vectors=vectors)
+    assert str(caught.value) == "hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge"
+
+
 def test_eigen_lapack_failure_is_no_convergence(monkeypatch):
     # The kernel reports a failure by raising the invalid flag, as LAPACK's does;
     # hermitian_eigen's error state turns the flag into the error.
-    def fail(work, signature):
-        np.sqrt(np.float64(-1.0))
-        return np.linalg.eigh(work)
+    _assert_lapack_failure_is_no_convergence(monkeypatch, vectors=True)
 
-    monkeypatch.setattr(linalg, "eigh_lo", fail)
-    with pytest.raises(NoConvergenceError, match="LAPACK") as caught:
-        hermitian_eigen(np.eye(2))
-    assert str(caught.value) == "hermitian_eigen: LAPACK eigh failed: Eigenvalues did not converge"
+
+def test_values_only_lapack_failure_is_no_convergence(monkeypatch):
+    # The values-only kernel fails the same way and gets the same message.
+    _assert_lapack_failure_is_no_convergence(monkeypatch, vectors=False)
 
 
 def _caller_handler(err, flag):
     raise AssertionError("the caller's error handler was called")
 
 
-@pytest.mark.parametrize("outcome", ["returns", "no convergence", "overflow"])
-def test_hermitian_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
-    # hermitian_eigen's own error state is entered and left around the kernel
-    # alone; the caller's, whatever it is, is the one in force after any outcome.
+def _assert_callers_error_state_kept(monkeypatch, outcome, vectors):
     matrix = np.full((2, 2), 1e308) if outcome == "overflow" else np.eye(2)
     if outcome == "no convergence":
-        def fail(work, signature):
-            np.sqrt(np.float64(-1.0))
-            return np.linalg.eigh(work)
-
-        monkeypatch.setattr(linalg, "eigh_lo", fail)
+        name, kernel = LAPACK_KERNELS[vectors]
+        monkeypatch.setattr(linalg, name, _failing(kernel))
     raised = {"returns": None, "no convergence": NoConvergenceError, "overflow": OverflowError}
     for state in ({"all": "raise"}, {"all": "ignore"}, {"all": "call", "call": _caller_handler},
                   {"divide": "warn", "over": "print", "under": "log", "invalid": "raise"}):
         with np.errstate(**state):
             before = (np.geterr(), np.geterrcall())
             try:
-                hermitian_eigen(matrix)
+                hermitian_eigen(matrix, vectors=vectors)
             except (NoConvergenceError, OverflowError) as exc:
                 assert type(exc) is raised[outcome]
             else:
@@ -265,24 +291,59 @@ def test_hermitian_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
             assert (np.geterr(), np.geterrcall()) == before
 
 
-@pytest.mark.parametrize("state", [{"all": "raise"}, {"all": "call", "call": _caller_handler}])
-def test_kernel_runs_under_numpy_eighs_error_state(monkeypatch, state):
-    # The state built at import is the one numpy.linalg.eigh enters around the
-    # same kernel, every flag and the handler, whatever the caller's state is.
+@pytest.mark.parametrize("outcome", ["returns", "no convergence", "overflow"])
+def test_hermitian_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
+    # hermitian_eigen's own error state is entered and left around the kernel
+    # alone; the caller's, whatever it is, is the one in force after any outcome.
+    _assert_callers_error_state_kept(monkeypatch, outcome, vectors=True)
+
+
+@pytest.mark.parametrize("outcome", ["returns", "no convergence", "overflow"])
+def test_values_only_eigen_leaves_the_callers_error_state(monkeypatch, outcome):
+    _assert_callers_error_state_kept(monkeypatch, outcome, vectors=False)
+
+
+def _kernel_states(monkeypatch, state, vectors):
+    """The error states the kernel saw inside hermitian_eigen, and the one numpy.linalg sets."""
     with np.errstate(call=linalg._no_convergence, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         expected = (np.geterr(), np.geterrcall())
     seen = []
+    name, kernel = LAPACK_KERNELS[vectors]
 
     def record(work, signature):
         seen.append((np.geterr(), np.geterrcall()))
-        return np.linalg.eigh(work)
+        return kernel(work)
 
-    monkeypatch.setattr(linalg, "eigh_lo", record)
+    monkeypatch.setattr(linalg, name, record)
     with np.errstate(**state):
         assert (np.geterr(), np.geterrcall()) != expected
-        hermitian_eigen(np.eye(2))
+        hermitian_eigen(np.eye(2), vectors=vectors)
+    return seen, expected
+
+
+@pytest.mark.parametrize("state", [{"all": "raise"}, {"all": "call", "call": _caller_handler}])
+def test_kernel_runs_under_numpy_eighs_error_state(monkeypatch, state):
+    # The state built at import is the one numpy.linalg.eigh enters around the
+    # same kernel, every flag and the handler, whatever the caller's state is.
+    seen, expected = _kernel_states(monkeypatch, state, vectors=True)
     assert seen == [expected]
+
+
+@pytest.mark.parametrize("state", [{"all": "raise"}, {"all": "call", "call": _caller_handler}])
+def test_values_only_kernel_runs_under_numpy_eigvalshs_error_state(monkeypatch, state):
+    # numpy.linalg.eigvalsh enters the same state around its kernel as eigh.
+    seen, expected = _kernel_states(monkeypatch, state, vectors=False)
+    assert seen == [expected]
+
+
+def test_numpy_has_the_complex_loops_of_both_lapack_kernels():
+    # linalg calls these numpy-2 private gufuncs with these signatures; a numpy
+    # that drops either loop fails here, by name, not in the bits of a report.
+    from numpy.linalg._umath_linalg import eigh_lo, eigvalsh_lo
+
+    assert "D->dD" in eigh_lo.types
+    assert "D->d" in eigvalsh_lo.types
 
 
 @pytest.mark.parametrize("exponent", [-460, 0, 460])
@@ -359,8 +420,10 @@ def hermitian_matrices(draw):
 def test_lapack_agrees_with_jacobi_reference(mat):
     tolerance = 1e-11 * np.linalg.norm(mat)
     lapack, _ = hermitian_eigen(mat)
+    values_only, _ = hermitian_eigen(mat, vectors=False)
     jacobi, _ = jacobi_eigen(mat)
     assert np.max(np.abs(lapack - jacobi)) <= tolerance
+    assert np.max(np.abs(values_only - jacobi)) <= tolerance
 
 
 # ------------------------------------------------------------ _hermitian_part
@@ -564,6 +627,29 @@ def test_hermitian_eigen_is_numpy_eigh_of_the_hermitian_part_bit_for_bit(size, k
                                                             numpys.tobytes())
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.sampled_from(("hermitian", "near-hermitian", "real diagonal")),
+       st.one_of(st.integers(-470, -440), st.integers(-30, 30), st.integers(440, 470)),
+       st.sampled_from(("as is", "stack view", "fortran", "real")), st.integers(0, 2**32 - 1))
+def test_values_only_eigen_is_numpy_eigvalsh_of_the_hermitian_part_bit_for_bit(
+        size, kind, exponent, layout, seed):
+    # Without eigenvectors hermitian_eigen calls the kernel np.linalg.eigvalsh
+    # dispatches to; on the same Hermitian part both give the same bits.
+    rng = np.random.default_rng(seed)
+    if kind == "real diagonal":
+        mat = np.diag(rng.uniform(-1.0, 1.0, size)).astype(complex)
+    else:
+        mat = random_hermitian(rng, size)
+    if kind == "near-hermitian":  # a relative skew of at most 1e-12
+        noise = random_complex(rng, size, size)
+        mat += 2e-13 * np.linalg.norm(mat) / np.linalg.norm(noise) * noise
+    mat = _laid_out(math.ldexp(1.0, exponent) * mat, layout)
+    got, vectors = hermitian_eigen(mat, vectors=False)
+    want = np.linalg.eigvalsh(_hermitian_part(mat, "where"))
+    assert vectors is None
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def _frame_operator_matrix():
     rng = np.random.default_rng(11)
     system = FrameSystem(random_complex(rng, 12, 6), shape=ModuleShape(2, 3))
@@ -717,8 +803,8 @@ def test_norms_match_unscaled_gram(rng):
     for rows, cols in ((3, 3), (4, 6), (6, 4), (5, 5)):
         m = 37.0 * random_complex(rng, rows, cols)
         small = m @ m.conj().T if rows <= cols else m.conj().T @ m
-        top = hermitian_eigen(small).eigenvalues[-1]
-        bottom = hermitian_eigen(m.conj().T @ m).eigenvalues[0]
+        top = hermitian_eigen(small, vectors=False).eigenvalues[-1]
+        bottom = hermitian_eigen(m.conj().T @ m, vectors=False).eigenvalues[0]
         assert operator_norm(m) == math.sqrt(top)
         assert sigma_min(m) == math.sqrt(max(bottom, 0.0))
 
@@ -790,8 +876,9 @@ def test_spectrum_past_double_range_rejected():
     # Every entry is finite, but the eigenvalue 2e308 (or -2e308) is not.
     message = r"^hermitian_eigen: an eigenvalue is past the double range$"
     for sign in (1.0, -1.0):
-        with pytest.raises(OverflowError, match=message):
-            hermitian_eigen(np.full((2, 2), sign * 1e308))
+        for vectors in (True, False):
+            with pytest.raises(OverflowError, match=message):
+                hermitian_eigen(np.full((2, 2), sign * 1e308), vectors=vectors)
     for call in (psd_check, hermitian_inverse):
         for tol in (0.0, DEFAULT_TOL):
             with pytest.raises(OverflowError, match=message):

@@ -213,9 +213,10 @@ def test_universal_bounds_enclose_each_family(families):
 def reference_bounds(families):
     """One partition at a time: itertools.product, a left-to-right sum, and one eigensolve each.
 
-    For D > 1 the sum is also checked to be, bit for bit, the one ndarray.sum
-    gives on the gathered stack.  The worst partition is the first whose
-    smallest eigenvalue is within ROUNDING_RTOL times the upper bound of the least.
+    The eigensolve is the values-only one universal_bounds makes.  For D > 1
+    the sum is also checked to be, bit for bit, the one ndarray.sum gives on
+    the gathered stack.  The worst partition is the first whose smallest
+    eigenvalue is within ROUNDING_RTOL times the upper bound of the least.
     """
     shape, count, m = families[0].shape, len(families[0]), len(families)
     rows = np.stack([fam.synthesis for fam in families]).reshape(m, count, shape.d, shape.dim)
@@ -227,7 +228,7 @@ def reference_bounds(families):
         gram = functools.reduce(np.add, stack)
         if shape.dim > 1:
             assert gram.tobytes() == stack.sum(axis=0).tobytes()
-        eigenvalues = hermitian_eigen(gram).eigenvalues
+        eigenvalues = hermitian_eigen(gram, vectors=False).eigenvalues
         minima[assignment] = float(eigenvalues[0])
         high = max(high, float(eigenvalues[-1]))
     low = min(minima.values())
@@ -256,6 +257,52 @@ def weaving_families(draw):
                             shape=shape) for _ in range(m)]
     return [_basis_frame(shape, rng.integers(0, n, count), rng.choice([0.5, 1.0, 3.0**0.5], count))
             for _ in range(m)]
+
+
+def certified_sandwich(families):
+    """Bounds on every weave of `families` from the frames alone, by np.linalg.svd.
+
+    For a partition s, X_s - X_f takes its rows from the X_g - X_f, g != f, on
+    disjoint row sets, so ||X_s - X_f|| <= delta_f = sqrt(sum_(g != f) ||X_g - X_f||^2).
+    Weyl's inequality for singular values, and S_s <= sum_f S_f, then give
+    lower >= max_f (sigma_min(X_f) - delta_f)_+^2 and
+    upper <= min(lambda_max(sum_f S_f), min_f (sigma_max(X_f) + delta_f)^2).
+    sigma_min is the smallest of the n d singular values, 0 where X_f is wide.
+    """
+    synth = [family.synthesis for family in families]
+
+    def norm(x):
+        return float(np.linalg.svd(x, compute_uv=False)[0])
+
+    lower, upper = 0.0, norm(np.vstack(synth)) ** 2  # lambda_max(sum_f X_f* X_f)
+    for f, x in enumerate(synth):
+        delta = math.sqrt(sum(norm(y - x) ** 2 for g, y in enumerate(synth) if g != f))
+        sigmas = np.linalg.svd(x, compute_uv=False)
+        bottom = float(sigmas[-1]) if x.shape[0] >= x.shape[1] else 0.0
+        lower = max(lower, max(bottom - delta, 0.0) ** 2)
+        upper = min(upper, (float(sigmas[0]) + delta) ** 2)
+    return lower, upper
+
+
+#: The sandwich's slack, in units of D eps times the universal upper bound: the
+#: eigensolves and the SVDs each err by a small multiple of D eps times it.
+SANDWICH_SLACK = 16
+
+
+@settings(deadline=None, max_examples=100)
+@given(weaving_families(), st.sampled_from([1.0, 1e-1, 1e-3]))
+def test_every_weave_lies_inside_its_certified_sandwich(families, spread):
+    # The enumeration against a route that shares none of its code.  Each
+    # family but the first is drawn towards the first by `spread`, so that the
+    # certified lower bound is not 0 in every example.
+    first, shape = families[0].synthesis, families[0].shape
+    families = [families[0]] + [FrameSystem(first + spread * (family.synthesis - first),
+                                            shape=shape) for family in families[1:]]
+    report = universal_bounds(families)
+    lower, upper = certified_sandwich(families)
+    slack = SANDWICH_SLACK * shape.dim * np.finfo(float).eps * report.universal_upper
+    assert report.universal_lower >= lower - slack
+    assert report.universal_upper <= upper + slack
 
 
 def block_budgets(families):
@@ -330,8 +377,8 @@ def kernel_calls(families):
     """Each matrix universal_bounds hands hermitian_eigen, in order, with its eigenvalues."""
     calls = []
 
-    def spy(matrix):
-        result = hermitian_eigen(matrix)
+    def spy(matrix, **kwargs):
+        result = hermitian_eigen(matrix, **kwargs)
         calls.append((matrix, result.eigenvalues))
         return result
 
