@@ -1,5 +1,7 @@
-# Shell helpers for the CI steps that run the command line; source this file
-# from the root of the checkout.  The package is imported from its src/.
+# Shell helpers for the CI step that runs the command line; source this file
+# from the root of the checkout.  The package is imported from its src/.  Reports
+# go to $RUNNER_TEMP, a new temporary directory where it is unset (a run by hand).
+: "${RUNNER_TEMP:=$(mktemp -d)}"
 cli_src="$PWD/src"
 strict_json='import json, sys; json.load(sys.stdin, parse_constant=lambda c: sys.exit(f"{sys.argv[1]}: {c} is not JSON"))'
 
@@ -15,11 +17,3 @@ cli() {
   esac
 }
 
-# A call that must exit with the code given first and one "error:" line on stderr.
-refused() {
-  local code=$1 status=0
-  shift
-  PYTHONPATH="$cli_src" python3 -m cstar_frames.cli "$@" > /dev/null 2> "$RUNNER_TEMP/stderr.txt" || status=$?
-  cat "$RUNNER_TEMP/stderr.txt"
-  [ "$status" -eq "$code" ] && [ "$(wc -l < "$RUNNER_TEMP/stderr.txt")" -eq 1 ] && grep -q '^error:' "$RUNNER_TEMP/stderr.txt"
-}

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import functools
 import json
 import math
@@ -37,6 +38,9 @@ import os
 import sys
 import time
 from dataclasses import is_dataclass
+from pathlib import Path
+
+import numpy as np
 
 from .constructors import ScalarProfile, profile_frame, repetition_frame
 from .decomposition import (
@@ -482,6 +486,44 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or None if not found.
+
+    numpy's Linux wheels ship scipy-openblas in the numpy.libs folder beside the
+    package; it is already loaded, so opening it again returns the same library.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(str(path))
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's thread count.
+
+    A threaded Gram or Hermitian reduction rounds in another order for each
+    thread count, so a report of a large frame would change its last bits with
+    the core count.  Where no setter is found, the block runs unpinned.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def _past_range_as_null(value):
     """The report with every result as its JSON object (see frame_io.json_object), then
     every float past the double range (inf or NaN) as None: a -inf slack reads null."""
@@ -526,18 +568,20 @@ def _print(text: str, stream) -> None:
 def main(argv=None) -> int:
     """Run one command and return its exit code; may be called repeatedly in one process.
 
-    The parser is built on the first call and kept for the process.
+    The parser is built on the first call and kept for the process.  The
+    command runs on one OpenBLAS thread (see _one_blas_thread).
     """
-    try:
-        args = _shared_parser().parse_args(argv)
-        report = _past_range_as_null(args.handler(args))
-        _print(json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
-               else "\n".join(_render_text(report)), sys.stdout)
-    except tuple(EXIT_CODES) as exc:
-        with contextlib.suppress(BrokenPipeError):  # standard error closed too: the code is all
-            _print(f"error: {exc}", sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
-    return 0
+    with _one_blas_thread():
+        try:
+            args = _shared_parser().parse_args(argv)
+            report = _past_range_as_null(args.handler(args))
+            _print(json.dumps(report, sort_keys=True, indent=2) if args.format == "json"
+                   else "\n".join(_render_text(report)), sys.stdout)
+        except tuple(EXIT_CODES) as exc:
+            with contextlib.suppress(BrokenPipeError):  # standard error closed too: the code is all
+                _print(f"error: {exc}", sys.stderr)
+            return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, reproducibility."""
 
+import importlib
 import json
 import math
 import os
@@ -364,6 +365,24 @@ def test_eigenvectors_are_computed_only_where_they_are_read(capsys, tmp_path, mo
         assert (len(calls), calls.count(True)) == (total, with_vectors), argv
 
 
+def test_benchmark_pins_hold(capsys, tmp_path, monkeypatch):
+    """Each command of each benchmark workload, at seed 1, makes the eigensolves pinned in
+    bench/workloads.py, and its report passes the benchmark's oracle."""
+    monkeypatch.syspath_prepend(str(Path(cstar_frames.__file__).parents[2] / "bench"))
+    workloads = importlib.import_module("workloads").WORKLOADS
+    calls = spy_on_hermitian_eigen(monkeypatch)
+    for name, workload in workloads.items():
+        (tmp_path / name).mkdir()
+        for step in workload.prepare(1, tmp_path / name, main):
+            calls.clear()
+            code, out, err = run(capsys, *step.argv)
+            assert code == 0, err
+            step.check(json.loads(out))
+            assert len(calls) == workload.eigen_calls[step.command], (name, step.command)
+    assert [sorted(w.eigen_calls.values()) for w in workloads.values()] == [
+        [4, 8, 10], [1, 2], [1024], [16388]]
+
+
 def test_weave_sweep_without_scenario_exit_4(capsys, tmp_path):
     path = write_onb(tmp_path / "onb.json")
     code, _, err = run(capsys, "weave", str(path), str(path), "--sweep", "4,8")
@@ -564,6 +583,53 @@ def test_closed_standard_output_and_error_exit_with_the_mapped_code(tmp_path):
         assert done.returncode == code, argv
 
 
+def _write_minified(path, synthesis):
+    """A d = 1 frame file with the rows of `synthesis` as its vectors, as minified JSON."""
+    pairs = np.stack([synthesis.real, synthesis.imag], axis=-1)[:, :, None, None, :]
+    path.write_text(json.dumps({"algebra": {"d": 1}, "module": {"n": synthesis.shape[1]},
+                                "schema": "cstar-frames/1", "vectors": pairs.tolist()},
+                               separators=(",", ":")))
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """analyze prints the same bytes, apart from timing, on one OpenBLAS thread and on two.
+
+    Threaded, LAPACK's Hermitian reduction of a dense dim-256 S (an exact
+    integer Gram here), and the Gram of 16384 rows, each round in another order.
+    """
+    rng = np.random.default_rng(1)
+    dense = rng.integers(-9, 10, (256, 256)) + 1j * rng.integers(-9, 10, (256, 256))
+    src = Path(cstar_frames.__file__).parent.parent
+    for name, synthesis in (("dense", dense), ("long", rng.standard_normal((16384, 1)) + 0j)):
+        path = tmp_path / f"{name}.json"
+        _write_minified(path, synthesis)
+        reports = []
+        for threads in ("1", "2"):
+            done = subprocess.run([sys.executable, "-m", "cstar_frames.cli", "analyze", str(path),
+                                   "--format", "json"], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src),
+                                       "OPENBLAS_NUM_THREADS": threads})
+            assert (done.returncode, done.stderr) == (0, "")
+            reports.append(re.sub(r'"seconds": .*', "", done.stdout))
+        assert reports[0] == reports[1], name
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_callers(capsys, tmp_path, monkeypatch):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, set_ = threads
+    seen, original = [], cli.optimal_bounds
+    monkeypatch.setattr(cli, "optimal_bounds", lambda *args: seen.append(get()) or original(*args))
+    saved = get()
+    set_(2)
+    try:
+        run_json(capsys, "analyze", str(write_onb(tmp_path / "onb.json")))
+        assert (seen, get()) == ([1], 2)
+    finally:
+        set_(saved)
+
+
 @pytest.mark.parametrize("command,flags", [
     ("analyze", ["--xi", "nan"]),
     ("analyze", ["--xi", "inf"]),
@@ -737,7 +803,7 @@ def test_perturb_huge_entry_exit_0(capsys, tmp_path):
 
 
 def _strict_json(text):
-    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    """A report parsed as JSON proper: Infinity, -Infinity and NaN are refused."""
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
     return json.loads(text, parse_constant=refuse)
@@ -979,13 +1045,6 @@ def test_analyze_eta_past_double_range(capsys, tmp_path):
         assert decomposition["lowerBound"].pop("eta") == decomposition["deviation"].pop("eta")
         reports.append(report)
     assert reports[0] == reports[1]
-
-
-def _strict_json(text):
-    """A report parsed as JSON proper: Infinity, -Infinity and NaN are refused."""
-    def refuse(constant):
-        raise ValueError(f"{constant} is not JSON")
-    return json.loads(text, parse_constant=refuse)
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,6 +1,7 @@
 """The tolerance policy: no verdict depends on scale, and no threshold hides in a literal."""
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -175,3 +176,120 @@ def test_scaled_identity_is_still_a_frame():
     bounds = optimal_bounds(FrameSystem(2.0**-20 * np.eye(4), shape=ModuleShape(1, 4)))
     assert bounds.lower == bounds.upper == 2.0**-40
     assert bounds.is_frame and bounds.tight
+
+
+# ------------------------------------------------ an exact referee for the verdicts
+#
+# Doubles are dyadic rationals, so S = X* X is exact in Fractions (complex X as the
+# real embedding [[Re X, -Im X], [Im X, Re X]], whose Gram [[A, -B], [B, A]] has the
+# spectrum of S = A + iB, each eigenvalue twice).  By Sylvester's law of inertia the
+# negative pivots of an LDL^T of S - mu I count the eigenvalues below mu, so bisection
+# brackets an extreme eigenvalue exactly.  isFrame and tight must then agree with the
+# exact verdict wherever the exact margin is more than REFEREE_BAND * D * eps * lambda_max
+# from their threshold.
+
+REFEREE_BAND = 16
+
+
+def _exact_gram(synthesis):
+    rows = synthesis.real if not synthesis.imag.any() else np.block(
+        [[synthesis.real, -synthesis.imag], [synthesis.imag, synthesis.real]])
+    x = [[Fraction(entry) for entry in row] for row in rows.tolist()]
+    columns = range(len(x[0]))
+    return [[sum(row[i] * row[j] for row in x) for j in columns] for i in columns]
+
+
+def _eigenvalues_below(gram, mu):
+    """The negative pivots of an LDL^T of gram - mu I with symmetric pivoting."""
+    a = [[entry - mu if i == j else entry for j, entry in enumerate(row)]
+         for i, row in enumerate(gram)]
+    below = 0
+    while a:
+        k = next((k for k, row in enumerate(a) if row[k] != 0), None)
+        if k is None:
+            nonzero = [(i, j) for i, row in enumerate(a) for j, entry in enumerate(row) if entry]
+            if not nonzero:
+                return below  # the rest is 0: its eigenvalues equal mu
+            # Add row and column j to row and column k, a congruence: a[k][k] becomes 2 a[k][j].
+            k, j = nonzero[0]
+            for row in a:
+                row[k] += row[j]
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+        pivot_row = a.pop(k)
+        pivot = pivot_row.pop(k)
+        below += pivot < 0
+        for row in a:
+            factor = row.pop(k) / pivot
+            row[:] = [x - factor * y for x, y in zip(row, pivot_row)]
+    return below
+
+
+def _bracket(gram, k, estimate, width):
+    """Rationals (lo, hi) with lo <= lambda_k < hi, the k-th smallest eigenvalue."""
+    centre, width = Fraction(estimate), Fraction(width)
+    while not (_eigenvalues_below(gram, centre - width) <= k
+               < _eigenvalues_below(gram, centre + width)):
+        width *= 2
+    return centre - width, centre + width
+
+
+def _halve(gram, k, bracket):
+    lo, hi = bracket
+    mid = (lo + hi) / 2
+    return (mid, hi) if _eigenvalues_below(gram, mid) <= k else (lo, mid)
+
+
+def _exact_sign(gram, brackets, c, band):
+    """The sign of lambda_min - c lambda_max, or 0 where it lies within [-band, band].
+
+    `brackets` holds those two eigenvalues' brackets; they are narrowed in place.
+    """
+    ks = (0, len(gram) - 1)
+    for _ in range(300):
+        (min_lo, min_hi), (max_lo, max_hi) = brackets
+        lo, hi = min_lo - c * max_hi, min_hi - c * max_lo
+        if lo > band or hi < -band:
+            return 1 if lo > band else -1
+        if -band <= lo and hi <= band:
+            return 0
+        brackets[:] = [_halve(gram, k, bracket) for k, bracket in zip(ks, brackets)]
+    raise AssertionError("the margin was not resolved")
+
+
+@st.composite
+def referee_cases(draw):
+    """A frame X = U diag(sqrt(lambda)) V* with D <= 4, real or complex, lambda_max = 1,
+    and a tolerance; lambda_min is drawn at random or within 1e-8 of a threshold."""
+    d = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4 // d))
+    dim, count = n * d, draw(st.integers(n, n + 2))
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3, 0.5)))
+    if draw(st.booleans()):
+        threshold = draw(st.sampled_from((tol, 1.0 - tol)))
+        offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-17.0, -8.0))
+        smallest = min(max(threshold + offset, 0.0), 1.0)
+    else:
+        smallest = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = draw(st.booleans())
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + (0 if real else 1j) * rng.standard_normal(shape)
+
+    spectrum = np.concatenate([[1.0, smallest], rng.uniform(smallest, 1.0, max(dim - 2, 0))])[:dim]
+    u, v = np.linalg.qr(gaussian(count * d, dim))[0], np.linalg.qr(gaussian(dim, dim))[0]
+    synthesis = (u * np.sqrt(spectrum)) @ v.conj().T
+    return FrameSystem(synthesis.astype(complex), shape=ModuleShape(d, n)), tol
+
+
+@settings(deadline=None, max_examples=300)
+@given(referee_cases())
+def test_verdicts_agree_with_exact_arithmetic_outside_the_band(case):
+    system, tol = case
+    bounds = optimal_bounds(system, tol)
+    gram = _exact_gram(system.synthesis)
+    band = Fraction(REFEREE_BAND * system.shape.dim * np.finfo(float).eps * bounds.upper)
+    brackets = [_bracket(gram, 0, bounds.lower, band),
+                _bracket(gram, len(gram) - 1, bounds.upper, band)]
+    for verdict, c in ((bounds.is_frame, Fraction(tol)), (bounds.tight, 1 - Fraction(tol))):
+        assert _exact_sign(gram, brackets, c, band) in (0, 1 if verdict else -1), (verdict, c)
